@@ -63,7 +63,7 @@ def three_coloring_from_dim(g: Graph, dim: EdgeSet) -> Coloring:
 
     The lower endpoint of each matched edge gets color 1, the upper
     color 2, and every unmatched vertex color 3.  Properness is
-    asserted before returning.
+    checked before returning.
     """
     witness = classify_dim(g, dim)
     if not witness.is_valid:
@@ -74,7 +74,8 @@ def three_coloring_from_dim(g: Graph, dim: EdgeSet) -> Coloring:
         colors[u] = 1
         colors[v] = 2
     for u, v in g.edges:
-        assert colors[u] != colors[v], "derived coloring is not proper"
+        if colors[u] == colors[v]:
+            raise RuntimeError(f"derived coloring is not proper at edge {u}-{v}")
     return Coloring(tuple(colors))
 
 
@@ -316,6 +317,9 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
 
     entries: list[CheckEntry] = []
 
+    def budget_error(name: str, exc: SearchBudgetExceeded) -> CheckEntry:
+        return CheckEntry(name, True, False, "budget exhausted", error=str(exc))
+
     def guarded(name: str, applicable: bool, na_reason: str, run) -> None:
         if not applicable:
             entries.append(_not_applicable(name, na_reason))
@@ -324,9 +328,7 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
             passed, details = run()
             entries.append(CheckEntry(name, True, passed, details))
         except SearchBudgetExceeded as exc:
-            entries.append(
-                CheckEntry(name, True, False, "budget exhausted", error=str(exc))
-            )
+            entries.append(budget_error(name, exc))
 
     def run_coloring():
         coloring = three_coloring_from_dim(g, dim)
@@ -411,15 +413,31 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
 
     guarded("short-cycle-intersections", has_dim, "no dim", run_short)
 
-    p = find_dim_partition(g) if has_dim else None
-    has_partition = p is not None and g.m > 0
+    # A partition search that runs out of budget makes every check that
+    # would apply to a partition an error entry: a budget hit must not
+    # read as "no partition".
+    p: Optional[DimPartition] = None
+    partition_error: Optional[SearchBudgetExceeded] = None
+    if has_dim:
+        try:
+            p = find_dim_partition(g, budgets.search_nodes)
+        except SearchBudgetExceeded as exc:
+            partition_error = exc
+    has_partition = (p is not None or partition_error is not None) and g.m > 0
+
+    def partition_guarded(name: str, applicable: bool, na_reason: str, run) -> None:
+        if applicable and partition_error is not None:
+            entries.append(budget_error(name, partition_error))
+        else:
+            guarded(name, applicable, na_reason, run)
+
     connected = is_connected(g)
 
     def run_partition_regularity():
         ok = check_partition_regularity(g, p)
         return ok, f"classes {p.num_classes}"
 
-    guarded(
+    partition_guarded(
         "partition-regularity",
         has_partition and connected,
         "no partition or graph disconnected",
@@ -428,7 +446,7 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
 
     structured = has_partition and regularity in ("regular", "biregular")
     assignment = None
-    if structured:
+    if structured and partition_error is None:
         assignment = list_assignment(g, p)
 
     def run_lists():
@@ -439,7 +457,7 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
             f"equal-fibers {res.equal_fibers}"
         )
 
-    guarded(
+    partition_guarded(
         "list-properties",
         structured,
         "no partition or irregular degree profile",
@@ -453,7 +471,7 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         ok = g.n % binom == 0
         return ok, f"{binom} divides {g.n}: {ok}"
 
-    guarded(
+    partition_guarded(
         "vertex-count-divisibility",
         has_partition and profile.is_regular and r >= 1,
         "no partition or not regular",
@@ -464,7 +482,7 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         ok = check_kneser_isomorphism(g, assignment)
         return ok, f"vertices {g.n} = C({2 * r - 1},{r - 1})"
 
-    guarded(
+    partition_guarded(
         "kneser-extremal-case",
         has_partition
         and profile.is_regular

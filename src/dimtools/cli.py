@@ -135,6 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("action", choices=("find", "verify"))
     part.add_argument("graphfile")
     part.add_argument("--partition", help="partition file (verify only)")
+    part.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     part.add_argument("--format", choices=GRAPH_FORMATS, default="edgelist")
 
     ver = sub.add_parser("verify", help="run the verification report")
@@ -232,7 +233,7 @@ def _cmd_dim(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_partition(args: argparse.Namespace, out: TextIO) -> int:
     g = _read_graph(args.graphfile, args.format)
     if args.action == "find":
-        p = find_dim_partition(g)
+        p = find_dim_partition(g, args.budget)
         if p is None:
             out.write("no partition\n")
             return EXIT_NO
@@ -263,7 +264,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         out.write(report.to_text())
     else:
         out.write(json.dumps(report.as_dict(), indent=2) + "\n")
-    if report.dim_search_error:
+    if report.dim_search_error or any(e.error for e in report.entries):
         return EXIT_BUDGET
     return EXIT_OK if report.all_passed else EXIT_NO
 
@@ -377,3 +378,7 @@ def run(
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

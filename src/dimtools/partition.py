@@ -4,9 +4,13 @@ For a connected graph whose edges split into DIM color classes, the
 number of classes is forced: every class holds exactly one edge of
 E(u) union E(v) for any fixed edge uv, so there are d(u) + d(v) - 1
 classes, and the graph must be regular or biregular.  The search here
-bakes those constraints in; :func:`brute_force_dim_partitions` is the
-assumption-free oracle that covers the edge set by explicitly
-enumerated DIMs instead.
+rejects graphs that break those constraints up front.  Otherwise it
+enumerates each component's DIMs with the solver's exact-cover engine
+and runs the same engine once more to cover the component's edges
+exactly by those DIMs; every class of such a cover is a DIM, so the
+cover is the partition.  :func:`brute_force_dim_partitions` is the
+assumption-free oracle that covers the edge set by DIMs from the
+subset-scan oracle with a search of its own.
 
 The list assignment sends each vertex to the set of class colors
 missing from its incident edges.  For an r-regular graph with 2r - 1
@@ -27,9 +31,9 @@ from typing import Optional
 
 from .graph import Graph, components, degree_profile, induced_subgraph, is_connected
 from .solver import (
-    DimClass,
     EdgeSet,
-    _domination_masks,
+    _dim_search,
+    _ExactCover,
     brute_force_dims,
     classify_dim,
 )
@@ -91,60 +95,51 @@ def _component_class_count(g: Graph) -> Optional[int]:
     return counts.pop()
 
 
-def _search_component_colors(g: Graph, k: int) -> Optional[list[int]]:
-    """Backtracking edge coloring of a connected graph into k DIM classes.
+def _cover_by_dims(
+    g: Graph, k: int, budget: int, spent: int
+) -> tuple[Optional[list[int]], int]:
+    """Colors of a connected graph's edges in k DIM classes (None if
+    there is no such partition), and the nodes spent so far.
 
-    Assigns colors to edges in canonical order.  A class may take an
-    edge only while its dominated-edge set stays disjoint from the
-    edge's dominated set (each class dominates each edge at most once);
-    once the last potential dominator of an edge f has been colored,
-    every class must already dominate f.  Color symmetry is broken by
-    allowing a new color only when all lower colors are in use.
+    Enumerates the DIMs with the exact-cover engine, then runs the same
+    engine on the instance whose rows are those DIMs and whose columns
+    are the edges.  The first cover found is returned, its classes
+    numbered 1..k in order of their smallest edge.  Both searches draw
+    on one node budget, of which ``spent`` nodes are already used.
     """
-    m = g.m
-    masks = _domination_masks(g)
-    deadline: dict[int, list[int]] = {}
-    for f in range(m):
-        closes_at = max(e for e in range(m) if masks[e] >> f & 1)
-        deadline.setdefault(closes_at, []).append(f)
-
-    colors = [0] * m
-    class_dom = [0] * (k + 1)
-
-    def assign(i: int, used: int) -> bool:
-        if i == m:
-            return used == k
-        mask = masks[i]
-        for c in range(1, min(used + 1, k) + 1):
-            if class_dom[c] & mask:
-                continue
-            class_dom[c] |= mask
-            colors[i] = c
-            now_used = max(used, c)
-            complete = all(
-                class_dom[cc] >> f & 1
-                for f in deadline.get(i, ())
-                for cc in range(1, k + 1)
-            )
-            if complete and assign(i + 1, now_used):
-                return True
-            class_dom[c] ^= mask
-        colors[i] = 0
-        return False
-
-    if m == 0:
-        return []
-    return colors if assign(0, 0) else None
+    dim_search = _dim_search(g, budget, spent)
+    dims = [sorted(sol) for sol in dim_search.solutions()]
+    cols = [0] * g.m
+    for i, dim in enumerate(dims):
+        for e in dim:
+            cols[e] |= 1 << i
+    rows = [sum(1 << e for e in dim) for dim in dims]
+    cover_search = _ExactCover(rows, cols, budget, dim_search.nodes)
+    cover = next(cover_search.solutions(), None)
+    if cover is None:
+        return None, cover_search.nodes
+    # Each DIM holds exactly one edge of E(u) | E(v) for a fixed edge uv,
+    # so every exact cover has d(u) + d(v) - 1 classes.
+    if len(cover) != k:
+        raise RuntimeError(f"cover has {len(cover)} classes, forced count is {k}")
+    colors = [0] * g.m
+    for color, i in enumerate(sorted(cover, key=lambda i: dims[i][0]), 1):
+        for e in dims[i]:
+            colors[e] = color
+    return colors, cover_search.nodes
 
 
-def find_dim_partition(g: Graph) -> Optional[DimPartition]:
+def find_dim_partition(g: Graph, budget: int = 10_000_000) -> Optional[DimPartition]:
     """Partition E(g) into DIM classes, or None when impossible.
 
     Each edge-bearing component is partitioned independently; all
     components must agree on the class count (forced per component by
     the degree sums), and a connected component whose degree profile is
-    neither regular nor biregular is rejected without search.  The
-    edgeless graph gets the empty partition.
+    neither regular nor biregular is rejected without search.  Classes
+    are numbered in order of their smallest edge within each component.
+    The edgeless graph gets the empty partition.  Raises
+    SearchBudgetExceeded once the searches of all components together
+    expand more than ``budget`` nodes.
     """
     comp_vertex_sets = [c for c in components(g) if any(g.incident[v] for v in c)]
     if not comp_vertex_sets:
@@ -152,6 +147,7 @@ def find_dim_partition(g: Graph) -> Optional[DimPartition]:
 
     target_k: Optional[int] = None
     color_of = [0] * g.m
+    spent = 0
     for comp in comp_vertex_sets:
         sub, old_vertices = induced_subgraph(g, comp)
         k = _component_class_count(sub)
@@ -164,17 +160,21 @@ def find_dim_partition(g: Graph) -> Optional[DimPartition]:
         profile = degree_profile(sub)
         if not profile.is_regular and profile.biregular is None:
             return None
-        sub_colors = _search_component_colors(sub, k)
+        sub_colors, spent = _cover_by_dims(sub, k, budget, spent)
         if sub_colors is None:
             return None
         for local_eid, (a, b) in enumerate(sub.edges):
             eid = g.edge_id(old_vertices[a], old_vertices[b])
             color_of[eid] = sub_colors[local_eid]
 
-    assert target_k is not None
     partition = DimPartition(target_k, tuple(color_of))
     for cls in partition.classes:
-        assert classify_dim(g, cls).is_valid, "search produced a non-DIM class"
+        witness = classify_dim(g, cls)
+        if not witness.is_valid:
+            raise RuntimeError(
+                f"partition search produced a non-DIM class "
+                f"({witness.classification.value})"
+            )
     return partition
 
 

@@ -5,17 +5,28 @@ that dominates every edge of G.  Equivalently, writing D_e for the set
 of edges dominated by e (e itself plus every edge sharing an endpoint
 with it), a set M of edges is a DIM exactly when the family
 {D_e : e in M} partitions E(G), i.e. every edge is dominated by exactly
-one member.  The solver exploits that characterization as an exact
-cover search over the edge set; :func:`brute_force_dims` is the
-independent oracle that scans all 2^m edge subsets against the
-definitional check instead.
+one member.
+
+The search is an exact cover: :class:`_ExactCover` is the one engine,
+and both the DIM search here and the partition search in
+:mod:`dimtools.partition` run on it.  It keeps the uncovered columns
+and the viable rows of a search node as two int bitmasks, branches on
+the uncovered column with the fewest viable rows (Knuth's Algorithm X,
+arXiv cs/0011047), and walks the tree with an explicit stack, so depth
+is bounded by memory rather than by the interpreter's recursion limit.
+In the DIM instance the rows are the sets D_e and, because D is
+symmetric (f in D_e iff e in D_f), the columns are the same sets.
+Every row tried is one search node; a search that tries more rows than
+its budget raises :class:`SearchBudgetExceeded` instead of answering.
+:func:`brute_force_dims` is the independent oracle that scans all 2^m
+edge subsets against the definitional check instead.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -105,43 +116,101 @@ def classify_dim(g: Graph, edge_ids: Iterable[EdgeId]) -> DimWitness:
 
 
 class _ExactCover:
-    """Exact cover over E(G) with the candidate sets {D_e}.
+    """Exact cover by rows over columns, searched without recursion.
 
-    Branches on the lowest-indexed uncovered edge f and tries each
-    e in D_f (ascending) as the unique dominator of f; a branch dies
-    when f has no viable candidate left.  Every candidate trial counts
-    against the node budget.
+    ``rows[i]`` is the column bitmask of row i and ``cols[c]`` the row
+    bitmask of column c; a solution is a set of rows that covers every
+    column exactly once.  A search node holds the uncovered columns and
+    the viable rows (those disjoint from every chosen row) as ints.  It
+    branches on the uncovered column with the fewest viable rows, as in
+    Knuth's Algorithm X, and tries those rows in ascending order.
+    Choosing row i removes its columns from ``uncovered`` and every row
+    sharing a column with it, ``kill[i]``, from ``viable``.  Every row
+    tried counts as one node against the budget; ``nodes`` keeps the
+    running total, starting from ``spent``.
     """
 
-    def __init__(self, g: Graph, budget: Optional[int]) -> None:
-        self.masks = _domination_masks(g)
-        self.candidates = [
-            sorted(set(g.incident[u]) | set(g.incident[v])) for u, v in g.edges
-        ]
-        self.full = (1 << g.m) - 1
+    def __init__(
+        self,
+        rows: list[int],
+        cols: list[int],
+        budget: Optional[int],
+        spent: int = 0,
+    ) -> None:
+        self.rows = rows
+        self.cols = cols
+        self.kill: list[int] = []
+        for mask in rows:
+            k = 0
+            while mask:
+                low = mask & -mask
+                k |= cols[low.bit_length() - 1]
+                mask ^= low
+            self.kill.append(k)
         self.budget = budget
-        self.nodes = 0
+        self.nodes = spent
 
-    def solutions(self) -> Iterable[EdgeSet]:
-        yield from self._solve(self.full, [])
+    def _branch_rows(self, uncovered: int, viable: int) -> int:
+        """Viable rows of the uncovered column with the fewest of them."""
+        cols = self.cols
+        best, best_count = 0, len(self.rows) + 1
+        while uncovered:
+            low = uncovered & -uncovered
+            cand = cols[low.bit_length() - 1] & viable
+            count = cand.bit_count()
+            if count < best_count:
+                best, best_count = cand, count
+                if count <= 1:
+                    break
+            uncovered ^= low
+        return best
 
-    def _solve(self, uncovered: int, chosen: list[EdgeId]) -> Iterable[EdgeSet]:
+    def solutions(self) -> Iterator[list[int]]:
+        """Each exact cover as the list of chosen rows, in choice order.
+
+        The yielded list is reused by the search; copy it to keep it.
+        """
+        rows, kill, budget = self.rows, self.kill, self.budget
+        uncovered = (1 << len(self.cols)) - 1
         if uncovered == 0:
-            yield frozenset(chosen)
+            yield []
             return
-        f = (uncovered & -uncovered).bit_length() - 1
-        for e in self.candidates[f]:
-            mask = self.masks[e]
-            if mask & ~uncovered:
+        viable = (1 << len(rows)) - 1
+        chosen: list[int] = []
+        stack = [(uncovered, viable, self._branch_rows(uncovered, viable))]
+        while stack:
+            uncovered, viable, cand = stack[-1]
+            if not cand:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
                 continue
+            low = cand & -cand
+            stack[-1] = (uncovered, viable, cand ^ low)
             self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
+            if budget is not None and self.nodes > budget:
                 raise SearchBudgetExceeded(
-                    f"exceeded search budget of {self.budget} nodes"
+                    f"exceeded search budget of {budget} nodes"
                 )
-            chosen.append(e)
-            yield from self._solve(uncovered & ~mask, chosen)
-            chosen.pop()
+            i = low.bit_length() - 1
+            chosen.append(i)
+            uncovered &= ~rows[i]
+            if not uncovered:
+                yield chosen
+                chosen.pop()
+                continue
+            viable &= ~kill[i]
+            stack.append((uncovered, viable, self._branch_rows(uncovered, viable)))
+
+
+def _dim_search(g: Graph, budget: Optional[int], spent: int = 0) -> _ExactCover:
+    """The DIM instance: rows and columns are both the sets D_e.
+
+    D is symmetric (f in D_e iff e in D_f), so the column masks equal
+    the row masks and no transpose is needed.
+    """
+    masks = _domination_masks(g)
+    return _ExactCover(masks, masks, budget, spent)
 
 
 def find_dim(g: Graph, budget: Optional[int] = None) -> Optional[EdgeSet]:
@@ -149,8 +218,8 @@ def find_dim(g: Graph, budget: Optional[int] = None) -> Optional[EdgeSet]:
 
     The empty matching is a DIM of any edgeless graph.
     """
-    for sol in _ExactCover(g, budget).solutions():
-        return sol
+    for sol in _dim_search(g, budget).solutions():
+        return frozenset(sol)
     return None
 
 
@@ -160,7 +229,7 @@ def enumerate_dims(g: Graph, budget: int = 10_000_000) -> list[EdgeSet]:
     Raises SearchBudgetExceeded once the search expands more than
     ``budget`` nodes; results are never silently truncated.
     """
-    sols = list(_ExactCover(g, budget).solutions())
+    sols = [frozenset(sol) for sol in _dim_search(g, budget).solutions()]
     sols.sort(key=lambda s: tuple(sorted(s)))
     return sols
 

@@ -180,6 +180,23 @@ class TestFullReport:
         assert report.dim_search_error is not None
         assert not report.dim_exists
 
+    def test_partition_budget_exhaustion_is_an_error_not_na(self):
+        # 10 nodes find a DIM of the Petersen graph but do not enumerate
+        # its five DIMs, which the partition search also needs.
+        report = full_report(petersen(), Budgets(search_nodes=10))
+        assert report.dim_exists and report.dim_search_error is None
+        for name in (
+            "dim-size-invariance",
+            "partition-regularity",
+            "list-properties",
+            "vertex-count-divisibility",
+            "kneser-extremal-case",
+        ):
+            entry = report.entry(name)
+            assert entry.applicable and not entry.passed
+            assert "budget" in entry.error
+        assert report.entry("three-coloring").passed
+
     def test_text_round_stability(self):
         a = full_report(petersen()).to_text()
         b = full_report(petersen()).to_text()

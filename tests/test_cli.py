@@ -2,12 +2,25 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dimtools
 from dimtools.cli import run
 from dimtools.io import parse_certificate, parse_graph, parse_labels, parse_partition
-from dimtools.families import petersen
+from dimtools.families import cycle, petersen
+
+
+def subprocess_env():
+    """Environment for a child interpreter that imports this dimtools."""
+    src = str(Path(dimtools.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def invoke(argv, cwd=None):
@@ -145,6 +158,17 @@ class TestPartitionCmd:
         assert "class-count-ok = true" in out
         assert "regularity = regular" in out
 
+    def test_find_budget_exhaustion_exit_three(self, petersen_file):
+        code, out, err = invoke(["partition", "find", str(petersen_file), "--budget", "1"])
+        assert code == 3 and out == "" and "budget" in err
+
+    def test_find_kg_11_5(self, tmp_path):
+        path = tmp_path / "kg.g"
+        invoke(["gen", "kneser-family", "--r", "6", "-o", str(path)])
+        code, out, _ = invoke(["partition", "find", str(path)])
+        assert code == 0
+        assert parse_partition(out, parse_graph(path.read_text())).num_classes == 11
+
     def test_verify_requires_partition_flag(self, petersen_file):
         code, _, err = invoke(["partition", "verify", str(petersen_file)])
         assert code == 2
@@ -167,6 +191,13 @@ class TestVerify:
         code, out, _ = invoke(["verify", "all", str(c4_file)])
         assert code == 0
         assert "exists = false" in out
+
+    def test_check_budget_exhaustion_exit_three(self, petersen_file):
+        # Enough nodes to find a DIM, too few to enumerate them or partition.
+        code, out, _ = invoke(["verify", "all", str(petersen_file), "--budget", "10"])
+        assert code == 3
+        assert "exists = true" in out
+        assert "error = exceeded search budget of 10 nodes" in out
 
     def test_budget_flag_recorded(self, petersen_file):
         code, out, _ = invoke(
@@ -217,3 +248,13 @@ class TestDeterminism:
     def test_unknown_command_usage_error(self):
         code, _, _ = invoke(["frobnicate"])
         assert code == 2
+
+
+@pytest.mark.parametrize("module", ["dimtools", "dimtools.cli"])
+def test_python_dash_m_entry_points(module):
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "gen", "cycle", "--n", "3"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert parse_graph(proc.stdout) == cycle(3)

@@ -2,6 +2,7 @@
 
 from math import comb
 
+import networkx as nx
 import pytest
 
 from dimtools.families import (
@@ -35,6 +36,13 @@ class TestKneser:
         assert lg.graph.n == comb(7, 3) == 35
         assert lg.graph.m == 70
         assert set(lg.graph.degrees) == {4}
+
+    def test_kg_11_5_isomorphic_to_networkx(self):
+        g = kneser(11, 5).graph
+        ours = nx.Graph()
+        ours.add_nodes_from(range(g.n))
+        ours.add_edges_from(g.edges)
+        assert nx.is_isomorphic(ours, nx.kneser_graph(11, 5))
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 2)])
     def test_counts_and_degrees(self, n, k):

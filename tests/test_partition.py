@@ -1,7 +1,12 @@
 """DIM partitions, list assignments, and their verification."""
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+from dimtools import checks, partition
 from dimtools.corpus import connected_graphs
 from dimtools.families import (
     bg_dim_partition,
@@ -22,7 +27,10 @@ from dimtools.partition import (
     verify_dim_partition,
     verify_list_properties,
 )
-from dimtools.solver import classify_dim
+from dimtools.solver import DimClass, DimWitness, SearchBudgetExceeded, classify_dim
+
+from test_cli import subprocess_env
+from test_solver import BG13_RELABELLED
 
 
 class TestDimPartitionType:
@@ -96,6 +104,84 @@ class TestFindPartition:
         g = build_graph(5, [(1, 2), (1, 3), (1, 4)])
         p = find_dim_partition(g)
         assert p is not None and p.num_classes == 3
+
+    def test_kg_11_5_closed_form_is_the_only_partition(self):
+        # 1386 edges: one stack frame per edge would pass the recursion limit.
+        lg, closed_form = kneser_dim_partition(6)
+        g = lg.graph
+        p = find_dim_partition(g)
+        assert p.num_classes == 11
+        report = verify_dim_partition(g, p)
+        assert report.valid and report.class_count_ok
+        assert check_kneser_isomorphism(g, list_assignment(g, p))
+        assert set(p.classes) == set(closed_form.classes)
+
+    def test_budget_exhaustion_raises(self):
+        with pytest.raises(SearchBudgetExceeded):
+            find_dim_partition(petersen(), budget=1)
+
+    def test_classes_numbered_by_smallest_edge(self):
+        p = find_dim_partition(petersen())
+        assert [min(c) for c in p.classes] == sorted(min(c) for c in p.classes)
+
+
+class _NonDimSearch:
+    """Stands in for the DIM enumeration of C6 and yields non-DIMs."""
+
+    nodes = 0
+
+    def solutions(self):
+        yield from ([0, 1], [2, 3], [4, 5])
+
+
+class TestPostconditions:
+    def test_partition_with_non_dim_class_raises(self, monkeypatch):
+        monkeypatch.setattr(partition, "_dim_search", lambda g, b, s: _NonDimSearch())
+        with pytest.raises(RuntimeError, match="non-DIM class"):
+            find_dim_partition(cycle(6))
+
+    def test_improper_coloring_raises(self, monkeypatch):
+        valid = DimWitness(frozenset(), DimClass.VALID_DIM)
+        monkeypatch.setattr(checks, "classify_dim", lambda g, dim: valid)
+        with pytest.raises(RuntimeError, match="not proper"):
+            checks.three_coloring_from_dim(complete(3), frozenset())
+
+    def test_postconditions_survive_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from dimtools import checks, partition
+            from dimtools.families import complete, cycle
+            from dimtools.solver import DimClass, DimWitness
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+
+            class NonDimSearch:
+                nodes = 0
+
+                def solutions(self):
+                    yield from ([0, 1], [2, 3], [4, 5])
+
+            partition._dim_search = lambda g, b, s: NonDimSearch()
+            valid = DimWitness(frozenset(), DimClass.VALID_DIM)
+            checks.classify_dim = lambda g, dim: valid
+            for call in (
+                lambda: partition.find_dim_partition(cycle(6)),
+                lambda: checks.three_coloring_from_dim(complete(3), frozenset()),
+            ):
+                try:
+                    call()
+                except RuntimeError:
+                    continue
+                sys.exit("a postcondition did not fire")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifyPartition:
@@ -231,16 +317,23 @@ class TestBruteForceAgreement:
         found = find_dim_partition(g)
         assert set(found.classes) == set(parts[0])
 
+    @staticmethod
+    def assert_agrees(g):
+        brute = brute_force_dim_partitions(g)
+        found = find_dim_partition(g)
+        assert (found is None) == (len(brute) == 0)
+        if found is not None:
+            assert set(found.classes) in [set(p) for p in brute]
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_absent_iff_brute_force_empty_exhaustive(self, n):
         for g in connected_graphs(n):
-            if g.m > 9:
-                continue
-            brute = brute_force_dim_partitions(g)
-            found = find_dim_partition(g)
-            assert (found is None) == (len(brute) == 0)
-            if found is not None:
-                assert set(found.classes) in [set(p) for p in brute]
+            if g.m <= 9:
+                self.assert_agrees(g)
+
+    @pytest.mark.parametrize("seed", range(len(BG13_RELABELLED)))
+    def test_relabelled_bg_1_3(self, seed):
+        self.assert_agrees(BG13_RELABELLED[seed])
 
     def test_found_partition_class_counts_match_theory(self):
         for n in range(2, 6):

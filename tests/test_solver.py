@@ -1,11 +1,13 @@
 """DIM classification, search, enumeration, and the subset-scan oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimtools.corpus import connected_graphs, sample_connected_graphs
-from dimtools.families import cycle, complete, petersen, star
+from dimtools.families import bipartite_kneser, cycle, complete, kneser, petersen, star
 from dimtools.graph import build_graph
 from dimtools.solver import (
     DimClass,
@@ -23,6 +25,17 @@ from test_graph import graphs_strategy
 
 def pairs_of(g, edge_ids):
     return sorted(g.edges[e] for e in edge_ids)
+
+
+def relabelled(g, seed):
+    """g with its vertices permuted by a seeded shuffle."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+# BG(1,3) has 20 edges, the most the subset-scan oracles accept.
+BG13_RELABELLED = [relabelled(bipartite_kneser(1, 3).graph, seed) for seed in range(3)]
 
 
 class TestDominatedSet:
@@ -128,6 +141,10 @@ class TestFindDim:
     def test_empty_graph(self):
         assert find_dim(build_graph(5, [])) == frozenset()
 
+    def test_long_cycle_needs_no_recursion(self):
+        # 1100 chosen edges deep, past the interpreter's recursion limit.
+        assert dim_size(cycle(3300)) == 1100
+
     def test_found_dims_are_valid(self):
         for g in sample_connected_graphs(7, 100, seed=3):
             found = find_dim(g)
@@ -161,6 +178,24 @@ class TestEnumerate:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(SearchBudgetExceeded):
             enumerate_dims(petersen(), budget=2)
+
+    @pytest.mark.parametrize(
+        "make,budget,count",
+        [
+            (lambda: kneser(9, 4).graph, 1_000, 9),
+            (lambda: kneser(11, 5).graph, 5_000, 11),
+            (lambda: bipartite_kneser(3, 4).graph, 1_000, 8),
+        ],
+        ids=["KG(9,4)", "KG(11,5)", "BG(3,4)"],
+    )
+    def test_family_node_ceilings(self, make, budget, count):
+        # Node counts do not depend on the machine, so these ceilings pin
+        # the branching: most-constrained branching needs 402, 1889 and
+        # 373 nodes, lowest-index branching over 10^8 for KG(9,4).
+        g = make()
+        dims = enumerate_dims(g, budget=budget)
+        assert len(dims) == count
+        assert all(classify_dim(g, d).is_valid for d in dims)
 
     def test_membership_exactness(self):
         # every edge is dominated by exactly one member of any valid DIM
@@ -210,9 +245,10 @@ class TestBruteForce:
             assert enumerate_dims(g) == brute_force_dims(g)
 
     def test_oracle_equivalence_sampled_larger(self):
-        # 1000 sampled graphs at 7-8 vertices; the scan oracle caps at
-        # 20 edges, so denser draws are skipped
-        for n in (7, 8):
-            for g in sample_connected_graphs(n, 500, seed=n):
-                if g.m <= 20:
-                    assert set(enumerate_dims(g)) == set(brute_force_dims(g))
+        # 1000 sampled graphs at 7-8 vertices and three relabellings of
+        # BG(1,3); the scan oracle caps at 20 edges, so denser draws are
+        # skipped
+        sampled = [g for n in (7, 8) for g in sample_connected_graphs(n, 500, seed=n)]
+        for g in sampled + BG13_RELABELLED:
+            if g.m <= 20:
+                assert set(enumerate_dims(g)) == set(brute_force_dims(g))
