@@ -24,16 +24,28 @@ The laws covered:
   has equal fibers; for r-regular graphs the vertex count is divisible
   by C(2r-1, r-1), with equality exactly for the subset-disjointness
   graph.
+
+:func:`full_report` runs all of them on one graph.  It computes each
+fact the checks share once, up front: the degree profile, connectivity,
+one DIM, the cycle-law result for that DIM, the DIM partition and its
+list assignment.  Every entry then follows one rule.  A check whose
+hypothesis fails is not applicable.  A check that applies while a
+search it reads (the DIM search or the partition search) ran out of
+budget is an error entry; where the DIM search ran out, whether a DIM
+exists is unknown, so every check that needs one applies as far as the
+rest of its hypothesis goes.  Otherwise the check runs, and a budget hit
+inside it is an error entry too.  A budget hit never reads as "no DIM"
+or "no partition".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
-from .graph import Cycle, Graph, degree_profile, enumerate_cycles, is_connected
+from .graph import Graph, degree_profile, enumerate_cycles, is_connected
 from .partition import (
     DimPartition,
     check_kneser_isomorphism,
@@ -86,19 +98,22 @@ class EdgeBoundCheck:
     holds: bool
 
 
-def check_edge_bound(g: Graph, budget: Optional[int] = None) -> EdgeBoundCheck:
-    """Edge count at most (n^2 + n)/4, applicable when a DIM exists."""
+def check_edge_bound(g: Graph, dim: Optional[EdgeSet]) -> EdgeBoundCheck:
+    """Edge count at most (n^2 + n)/4, applicable when g has a DIM.
+
+    ``dim`` is a DIM of g, or None when g has none.
+    """
     bound = Fraction(g.n * g.n + g.n, 4)
-    has_dim = find_dim(g, budget) is not None
+    has_dim = dim is not None
     return EdgeBoundCheck(
         applicable=has_dim, bound=bound, holds=has_dim and Fraction(g.m) <= bound
     )
 
 
-def check_dim_size_invariance(g: Graph, budget: int = 10_000_000) -> bool:
-    """All DIMs share one cardinality (vacuously true below two DIMs)."""
-    sizes = {len(d) for d in enumerate_dims(g, budget)}
-    return len(sizes) <= 1
+def check_dim_size_invariance(dims: list[EdgeSet]) -> bool:
+    """All DIMs of a graph, as listed by ``enumerate_dims``, share one
+    cardinality (vacuously true below two DIMs)."""
+    return len({len(d) for d in dims}) <= 1
 
 
 def regular_dim_formula(n: int, k: int) -> Optional[int]:
@@ -121,23 +136,22 @@ class DimBoundsCheck:
     upper_ok: bool
 
 
-def check_dim_bounds(g: Graph, budget: Optional[int] = None) -> DimBoundsCheck:
+def check_dim_bounds(g: Graph, dim: Optional[EdgeSet]) -> DimBoundsCheck:
     """Degree-ratio bounds on the DIM size, for minimum degree >= 2.
 
-    Checks delta*(n - 2*dim) <= 2*dim*(Delta - 1) and
+    ``dim`` is a DIM of g, or None when g has none.  Checks
+    delta*(n - 2*dim) <= 2*dim*(Delta - 1) and
     Delta*(n - 2*dim) >= 2*dim*(delta - 1), the cross-multiplied exact
     forms of delta/(Delta-1) <= 2*dim/(n-2*dim) <= Delta/(delta-1).
     """
-    profile = degree_profile(g)
-    if profile.min_degree < 2:
-        return DimBoundsCheck(False, False, False)
-    dim = find_dim(g, budget)
-    if dim is None:
+    lo = min(g.degrees, default=0)
+    hi = max(g.degrees, default=0)
+    if dim is None or lo < 2:
         return DimBoundsCheck(False, False, False)
     size = len(dim)
     outside = g.n - 2 * size
-    lower = profile.min_degree * outside <= 2 * size * (profile.max_degree - 1)
-    upper = profile.max_degree * outside >= 2 * size * (profile.min_degree - 1)
+    lower = lo * outside <= 2 * size * (hi - 1)
+    upper = hi * outside >= 2 * size * (lo - 1)
     return DimBoundsCheck(True, lower, upper)
 
 
@@ -204,13 +218,7 @@ class CheckEntry:
     error: Optional[str] = None
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "details": self.details,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -245,10 +253,7 @@ class VerificationReport:
                 "max_degree": self.max_degree,
                 "regularity": self.regularity,
             },
-            "budgets": {
-                "max_cycle_len": self.budgets.max_cycle_len,
-                "search_nodes": self.budgets.search_nodes,
-            },
+            "budgets": asdict(self.budgets),
             "dim": {
                 "exists": self.dim_exists,
                 "size": self.dim_size,
@@ -288,24 +293,38 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _not_applicable(name: str, reason: str) -> CheckEntry:
-    return CheckEntry(name, applicable=False, passed=False, details=reason)
+def _entry(
+    name: str,
+    applies: bool,
+    na_reason: str,
+    search_error: Optional[str],
+    run: Callable[[], tuple[bool, str]],
+) -> CheckEntry:
+    """One report entry: not applicable, a budget error, or the result
+    ``(passed, details)`` of ``run``."""
+    if not applies:
+        return CheckEntry(name, applicable=False, passed=False, details=na_reason)
+    if search_error is None:
+        try:
+            passed, details = run()
+            return CheckEntry(name, True, passed, details)
+        except SearchBudgetExceeded as exc:
+            search_error = str(exc)
+    return CheckEntry(name, True, False, "budget exhausted", error=search_error)
 
 
 def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     """Run every applicable check on one graph and aggregate the results.
 
-    Budget exhaustion inside a check is recorded on that entry and
-    never aborts the rest of the report.  Output is deterministic for
-    fixed inputs and budgets.
+    The shared facts are computed once and every entry follows the
+    rule in the module docstring, so budget exhaustion is recorded on
+    the entries it affects and never aborts the rest of the report.
+    Output is deterministic for fixed inputs and budgets.
     """
     profile = degree_profile(g)
-    if profile.is_regular:
-        regularity = "regular"
-    elif profile.biregular is not None:
-        regularity = "biregular"
-    else:
-        regularity = "neither"
+    connected = is_connected(g)
+    k = profile.max_degree
+    regular = profile.is_regular and k >= 1
 
     dim: Optional[EdgeSet] = None
     dim_error: Optional[str] = None
@@ -313,143 +332,55 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         dim = find_dim(g, budgets.search_nodes)
     except SearchBudgetExceeded as exc:
         dim_error = str(exc)
-    has_dim = dim is not None
+    # After a budget hit it is unknown whether a DIM exists.
+    maybe_dim = dim is not None or dim_error is not None
 
-    entries: list[CheckEntry] = []
-
-    def budget_error(name: str, exc: SearchBudgetExceeded) -> CheckEntry:
-        return CheckEntry(name, True, False, "budget exhausted", error=str(exc))
-
-    def guarded(name: str, applicable: bool, na_reason: str, run) -> None:
-        if not applicable:
-            entries.append(_not_applicable(name, na_reason))
-            return
-        try:
-            passed, details = run()
-            entries.append(CheckEntry(name, True, passed, details))
-        except SearchBudgetExceeded as exc:
-            entries.append(budget_error(name, exc))
-
-    def run_coloring():
-        coloring = three_coloring_from_dim(g, dim)
-        used = sorted(set(coloring.color_of))
-        return True, "proper coloring with colors " + ",".join(map(str, used))
-
-    guarded("three-coloring", has_dim, "no dim", run_coloring)
-
-    def run_edge_bound():
-        res = check_edge_bound(g, budgets.search_nodes)
-        return res.holds, f"edges {g.m} vs bound {res.bound}"
-
-    guarded("edge-count-bound", has_dim, "no dim", run_edge_bound)
-
-    def run_invariance():
-        dims = enumerate_dims(g, budgets.search_nodes)
-        sizes = {len(d) for d in dims}
-        return len(sizes) <= 1, f"dim count {len(dims)}"
-
-    guarded("dim-size-invariance", has_dim, "no dim", run_invariance)
-
-    def run_bounds():
-        res = check_dim_bounds(g, budgets.search_nodes)
-        return res.lower_ok and res.upper_ok, (
-            f"lower {res.lower_ok} upper {res.upper_ok}"
-        )
-
-    guarded(
-        "degree-ratio-bounds",
-        has_dim and profile.min_degree >= 2,
-        "no dim or min degree below 2",
-        run_bounds,
-    )
-
-    k = profile.max_degree
-
-    def run_formula():
-        expected = regular_dim_formula(g.n, k) if k >= 1 else 0
-        ok = expected == len(dim)
-        return ok, f"formula {expected} actual {len(dim)}"
-
-    guarded(
-        "regular-size-formula",
-        has_dim and profile.is_regular and k >= 1,
-        "not regular or no dim",
-        run_formula,
-    )
-
-    def run_divisibility():
-        ok = (g.n * k) % (4 * k - 2) == 0
-        return ok, f"{4 * k - 2} divides {g.n * k}: {ok}"
-
-    guarded(
-        "regular-divisibility",
-        has_dim and profile.is_regular and k >= 1,
-        "not regular or no dim",
-        run_divisibility,
-    )
-
-    cycle_result: list[CycleIntersectionCheck] = []
-
-    def run_cycles():
-        res = check_cycle_intersections(g, dim, budgets.max_cycle_len)
-        cycle_result.append(res)
-        return res.all_bound_ok, f"cycles checked {res.cycles_checked}"
-
-    guarded("cycle-intersection-bound", has_dim, "no dim", run_cycles)
-
-    def run_parity():
-        res = cycle_result[0] if cycle_result else check_cycle_intersections(
-            g, dim, budgets.max_cycle_len
-        )
-        return res.all_parity_ok, f"cycles checked {res.cycles_checked}"
-
-    guarded("cycle-intersection-parity", has_dim, "no dim", run_parity)
-
-    def run_short():
-        res = cycle_result[0] if cycle_result else check_cycle_intersections(
-            g, dim, budgets.max_cycle_len
-        )
-        return res.short_cycle_ok, f"cycles checked {res.cycles_checked}"
-
-    guarded("short-cycle-intersections", has_dim, "no dim", run_short)
-
-    # A partition search that runs out of budget makes every check that
-    # would apply to a partition an error entry: a budget hit must not
-    # read as "no partition".
+    cycles: Optional[CycleIntersectionCheck] = None
     p: Optional[DimPartition] = None
-    partition_error: Optional[SearchBudgetExceeded] = None
-    if has_dim:
+    partition_error = dim_error
+    if dim is not None:
+        cycles = check_cycle_intersections(g, dim, budgets.max_cycle_len)
         try:
             p = find_dim_partition(g, budgets.search_nodes)
         except SearchBudgetExceeded as exc:
-            partition_error = exc
-    has_partition = (p is not None or partition_error is not None) and g.m > 0
-
-    def partition_guarded(name: str, applicable: bool, na_reason: str, run) -> None:
-        if applicable and partition_error is not None:
-            entries.append(budget_error(name, partition_error))
-        else:
-            guarded(name, applicable, na_reason, run)
-
-    connected = is_connected(g)
-
-    def run_partition_regularity():
-        ok = check_partition_regularity(g, p)
-        return ok, f"classes {p.num_classes}"
-
-    partition_guarded(
-        "partition-regularity",
-        has_partition and connected,
-        "no partition or graph disconnected",
-        run_partition_regularity,
-    )
-
-    structured = has_partition and regularity in ("regular", "biregular")
+            partition_error = str(exc)
+    maybe_partition = (p is not None or partition_error is not None) and g.m > 0
     assignment = None
-    if structured and partition_error is None:
+    if p is not None and g.m > 0 and profile.regularity != "neither":
         assignment = list_assignment(g, p)
 
-    def run_lists():
+    def coloring():
+        used = sorted(set(three_coloring_from_dim(g, dim).color_of))
+        return True, "proper coloring with colors " + ",".join(map(str, used))
+
+    def edge_bound():
+        res = check_edge_bound(g, dim)
+        return res.holds, f"edges {g.m} vs bound {res.bound}"
+
+    def invariance():
+        dims = enumerate_dims(g, budgets.search_nodes)
+        return check_dim_size_invariance(dims), f"dim count {len(dims)}"
+
+    def bounds():
+        res = check_dim_bounds(g, dim)
+        ok = res.lower_ok and res.upper_ok
+        return ok, f"lower {res.lower_ok} upper {res.upper_ok}"
+
+    def formula():
+        expected = regular_dim_formula(g.n, k)
+        return expected == len(dim), f"formula {expected} actual {len(dim)}"
+
+    def divisibility():
+        ok = (g.n * k) % (4 * k - 2) == 0
+        return ok, f"{4 * k - 2} divides {g.n * k}: {ok}"
+
+    def cycle_law(law: str):
+        return lambda: (getattr(cycles, law), f"cycles checked {cycles.cycles_checked}")
+
+    def partition_regularity():
+        return check_partition_regularity(g, p), f"classes {p.num_classes}"
+
+    def lists():
         res = verify_list_properties(g, assignment)
         ok = res.disjointness and res.surjective and res.equal_fibers
         return ok, (
@@ -457,49 +388,54 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
             f"equal-fibers {res.equal_fibers}"
         )
 
-    partition_guarded(
-        "list-properties",
-        structured,
-        "no partition or irregular degree profile",
-        run_lists,
-    )
-
-    r = profile.max_degree
-
-    def run_vertex_divisibility():
-        binom = comb(2 * r - 1, r - 1)
+    def vertex_divisibility():
+        binom = comb(2 * k - 1, k - 1)
         ok = g.n % binom == 0
         return ok, f"{binom} divides {g.n}: {ok}"
 
-    partition_guarded(
-        "vertex-count-divisibility",
-        has_partition and profile.is_regular and r >= 1,
-        "no partition or not regular",
-        run_vertex_divisibility,
-    )
-
-    def run_extremal():
+    def extremal():
         ok = check_kneser_isomorphism(g, assignment)
-        return ok, f"vertices {g.n} = C({2 * r - 1},{r - 1})"
+        return ok, f"vertices {g.n} = C({2 * k - 1},{k - 1})"
 
-    partition_guarded(
-        "kneser-extremal-case",
-        has_partition
-        and profile.is_regular
-        and connected
-        and r >= 1
-        and g.n == comb(2 * r - 1, r - 1),
-        "vertex count differs from the extremal value",
-        run_extremal,
+    extremal_order = regular and connected and g.n == comb(2 * k - 1, k - 1)
+    # (name, hypothesis beyond the search result, not-applicable reason, run)
+    dim_checks = (
+        ("three-coloring", True, "no dim", coloring),
+        ("edge-count-bound", True, "no dim", edge_bound),
+        ("dim-size-invariance", True, "no dim", invariance),
+        ("degree-ratio-bounds", profile.min_degree >= 2,
+         "no dim or min degree below 2", bounds),
+        ("regular-size-formula", regular, "not regular or no dim", formula),
+        ("regular-divisibility", regular, "not regular or no dim", divisibility),
+        ("cycle-intersection-bound", True, "no dim", cycle_law("all_bound_ok")),
+        ("cycle-intersection-parity", True, "no dim", cycle_law("all_parity_ok")),
+        ("short-cycle-intersections", True, "no dim", cycle_law("short_cycle_ok")),
     )
+    partition_checks = (
+        ("partition-regularity", connected,
+         "no partition or graph disconnected", partition_regularity),
+        ("list-properties", profile.regularity != "neither",
+         "no partition or irregular degree profile", lists),
+        ("vertex-count-divisibility", regular,
+         "no partition or not regular", vertex_divisibility),
+        ("kneser-extremal-case", extremal_order,
+         "vertex count differs from the extremal value", extremal),
+    )
+    entries = [
+        _entry(name, maybe_dim and holds, na_reason, dim_error, run)
+        for name, holds, na_reason, run in dim_checks
+    ] + [
+        _entry(name, maybe_partition and holds, na_reason, partition_error, run)
+        for name, holds, na_reason, run in partition_checks
+    ]
 
     return VerificationReport(
         vertices=g.n,
         edges=g.m,
         min_degree=profile.min_degree,
         max_degree=profile.max_degree,
-        regularity=regularity,
-        dim_exists=has_dim,
+        regularity=profile.regularity,
+        dim_exists=dim is not None,
         dim_size=len(dim) if dim is not None else None,
         dim_search_error=dim_error,
         budgets=budgets,

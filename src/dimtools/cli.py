@@ -1,8 +1,17 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 answered-no (no DIM, no partition, failed
-check, counterexample found), 2 usage or input errors, 3 search budget
-exhausted.  Output is deterministic for fixed arguments and inputs.
+Exit codes:
+
+* 0 success;
+* 1 answered no: no DIM, no partition, a failed check, or a sweep
+  counterexample;
+* 2 usage or input errors, including a graph file whose header declares
+  more than ``io.MAX_VERTICES`` vertices;
+* 3 a search ran out of budget: for ``verify`` and ``sweep``, the DIM
+  search or any check of any report (this takes precedence over 1);
+* 4 internal error: any other exception, reported on one stderr line.
+
+Output is deterministic for fixed arguments and inputs.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_MAX_CYCLE = 8
@@ -256,6 +266,10 @@ def _cmd_partition(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK if report.valid else EXIT_NO
 
 
+def _has_budget_error(report: VerificationReport) -> bool:
+    return report.dim_search_error is not None or any(e.error for e in report.entries)
+
+
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     g = _read_graph(args.graphfile, args.format)
     budgets = Budgets(max_cycle_len=args.max_cycle, search_nodes=args.budget)
@@ -264,7 +278,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         out.write(report.to_text())
     else:
         out.write(json.dumps(report.as_dict(), indent=2) + "\n")
-    if report.dim_search_error or any(e.error for e in report.entries):
+    if _has_budget_error(report):
         return EXIT_BUDGET
     return EXIT_OK if report.all_passed else EXIT_NO
 
@@ -273,6 +287,8 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 class _SweepTally:
     graphs: int = 0
     with_dim: int = 0
+    without_dim: int = 0
+    budget_errors: bool = False
     check_pass: dict = field(default_factory=dict)
     check_fail: dict = field(default_factory=dict)
     check_na: dict = field(default_factory=dict)
@@ -283,6 +299,9 @@ class _SweepTally:
         self.graphs += 1
         if report.dim_exists:
             self.with_dim += 1
+        elif report.dim_search_error is None:
+            self.without_dim += 1
+        self.budget_errors |= _has_budget_error(report)
         bad = False
         for e in report.entries:
             for bucket in (self.check_pass, self.check_fail, self.check_na, self.check_error):
@@ -328,7 +347,7 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     )
     out.write(f"graphs {tally.graphs}\n")
     out.write(f"graphs-with-dim {tally.with_dim}\n")
-    out.write(f"graphs-without-dim {tally.graphs - tally.with_dim}\n")
+    out.write(f"graphs-without-dim {tally.without_dim}\n")
     for name in sorted(tally.check_pass):
         out.write(
             f"check {name} pass={tally.check_pass[name]} "
@@ -340,6 +359,8 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
         path = Path(args.dump_dir) / f"counterexample-{i:03d}.g"
         path.write_text(serialize_graph(g, "edgelist"), encoding="utf-8")
         out.write(f"dumped {path}\n")
+    if tally.budget_errors:
+        return EXIT_BUDGET
     return EXIT_NO if tally.counterexamples else EXIT_OK
 
 
@@ -374,6 +395,10 @@ def run(
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        # Exit 1 means "answered no", so a crash must not fall through to it.
+        err.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -121,6 +121,13 @@ class DegreeProfile:
     is_regular: bool
     biregular: Optional[BiregularClasses]
 
+    @property
+    def regularity(self) -> str:
+        """One of "regular", "biregular" and "neither"."""
+        if self.is_regular:
+            return "regular"
+        return "neither" if self.biregular is None else "biregular"
+
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest vertex."""
@@ -286,7 +293,9 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
 
     Rooted depth-first search: a cycle is discovered from its smallest
     vertex, extending paths through strictly larger vertices only, and
-    reflections are suppressed by requiring second < last vertex.
+    reflections are suppressed by requiring second < last vertex.  The
+    search keeps one neighbor iterator per path vertex on an explicit
+    stack, so cycles longer than the recursion limit are found too.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
@@ -299,19 +308,20 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
         ]
         return frozenset(ids)
 
-    def extend(root: int, path: list[int], on_path: set[int]) -> None:
-        last = path[-1]
-        for nxt in sorted(g.neighbors[last]):
-            if nxt == root and len(path) >= 3 and path[1] < path[-1]:
+    for root in range(g.n):
+        path = [root]
+        on_path = {root}
+        stack = [iter(sorted(g.neighbors[root]))]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                on_path.remove(path.pop())
+            elif nxt == root and len(path) >= 3 and path[1] < path[-1]:
                 cyc = tuple(path)
                 out.append(Cycle(cyc, edge_set(cyc)))
             elif nxt > root and nxt not in on_path and len(path) < max_len:
                 path.append(nxt)
                 on_path.add(nxt)
-                extend(root, path, on_path)
-                on_path.remove(nxt)
-                path.pop()
-
-    for root in range(g.n):
-        extend(root, [root], {root})
+                stack.append(iter(sorted(g.neighbors[nxt])))
     return out

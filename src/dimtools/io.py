@@ -28,6 +28,11 @@ from .solver import EdgeSet
 
 GRAPH_FORMATS = ("edgelist", "dimacs")
 
+# Largest vertex count a graph file may declare.  A Graph allocates
+# storage for every vertex, so the header alone would otherwise decide
+# how much memory parsing takes.  KG(17,8), with 24 310 vertices, fits.
+MAX_VERTICES = 100_000
+
 
 class FormatError(ValueError):
     """Malformed input for one of the text formats."""
@@ -41,6 +46,13 @@ def _significant_lines(text: str, comment_prefixes: tuple[str, ...]) -> list[str
             continue
         lines.append(line)
     return lines
+
+
+def _check_counts(n: int, m: int) -> None:
+    if n < 0 or m < 0:
+        raise FormatError("vertex and edge counts must be nonnegative")
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def _parse_int_fields(line: str, count: int, what: str) -> list[int]:
@@ -58,8 +70,7 @@ def parse_edgelist(text: str) -> Graph:
     if not lines:
         raise FormatError("missing header line")
     n, m = _parse_int_fields(lines[0], 2, "header")
-    if n < 0 or m < 0:
-        raise FormatError("vertex and edge counts must be nonnegative")
+    _check_counts(n, m)
     data = lines[1:]
     if len(data) != m:
         raise FormatError(f"declared {m} edges but found {len(data)} edge lines")
@@ -91,8 +102,7 @@ def parse_dimacs(text: str) -> Graph:
         n, m = int(header[2]), int(header[3])
     except ValueError:
         raise FormatError(f"malformed problem line: {lines[0]!r}") from None
-    if n < 0 or m < 0:
-        raise FormatError("vertex and edge counts must be nonnegative")
+    _check_counts(n, m)
     data = lines[1:]
     if len(data) != m:
         raise FormatError(f"declared {m} edges but found {len(data)} edge lines")

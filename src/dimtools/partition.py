@@ -193,14 +193,9 @@ def verify_dim_partition(g: Graph, p: DimPartition) -> PartitionCheck:
     count_ok = all(
         p.num_classes == g.degrees[u] + g.degrees[v] - 1 for u, v in g.edges
     )
-    profile = degree_profile(g)
-    if profile.is_regular:
-        regularity = "regular"
-    elif profile.biregular is not None:
-        regularity = "biregular"
-    else:
-        regularity = "neither"
-    return PartitionCheck(valid=valid, class_count_ok=count_ok, regularity=regularity)
+    return PartitionCheck(
+        valid=valid, class_count_ok=count_ok, regularity=degree_profile(g).regularity
+    )
 
 
 def list_assignment(g: Graph, p: DimPartition) -> ListAssignment:

@@ -153,13 +153,13 @@ def _sweep_violations(g: Graph, dims: list) -> list[str]:
     coloring = three_coloring_from_dim(g, dim)  # raises if improper
     if any(coloring.color_of[u] == coloring.color_of[v] for u, v in g.edges):
         bad.append("coloring")
-    if not check_edge_bound(g).holds:
+    if not check_edge_bound(g, dim).holds:
         bad.append("edge-bound")
     if len({len(d) for d in dims}) > 1:
         bad.append("size-invariance")
     profile = degree_profile(g)
     if profile.min_degree >= 2:
-        bounds = check_dim_bounds(g)
+        bounds = check_dim_bounds(g, dim)
         if not (bounds.lower_ok and bounds.upper_ok):
             bad.append("degree-bounds")
     if profile.is_regular and profile.max_degree >= 1:

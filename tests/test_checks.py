@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dimtools import checks
 from dimtools.checks import (
     Budgets,
     check_cycle_intersections,
@@ -20,7 +21,7 @@ from dimtools.corpus import sample_connected_graphs
 from dimtools.families import cycle, complete, kneser_dim_partition, petersen, star
 from dimtools.graph import build_graph
 from dimtools.partition import find_dim_partition
-from dimtools.solver import find_dim
+from dimtools.solver import enumerate_dims, find_dim
 
 
 def k4_minus_edge():
@@ -52,24 +53,24 @@ class TestThreeColoring:
 
 class TestEdgeBound:
     def test_k4_minus_edge_equality(self):
-        res = check_edge_bound(k4_minus_edge())
+        res = check_edge_bound(k4_minus_edge(), find_dim(k4_minus_edge()))
         assert res.applicable and res.holds
         assert res.bound == Fraction(5)
 
     def test_petersen(self):
-        res = check_edge_bound(petersen())
+        res = check_edge_bound(petersen(), find_dim(petersen()))
         assert res.applicable and res.holds
         assert res.bound == Fraction(55, 2)
 
     def test_c4_not_applicable(self):
-        res = check_edge_bound(cycle(4))
+        res = check_edge_bound(cycle(4), find_dim(cycle(4)))
         assert not res.applicable
 
 
 class TestSizeInvariance:
     @pytest.mark.parametrize("g", [cycle(6), complete(3), petersen()])
     def test_true_on_examples(self, g):
-        assert check_dim_size_invariance(g)
+        assert check_dim_size_invariance(enumerate_dims(g))
 
 
 class TestRegularFormula:
@@ -98,15 +99,15 @@ class TestRegularFormula:
 
 class TestDimBounds:
     def test_c6_equality(self):
-        res = check_dim_bounds(cycle(6))
+        res = check_dim_bounds(cycle(6), find_dim(cycle(6)))
         assert res.applicable and res.lower_ok and res.upper_ok
 
     def test_petersen_equality(self):
-        res = check_dim_bounds(petersen())
+        res = check_dim_bounds(petersen(), find_dim(petersen()))
         assert res.applicable and res.lower_ok and res.upper_ok
 
     def test_star_not_applicable(self):
-        res = check_dim_bounds(star(3))
+        res = check_dim_bounds(star(3), find_dim(star(3)))
         assert not res.applicable
 
 
@@ -179,6 +180,51 @@ class TestFullReport:
         report = full_report(petersen(), Budgets(search_nodes=1))
         assert report.dim_search_error is not None
         assert not report.dim_exists
+
+    def test_dim_budget_exhaustion_is_an_error_not_na(self):
+        # The Petersen graph meets every hypothesis that does not depend on
+        # the DIM, so with the DIM search out of budget every entry applies
+        # and reports the budget error.
+        report = full_report(petersen(), Budgets(search_nodes=1))
+        assert len(report.entries) == 13
+        for entry in report.entries:
+            assert entry.applicable and not entry.passed, entry
+            assert entry.error == "exceeded search budget of 1 nodes", entry
+
+    def test_dim_budget_exhaustion_keeps_failed_hypotheses_na(self):
+        path = build_graph(4, [(0, 2), (0, 3), (1, 3)])
+        report = full_report(path, Budgets(search_nodes=1))
+        assert report.dim_search_error is not None
+        assert report.entry("three-coloring").error is not None
+        assert report.entry("partition-regularity").error is not None
+        for name in ("degree-ratio-bounds", "regular-size-formula", "list-properties"):
+            entry = report.entry(name)
+            assert not entry.applicable and entry.error is None
+
+    def test_each_fact_computed_once(self, monkeypatch):
+        calls = {}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in (
+            "find_dim",
+            "check_cycle_intersections",
+            "find_dim_partition",
+            "list_assignment",
+        ):
+            monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
+        assert full_report(petersen()).all_passed
+        assert calls == {
+            "find_dim": 1,
+            "check_cycle_intersections": 1,
+            "find_dim_partition": 1,
+            "list_assignment": 1,
+        }
 
     def test_partition_budget_exhaustion_is_an_error_not_na(self):
         # 10 nodes find a DIM of the Petersen graph but do not enumerate

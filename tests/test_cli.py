@@ -10,9 +10,19 @@ from pathlib import Path
 import pytest
 
 import dimtools
+from dimtools import cli
 from dimtools.cli import run
-from dimtools.io import parse_certificate, parse_graph, parse_labels, parse_partition
+from dimtools.io import (
+    MAX_VERTICES,
+    parse_certificate,
+    parse_graph,
+    parse_labels,
+    parse_partition,
+)
 from dimtools.families import cycle, petersen
+
+# Sweep stdout that a change to the report code must reproduce byte for byte.
+DATA = Path(__file__).parent / "data"
 
 
 def subprocess_env():
@@ -132,6 +142,21 @@ class TestDim:
         code, _, err = invoke(["dim", "find", str(bad)])
         assert code == 2
 
+    def test_vertex_count_above_ceiling_is_input_error(self, tmp_path):
+        huge = tmp_path / "huge.g"
+        huge.write_text(f"{MAX_VERTICES + 1} 0\n")
+        code, out, err = invoke(["dim", "find", str(huge)])
+        assert code == 2 and out == "" and "exceeds the limit" in err
+
+    def test_uncaught_exception_is_internal_error(self, petersen_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("postcondition violated")
+
+        monkeypatch.setattr(cli, "find_dim", broken)
+        code, out, err = invoke(["dim", "find", str(petersen_file)])
+        assert code == 4 and out == ""
+        assert err == "internal error: RuntimeError: postcondition violated\n"
+
 
 class TestPartitionCmd:
     def test_find_roundtrip(self, tmp_path):
@@ -199,6 +224,13 @@ class TestVerify:
         assert "exists = true" in out
         assert "error = exceeded search budget of 10 nodes" in out
 
+    def test_dim_budget_exhaustion_is_not_no_dim(self, petersen_file):
+        code, out, _ = invoke(["verify", "all", str(petersen_file), "--budget", "1"])
+        assert code == 3
+        assert "search-error = exceeded search budget of 1 nodes" in out
+        assert "details = no dim" not in out
+        assert out.count("error = exceeded search budget of 1 nodes") == 1 + 13
+
     def test_budget_flag_recorded(self, petersen_file):
         code, out, _ = invoke(
             ["verify", "all", str(petersen_file), "--budget", "54321"]
@@ -215,6 +247,32 @@ class TestSweep:
         assert "graphs 44" in out
         assert "graphs-with-dim 40" in out
         assert "counterexamples 0" in out
+
+    def test_budget_exhaustion_exit_three(self, tmp_path):
+        code, out, _ = invoke(
+            ["sweep", "--max-n", "4", "--budget", "1", "--dump-dir", str(tmp_path)]
+        )
+        assert code == 3
+        # Every graph on <= 4 vertices without a DIM needs more than one
+        # node to show it, so none may count as having no DIM.
+        assert "graphs-without-dim 0\n" in out
+        assert "check three-coloring pass=19 fail=0 na=0 error=25\n" in out
+        assert "counterexamples 0\n" in out
+
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            (["--max-n", "5"], "sweep-max-n-5.txt"),
+            (
+                ["--sample", "--n", "7", "--seed", "5", "--count", "200"],
+                "sweep-sample-n7-seed5-count200.txt",
+            ),
+        ],
+    )
+    def test_output_matches_golden(self, tmp_path, argv, golden):
+        code, out, _ = invoke(["sweep", *argv, "--dump-dir", str(tmp_path)])
+        assert code == 0
+        assert out == (DATA / golden).read_text(encoding="utf-8")
 
     def test_guardrail(self):
         code, _, err = invoke(["sweep", "--max-n", "8"])

@@ -2,12 +2,13 @@
 
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimtools.corpus import connected_graphs, sample_connected_graphs
-from dimtools.families import cycle, complete, petersen, star
+from dimtools.families import bipartite_kneser, cycle, complete, kneser, petersen, star
 from dimtools.graph import (
     Graph,
     build_graph,
@@ -240,3 +241,40 @@ class TestEnumerateCycles:
                 found[c.length] = found.get(c.length, 0) + 1
             for r, expected in oracle.items():
                 assert found.get(r, 0) == expected
+
+    def test_long_cycle_needs_no_recursion(self):
+        # Each path vertex used to cost one stack frame; 1500 is past the
+        # default recursion limit.
+        out = enumerate_cycles(cycle(1500), 2000)
+        assert [c.length for c in out] == [1500]
+
+
+def canonical_cycle(vertices):
+    """Rotate to the smallest vertex first and orient second < last."""
+    i = vertices.index(min(vertices))
+    rotated = list(vertices[i:]) + list(vertices[:i])
+    if rotated[1] > rotated[-1]:
+        rotated = rotated[:1] + rotated[:0:-1]
+    return tuple(rotated)
+
+
+@pytest.mark.parametrize("max_len", [3, 5, 8])
+def test_cycles_match_networkx_simple_cycles(max_len):
+    graphs = [
+        petersen(),
+        kneser(7, 3).graph,
+        bipartite_kneser(2, 3).graph,
+        complete(6),
+        cycle(8),
+        star(4),
+        *sample_connected_graphs(8, 60, seed=42),
+    ]
+    for g in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges)
+        expected = sorted(
+            canonical_cycle(c) for c in nx.simple_cycles(G, length_bound=max_len)
+        )
+        found = sorted(c.vertices for c in enumerate_cycles(g, max_len))
+        assert found == expected, g.edges

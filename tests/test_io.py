@@ -6,6 +6,7 @@ from hypothesis import given
 from dimtools.families import cycle, petersen, kneser_dim_partition
 from dimtools.graph import build_graph
 from dimtools.io import (
+    MAX_VERTICES,
     FormatError,
     graph_digest,
     parse_certificate,
@@ -96,6 +97,18 @@ class TestDimacs:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_graph("x", "graphml")
+
+
+@pytest.mark.parametrize(
+    "text,fmt",
+    [
+        (f"{MAX_VERTICES + 1} 0\n", "edgelist"),
+        (f"p edge {MAX_VERTICES + 1} 0\n", "dimacs"),
+    ],
+)
+def test_vertex_count_above_ceiling_rejected(text, fmt):
+    with pytest.raises(FormatError, match="exceeds the limit"):
+        parse_graph(text, fmt)
 
 
 class TestMatchingAndCertificate:

@@ -1,9 +1,11 @@
 """DIM partitions, list assignments, and their verification."""
 
+import random
 import subprocess
 import sys
 import textwrap
 
+import networkx as nx
 import pytest
 
 from dimtools import checks, partition
@@ -12,6 +14,7 @@ from dimtools.families import (
     bg_dim_partition,
     cycle,
     complete,
+    kneser,
     kneser_dim_partition,
     petersen,
     star,
@@ -307,6 +310,21 @@ class TestKneserIsomorphism:
         g = star(3)
         with pytest.raises(ValueError):
             check_kneser_isomorphism(g, list_assignment(g, find_dim_partition(g)))
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_agrees_with_networkx_isomorphism(self, r):
+        # A relabelled KG(2r-1, r-1), partitioned by search rather than
+        # by the closed form.
+        g = kneser(2 * r - 1, r - 1).graph
+        perm = list(range(g.n))
+        random.Random(r).shuffle(perm)
+        g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        ours = nx.Graph()
+        ours.add_nodes_from(range(g.n))
+        ours.add_edges_from(g.edges)
+        expected = nx.is_isomorphic(ours, nx.kneser_graph(2 * r - 1, r - 1))
+        assignment = list_assignment(g, find_dim_partition(g))
+        assert check_kneser_isomorphism(g, assignment) == expected
 
 
 class TestBruteForceAgreement:
