@@ -12,6 +12,11 @@ BG(r-1, s-1) into r+s-1 classes.
 
 Subsets are enumerated in colexicographic order, which fixes vertex
 ids reproducibly.
+
+Construction is output-sensitive: a label's neighbors are the subsets
+of its complement of the other side's size, found by lookup in a label
+index, so building the graph costs at most one lookup per edge end
+rather than one disjointness test per vertex pair.
 """
 
 from __future__ import annotations
@@ -39,6 +44,28 @@ def _colex_subsets(ground_size: int, k: int) -> list[tuple[int, ...]]:
     return sorted(combos, key=lambda s: s[::-1])
 
 
+def _disjoint_pairs(
+    left: list[tuple[int, ...]],
+    right: list[tuple[int, ...]],
+    k: int,
+    ground_size: int,
+    offset: int,
+) -> list[tuple[int, int]]:
+    """Vertex pairs (i, offset + j) with left[i] and right[j] disjoint.
+
+    ``right`` holds k-subsets of {1..ground_size}; the partners of
+    left[i] are the k-subsets of its complement, looked up by index.
+    Subsets are sorted tuples, as ``itertools.combinations`` yields them.
+    """
+    index = {s: offset + j for j, s in enumerate(right)}
+    ground = range(1, ground_size + 1)
+    pairs = []
+    for i, s in enumerate(left):
+        rest = [x for x in ground if x not in s]
+        pairs.extend((i, index[c]) for c in itertools.combinations(rest, k))
+    return pairs
+
+
 def kneser(n: int, k: int) -> LabeledGraph:
     """Disjointness graph on the k-subsets of {1..n}.
 
@@ -48,14 +75,10 @@ def kneser(n: int, k: int) -> LabeledGraph:
         raise ValueError("subset size k must be positive")
     if n < 1:
         raise ValueError("ground set size n must be positive")
-    labels = [frozenset(s) for s in _colex_subsets(n, k)]
-    pairs = [
-        (i, j)
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if labels[i].isdisjoint(labels[j])
-    ]
-    return LabeledGraph(build_graph(len(labels), pairs), tuple(labels), n)
+    subsets = _colex_subsets(n, k)
+    pairs = [(i, j) for i, j in _disjoint_pairs(subsets, subsets, k, n, 0) if j > i]
+    labels = tuple(frozenset(s) for s in subsets)
+    return LabeledGraph(build_graph(len(labels), pairs), labels, n)
 
 
 def bipartite_kneser(m: int, n: int) -> LabeledGraph:
@@ -67,24 +90,19 @@ def bipartite_kneser(m: int, n: int) -> LabeledGraph:
     if m < 1 or n < 1:
         raise ValueError("subset sizes must be positive")
     ground = m + n + 1
-    left = [frozenset(s) for s in _colex_subsets(ground, m)]
-    right = [frozenset(s) for s in _colex_subsets(ground, n)]
-    offset = len(left)
-    pairs = [
-        (i, offset + j)
-        for i in range(len(left))
-        for j in range(len(right))
-        if left[i].isdisjoint(right[j])
-    ]
-    labels = tuple(left) + tuple(right)
+    left = _colex_subsets(ground, m)
+    right = _colex_subsets(ground, n)
+    pairs = _disjoint_pairs(left, right, n, ground, len(left))
+    labels = tuple(frozenset(s) for s in left + right)
     return LabeledGraph(build_graph(len(labels), pairs), labels, ground)
 
 
 def _leftover_coloring(lg: LabeledGraph) -> DimPartition:
     """Color each edge by the unique ground element missing from both labels."""
+    ground = frozenset(range(1, lg.ground_size + 1))
     colors = []
     for u, v in lg.graph.edges:
-        leftover = frozenset(range(1, lg.ground_size + 1)) - lg.labels[u] - lg.labels[v]
+        leftover = ground - lg.labels[u] - lg.labels[v]
         if len(leftover) != 1:
             raise ValueError("edge labels do not leave exactly one element uncovered")
         colors.append(next(iter(leftover)))

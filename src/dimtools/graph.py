@@ -293,9 +293,13 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
 
     Rooted depth-first search: a cycle is discovered from its smallest
     vertex, extending paths through strictly larger vertices only, and
-    reflections are suppressed by requiring second < last vertex.  The
-    search keeps one neighbor iterator per path vertex on an explicit
-    stack, so cycles longer than the recursion limit are found too.
+    reflections are suppressed by requiring second < last vertex.  A
+    cycle leaves its root through two neighbors larger than the root, so
+    roots with fewer than two such neighbors are skipped: on a long
+    cycle each of them would otherwise walk the whole path of larger
+    vertices above it.  The search keeps one neighbor iterator per path
+    vertex on an explicit stack, so cycles longer than the recursion
+    limit are found too.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
@@ -309,9 +313,12 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
         return frozenset(ids)
 
     for root in range(g.n):
+        nbrs = sorted(g.neighbors[root])
+        if len(nbrs) < 2 or nbrs[-2] < root:
+            continue
         path = [root]
         on_path = {root}
-        stack = [iter(sorted(g.neighbors[root]))]
+        stack = [iter(nbrs)]
         while stack:
             nxt = next(stack[-1], None)
             if nxt is None:

@@ -287,8 +287,17 @@ def check_kneser_isomorphism(g: Graph, assignment: ListAssignment) -> bool:
     (r-1)-subsets of 2r-1 colors?
 
     True exactly when the vertex count equals C(2r-1, r-1), the lists
-    hit every (r-1)-subset once, and two vertices are adjacent iff
-    their lists are disjoint.  Requires a connected regular graph.
+    hit every (r-1)-subset of {1..2r-1} once, and two vertices are
+    adjacent iff their lists are disjoint.  Requires a connected
+    regular graph.
+
+    Only the edges need checking.  Once the lists are C(2r-1, r-1)
+    distinct (r-1)-subsets of {1..2r-1}, they are all of them, and each
+    is disjoint from exactly C(r, r-1) = r others.  A vertex of the
+    r-regular graph g whose r neighbors all carry lists disjoint from
+    its own is therefore adjacent to exactly the vertices whose lists
+    are disjoint from its own.  So "every edge joins disjoint lists"
+    already gives "adjacent iff disjoint", in time linear in the edges.
     """
     profile = degree_profile(g)
     if not profile.is_regular:
@@ -299,18 +308,15 @@ def check_kneser_isomorphism(g: Graph, assignment: ListAssignment) -> bool:
     if assignment.num_labels != 2 * r - 1 or len(assignment.lists) != g.n:
         raise ValueError("assignment shape does not match an r-regular partition")
 
+    lists = assignment.lists
     if g.n != comb(2 * r - 1, r - 1):
         return False
-    if len(set(assignment.lists)) != g.n:
+    if len(set(lists)) != g.n:
         return False
-    if any(len(lst) != r - 1 for lst in assignment.lists):
+    universe = frozenset(range(1, 2 * r))
+    if any(len(lst) != r - 1 or not universe.issuperset(lst) for lst in lists):
         return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            disjoint = not (assignment.lists[u] & assignment.lists[v])
-            if disjoint != g.has_edge(u, v):
-                return False
-    return True
+    return all(lists[u].isdisjoint(lists[v]) for u, v in g.edges)
 
 
 def brute_force_dim_partitions(g: Graph) -> list[tuple[EdgeSet, ...]]:

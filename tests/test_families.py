@@ -1,5 +1,6 @@
 """Disjointness-graph families and their closed-form DIM partitions."""
 
+import itertools
 from math import comb
 
 import networkx as nx
@@ -15,9 +16,40 @@ from dimtools.families import (
     petersen,
     star,
 )
-from dimtools.graph import degree_profile, is_connected
+from dimtools.graph import build_graph, degree_profile, is_connected
 from dimtools.partition import verify_dim_partition
 from dimtools.solver import classify_dim, find_dim
+
+
+def colex_labels(ground_size, k):
+    combos = itertools.combinations(range(1, ground_size + 1), k)
+    return [frozenset(s) for s in sorted(combos, key=lambda s: s[::-1])]
+
+
+def pairwise_kneser(n, k):
+    """Reference: test every label pair for disjointness."""
+    labels = colex_labels(n, k)
+    pairs = [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+        if labels[i].isdisjoint(labels[j])
+    ]
+    return build_graph(len(labels), pairs), tuple(labels)
+
+
+def pairwise_bipartite_kneser(m, n):
+    """Reference: test every cross pair for disjointness."""
+    ground = m + n + 1
+    left, right = colex_labels(ground, m), colex_labels(ground, n)
+    pairs = [
+        (i, len(left) + j)
+        for i in range(len(left))
+        for j in range(len(right))
+        if left[i].isdisjoint(right[j])
+    ]
+    labels = tuple(left) + tuple(right)
+    return build_graph(len(labels), pairs), labels
 
 
 class TestKneser:
@@ -43,6 +75,23 @@ class TestKneser:
         ours.add_nodes_from(range(g.n))
         ours.add_edges_from(g.edges)
         assert nx.is_isomorphic(ours, nx.kneser_graph(11, 5))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_pairwise_construction(self, n):
+        for k in range(1, n + 1):
+            lg = kneser(n, k)
+            assert (lg.graph, lg.labels, lg.ground_size) == (*pairwise_kneser(n, k), n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_edges_match_networkx_under_colex_map(self, n):
+        for k in range(1, n + 1):
+            lg = kneser(n, k)
+            node_of = [tuple(sorted(x - 1 for x in label)) for label in lg.labels]
+            G = nx.kneser_graph(n, k)
+            assert sorted(G.nodes) == sorted(node_of)
+            ours = {frozenset((node_of[u], node_of[v])) for u, v in lg.graph.edges}
+            assert ours == {frozenset(e) for e in G.edges}
+            assert lg.graph.m == G.number_of_edges()
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 2)])
     def test_counts_and_degrees(self, n, k):
@@ -102,6 +151,13 @@ class TestBipartiteKneser:
                 assert lg.graph.degrees[v] == n + 1
             for v in range(left, lg.graph.n):
                 assert lg.graph.degrees[v] == m + 1
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_equals_pairwise_construction(self, m, n):
+        lg = bipartite_kneser(m, n)
+        assert (lg.graph, lg.labels) == pairwise_bipartite_kneser(m, n)
+        assert lg.ground_size == m + n + 1
 
     def test_cross_edges_only(self):
         lg = bipartite_kneser(2, 2)

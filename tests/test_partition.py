@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from math import comb
 
 import networkx as nx
 import pytest
@@ -19,7 +20,7 @@ from dimtools.families import (
     petersen,
     star,
 )
-from dimtools.graph import build_graph
+from dimtools.graph import build_graph, degree_profile, is_connected
 from dimtools.partition import (
     DimPartition,
     ListAssignment,
@@ -293,7 +294,91 @@ class TestVerifyListProperties:
             verify_list_properties(g, ListAssignment(2, (frozenset(),) * 4))
 
 
+def pairwise_kneser_check(g, assignment):
+    """Reference: the certificate compared on every vertex pair."""
+    profile = degree_profile(g)
+    if not profile.is_regular:
+        raise ValueError("graph is not regular")
+    if not is_connected(g):
+        raise ValueError("graph is not connected")
+    r = profile.max_degree
+    if assignment.num_labels != 2 * r - 1 or len(assignment.lists) != g.n:
+        raise ValueError("assignment shape does not match an r-regular partition")
+    if g.n != comb(2 * r - 1, r - 1):
+        return False
+    if len(set(assignment.lists)) != g.n:
+        return False
+    if any(len(lst) != r - 1 for lst in assignment.lists):
+        return False
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            disjoint = not (assignment.lists[u] & assignment.lists[v])
+            if disjoint != g.has_edge(u, v):
+                return False
+    return True
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def perturbed(assignment, seed):
+    """Two lists swapped, one list duplicated, and one list resized."""
+    lists = list(assignment.lists)
+    rng = random.Random(seed)
+    u, v = rng.sample(range(len(lists)), 2)
+    swapped = lists[:]
+    swapped[u], swapped[v] = lists[v], lists[u]
+    duplicated = lists[:]
+    duplicated[u] = lists[v]
+    resized = lists[:]
+    resized[u] = lists[u] | {min(set(range(1, assignment.num_labels + 1)) - lists[u])}
+    return [
+        ListAssignment(assignment.num_labels, tuple(x))
+        for x in (swapped, duplicated, resized)
+    ]
+
+
 class TestKneserIsomorphism:
+    def test_rejects_labels_outside_the_color_universe(self):
+        # n = C(3, 1), distinct singleton lists, pairwise disjoint: only
+        # the label 99, outside {1, 2, 3}, keeps this from being KG(3, 1).
+        lists = (frozenset({1}), frozenset({2}), frozenset({99}))
+        assert not check_kneser_isomorphism(complete(3), ListAssignment(3, lists))
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_equals_pairwise_check_on_family_graphs(self, r):
+        lg, p = kneser_dim_partition(r)
+        graphs = [(lg.graph, list_assignment(lg.graph, p))]
+        for seed in range(2):
+            g = relabelled(lg.graph, seed)
+            graphs.append((g, list_assignment(g, find_dim_partition(g))))
+        for g, assignment in graphs:
+            assert check_kneser_isomorphism(g, assignment)
+            assert pairwise_kneser_check(g, assignment)
+            for seed in range(3):
+                for bad in perturbed(assignment, seed):
+                    expected = pairwise_kneser_check(g, bad)
+                    assert check_kneser_isomorphism(g, bad) == expected
+
+    def test_equals_pairwise_check_on_corpus(self):
+        checked = 0
+        for n in range(2, 7):
+            for g in connected_graphs(n):
+                if len(set(g.degrees)) != 1:
+                    continue
+                p = find_dim_partition(g)
+                if p is None:
+                    continue
+                assignment = list_assignment(g, p)
+                variants = [assignment] + perturbed(assignment, n)
+                for a in variants:
+                    assert check_kneser_isomorphism(g, a) == pairwise_kneser_check(g, a)
+                checked += 1
+        assert checked > 0
+
     def test_petersen_true(self):
         lg, p = kneser_dim_partition(3)
         assert check_kneser_isomorphism(lg.graph, list_assignment(lg.graph, p))
@@ -315,10 +400,7 @@ class TestKneserIsomorphism:
     def test_agrees_with_networkx_isomorphism(self, r):
         # A relabelled KG(2r-1, r-1), partitioned by search rather than
         # by the closed form.
-        g = kneser(2 * r - 1, r - 1).graph
-        perm = list(range(g.n))
-        random.Random(r).shuffle(perm)
-        g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        g = relabelled(kneser(2 * r - 1, r - 1).graph, r)
         ours = nx.Graph()
         ours.add_nodes_from(range(g.n))
         ours.add_edges_from(g.edges)
