@@ -27,15 +27,17 @@ The laws covered:
 
 :func:`full_report` runs all of them on one graph.  It computes each
 fact the checks share once, up front: the degree profile, connectivity,
-one DIM, the cycle-law result for that DIM, the DIM partition and its
-list assignment.  Every entry then follows one rule.  A check whose
-hypothesis fails is not applicable.  A check that applies while a
-search it reads (the DIM search or the partition search) ran out of
-budget is an error entry; where the DIM search ran out, whether a DIM
-exists is unknown, so every check that needs one applies as far as the
-rest of its hypothesis goes.  Otherwise the check runs, and a budget hit
-inside it is an error entry too.  A budget hit never reads as "no DIM"
-or "no partition".
+one DIM, the cycle-law result for that DIM, the list of all DIMs, the
+DIM partition and its list assignment.  For a connected graph the
+partition search covers the edges by that DIM list instead of
+enumerating the DIMs again.  Every entry then follows one rule.  A
+check whose hypothesis fails is not applicable.  A check that applies
+while a search it reads (the DIM search or the partition search) ran
+out of budget is an error entry; where the DIM search ran out, whether
+a DIM exists is unknown, so every check that needs one applies as far
+as the rest of its hypothesis goes.  Otherwise the check runs, and a
+budget hit inside it is an error entry too.  A budget hit never reads
+as "no DIM" or "no partition".
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional, Sequence
 
-from .graph import Graph, degree_profile, enumerate_cycles, is_connected
+from .graph import EdgeId, Graph, degree_profile, enumerate_cycles, is_connected
 from .partition import (
     DimPartition,
+    _search_dims,
     check_kneser_isomorphism,
     find_dim_partition,
     list_assignment,
@@ -58,7 +61,6 @@ from .solver import (
     EdgeSet,
     SearchBudgetExceeded,
     classify_dim,
-    enumerate_dims,
     find_dim,
 )
 
@@ -110,9 +112,9 @@ def check_edge_bound(g: Graph, dim: Optional[EdgeSet]) -> EdgeBoundCheck:
     )
 
 
-def check_dim_size_invariance(dims: list[EdgeSet]) -> bool:
-    """All DIMs of a graph, as listed by ``enumerate_dims``, share one
-    cardinality (vacuously true below two DIMs)."""
+def check_dim_size_invariance(dims: Sequence[Collection[EdgeId]]) -> bool:
+    """All DIMs of a graph, listed in any order, share one cardinality
+    (vacuously true below two DIMs)."""
     return len({len(d) for d in dims}) <= 1
 
 
@@ -336,12 +338,26 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     maybe_dim = dim is not None or dim_error is not None
 
     cycles: Optional[CycleIntersectionCheck] = None
+    dims: Optional[list[list[int]]] = None
+    dims_error: Optional[str] = None
     p: Optional[DimPartition] = None
     partition_error = dim_error
     if dim is not None:
         cycles = check_cycle_intersections(g, dim, budgets.max_cycle_len)
         try:
-            p = find_dim_partition(g, budgets.search_nodes)
+            dims, spent = _search_dims(g, budgets.search_nodes)
+        except SearchBudgetExceeded as exc:
+            dims_error = str(exc)
+            spent = budgets.search_nodes
+        try:
+            if connected:
+                # g is the partition search's only component, so it would
+                # enumerate these same DIMs in as many nodes.  If that
+                # enumeration ran out, the whole budget is spent and the
+                # search runs out at its first node, as it would have.
+                p = find_dim_partition(g, budgets.search_nodes, dims, spent)
+            else:
+                p = find_dim_partition(g, budgets.search_nodes)
         except SearchBudgetExceeded as exc:
             partition_error = str(exc)
     maybe_partition = (p is not None or partition_error is not None) and g.m > 0
@@ -358,7 +374,8 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         return res.holds, f"edges {g.m} vs bound {res.bound}"
 
     def invariance():
-        dims = enumerate_dims(g, budgets.search_nodes)
+        if dims_error is not None:
+            raise SearchBudgetExceeded(dims_error)
         return check_dim_size_invariance(dims), f"dim count {len(dims)}"
 
     def bounds():

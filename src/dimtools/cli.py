@@ -76,6 +76,17 @@ def _read_graph(path: str, fmt: str) -> Graph:
         raise _CliError(f"{path}: {exc}") from exc
 
 
+def _budget(text: str) -> int:
+    """``--budget``: a node count, so any integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid budget {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimtools",
@@ -138,21 +149,21 @@ def _build_parser() -> argparse.ArgumentParser:
     dim = sub.add_parser("dim", help="find, enumerate, or size DIMs")
     dim.add_argument("action", choices=("find", "enum", "size"))
     dim.add_argument("graphfile")
-    dim.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    dim.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     dim.add_argument("--format", choices=GRAPH_FORMATS, default="edgelist")
 
     part = sub.add_parser("partition", help="find or verify DIM partitions")
     part.add_argument("action", choices=("find", "verify"))
     part.add_argument("graphfile")
     part.add_argument("--partition", help="partition file (verify only)")
-    part.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    part.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     part.add_argument("--format", choices=GRAPH_FORMATS, default="edgelist")
 
     ver = sub.add_parser("verify", help="run the verification report")
     ver.add_argument("action", choices=("all", "report"))
     ver.add_argument("graphfile")
     ver.add_argument("--max-cycle", type=int, default=DEFAULT_MAX_CYCLE)
-    ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ver.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     ver.add_argument("--format", choices=GRAPH_FORMATS, default="edgelist")
 
     sweep = sub.add_parser("sweep", help="verify every small-graph law on a corpus")
@@ -161,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", type=int, help="vertex count in sample mode")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--count", type=int, default=1000)
-    sweep.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sweep.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     sweep.add_argument("--max-cycle", type=int, default=DEFAULT_MAX_CYCLE)
     sweep.add_argument("--dump-dir", default=".", help="where counterexamples go")
     return parser

@@ -95,26 +95,34 @@ def _component_class_count(g: Graph) -> Optional[int]:
     return counts.pop()
 
 
+def _search_dims(g: Graph, budget: int, spent: int = 0) -> tuple[list[list[int]], int]:
+    """Every DIM of g as a sorted edge list, in the order the exact-cover
+    engine finds them, and the node total after the search."""
+    search = _dim_search(g, budget, spent)
+    return [sorted(sol) for sol in search.solutions()], search.nodes
+
+
 def _cover_by_dims(
-    g: Graph, k: int, budget: int, spent: int
+    g: Graph, k: int, budget: int, spent: int, dims: Optional[list[list[int]]]
 ) -> tuple[Optional[list[int]], int]:
     """Colors of a connected graph's edges in k DIM classes (None if
     there is no such partition), and the nodes spent so far.
 
-    Enumerates the DIMs with the exact-cover engine, then runs the same
+    Enumerates the DIMs with the exact-cover engine, unless ``dims``
+    already lists them as :func:`_search_dims` does, then runs the same
     engine on the instance whose rows are those DIMs and whose columns
     are the edges.  The first cover found is returned, its classes
     numbered 1..k in order of their smallest edge.  Both searches draw
     on one node budget, of which ``spent`` nodes are already used.
     """
-    dim_search = _dim_search(g, budget, spent)
-    dims = [sorted(sol) for sol in dim_search.solutions()]
+    if dims is None:
+        dims, spent = _search_dims(g, budget, spent)
     cols = [0] * g.m
     for i, dim in enumerate(dims):
         for e in dim:
             cols[e] |= 1 << i
     rows = [sum(1 << e for e in dim) for dim in dims]
-    cover_search = _ExactCover(rows, cols, budget, dim_search.nodes)
+    cover_search = _ExactCover(rows, cols, budget, spent)
     cover = next(cover_search.solutions(), None)
     if cover is None:
         return None, cover_search.nodes
@@ -129,7 +137,12 @@ def _cover_by_dims(
     return colors, cover_search.nodes
 
 
-def find_dim_partition(g: Graph, budget: int = 10_000_000) -> Optional[DimPartition]:
+def find_dim_partition(
+    g: Graph,
+    budget: int = 10_000_000,
+    dims: Optional[list[list[int]]] = None,
+    spent: int = 0,
+) -> Optional[DimPartition]:
     """Partition E(g) into DIM classes, or None when impossible.
 
     Each edge-bearing component is partitioned independently; all
@@ -139,15 +152,23 @@ def find_dim_partition(g: Graph, budget: int = 10_000_000) -> Optional[DimPartit
     are numbered in order of their smallest edge within each component.
     The edgeless graph gets the empty partition.  Raises
     SearchBudgetExceeded once the searches of all components together
-    expand more than ``budget`` nodes.
+    expand more than ``budget`` nodes, of which ``spent`` are already
+    used on entry.
+
+    A caller that has enumerated the DIMs of a connected g with
+    :func:`_search_dims` under the same budget passes them as ``dims``
+    and that search's node total as ``spent``; the search then covers
+    E(g) by them instead of enumerating again, and builds the same
+    partition with the same node count.
     """
     comp_vertex_sets = [c for c in components(g) if any(g.incident[v] for v in c)]
     if not comp_vertex_sets:
         return DimPartition(0, ())
+    if dims is not None and len(comp_vertex_sets) > 1:
+        raise ValueError("dims can stand in only for a connected graph's DIMs")
 
     target_k: Optional[int] = None
     color_of = [0] * g.m
-    spent = 0
     for comp in comp_vertex_sets:
         sub, old_vertices = induced_subgraph(g, comp)
         k = _component_class_count(sub)
@@ -160,7 +181,7 @@ def find_dim_partition(g: Graph, budget: int = 10_000_000) -> Optional[DimPartit
         profile = degree_profile(sub)
         if not profile.is_regular and profile.biregular is None:
             return None
-        sub_colors, spent = _cover_by_dims(sub, k, budget, spent)
+        sub_colors, spent = _cover_by_dims(sub, k, budget, spent, dims)
         if sub_colors is None:
             return None
         for local_eid, (a, b) in enumerate(sub.edges):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimtools import checks
+from dimtools import checks, partition, solver
 from dimtools.checks import (
     Budgets,
     check_cycle_intersections,
@@ -21,7 +21,11 @@ from dimtools.corpus import sample_connected_graphs
 from dimtools.families import cycle, complete, kneser_dim_partition, petersen, star
 from dimtools.graph import build_graph
 from dimtools.partition import find_dim_partition
-from dimtools.solver import enumerate_dims, find_dim
+from dimtools.solver import SearchBudgetExceeded, enumerate_dims, find_dim
+
+
+# The Petersen graph moved to vertices 10..19.
+DISJOINT_PETERSEN = [(u + 10, v + 10) for u, v in petersen().edges]
 
 
 def k4_minus_edge():
@@ -225,6 +229,42 @@ class TestFullReport:
             "find_dim_partition": 1,
             "list_assignment": 1,
         }
+
+    @pytest.mark.parametrize(
+        "g,searches",
+        [(petersen(), 2), (build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]), 4)],
+        ids=["connected", "two-components"],
+    )
+    def test_dims_enumerated_once(self, monkeypatch, g, searches):
+        # find_dim, then one enumeration that the partition search of a
+        # connected graph reuses; a disconnected graph's partition search
+        # enumerates each component on its own.
+        calls = []
+        dim_search = solver._dim_search
+
+        def counted(*args):
+            calls.append(args)
+            return dim_search(*args)
+
+        monkeypatch.setattr(solver, "_dim_search", counted)
+        monkeypatch.setattr(partition, "_dim_search", counted)
+        assert full_report(g).all_passed
+        assert len(calls) == searches
+
+    @pytest.mark.parametrize("make", [petersen, lambda: cycle(9)], ids=["Petersen", "C9"])
+    def test_partition_entries_follow_the_partition_search(self, make):
+        # The report's partition search reuses its DIM enumeration; it must
+        # still run out of budget exactly when the search on its own does.
+        g = make()
+        for budget in range(40):
+            try:
+                find_dim_partition(g, budget)
+                alone = None
+            except SearchBudgetExceeded as exc:
+                alone = str(exc)
+            report = full_report(g, Budgets(search_nodes=budget))
+            if report.dim_exists:
+                assert report.entry("partition-regularity").error == alone
 
     def test_partition_budget_exhaustion_is_an_error_not_na(self):
         # 10 nodes find a DIM of the Petersen graph but do not enumerate

@@ -316,3 +316,31 @@ def test_python_dash_m_entry_points(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert parse_graph(proc.stdout) == cycle(3)
+
+
+class TestBudgetFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim", "find", "{g}", "--budget", "-5"],
+            ["partition", "find", "{g}", "--budget", "-1"],
+            ["verify", "all", "{g}", "--budget", "-1"],
+            ["sweep", "--max-n", "3", "--budget", "-2"],
+            ["dim", "enum", "{g}", "--budget", "ten"],
+        ],
+        ids=["dim", "partition", "verify", "sweep", "not-a-number"],
+    )
+    def test_invalid_budget_is_usage_error(self, petersen_file, capsys, argv):
+        # A search that never ran cannot have run out of budget (exit 3).
+        code, out, _ = invoke([a.format(g=petersen_file) for a in argv])
+        assert code == 2 and out == ""
+        assert "argument --budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_small_budgets_are_valid(self, tmp_path, budget):
+        # The edgeless graph's empty DIM and empty partition need no node.
+        path = tmp_path / "edgeless.g"
+        path.write_text("3 0\n", encoding="utf-8")
+        for argv in (["dim", "find"], ["partition", "find"], ["verify", "all"]):
+            code, _, err = invoke([*argv, str(path), "--budget", budget])
+            assert code == 0, (argv, err)

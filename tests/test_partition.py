@@ -124,6 +124,17 @@ class TestFindPartition:
         with pytest.raises(SearchBudgetExceeded):
             find_dim_partition(petersen(), budget=1)
 
+    def test_known_dims_stand_in_for_the_enumeration(self):
+        g = kneser(7, 3).graph
+        dims, spent = partition._search_dims(g, 10_000)
+        assert find_dim_partition(g, 10_000, dims, spent) == find_dim_partition(g, 10_000)
+        with pytest.raises(SearchBudgetExceeded):
+            find_dim_partition(g, spent, dims, spent)
+        pet = petersen().edges
+        two = build_graph(20, [*pet, *((u + 10, v + 10) for u, v in pet)])
+        with pytest.raises(ValueError, match="connected"):
+            find_dim_partition(two, 10_000, partition._search_dims(two, 10_000)[0])
+
     def test_classes_numbered_by_smallest_edge(self):
         p = find_dim_partition(petersen())
         assert [min(c) for c in p.classes] == sorted(min(c) for c in p.classes)

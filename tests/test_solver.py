@@ -6,12 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimtools import partition
 from dimtools.corpus import connected_graphs, sample_connected_graphs
-from dimtools.families import bipartite_kneser, cycle, complete, kneser, petersen, star
+from dimtools.families import (
+    bipartite_kneser,
+    complete,
+    cycle,
+    kneser,
+    kneser_dim_partition,
+    petersen,
+    star,
+)
 from dimtools.graph import build_graph
 from dimtools.solver import (
     DimClass,
     SearchBudgetExceeded,
+    _dim_search,
+    _ExactCover,
     brute_force_dims,
     classify_dim,
     dim_size,
@@ -197,6 +208,29 @@ class TestEnumerate:
         assert len(dims) == count
         assert all(classify_dim(g, d).is_valid for d in dims)
 
+    @pytest.mark.parametrize(
+        "make,nodes",
+        [
+            (lambda: kneser(9, 4).graph, 402),
+            (lambda: kneser(11, 5).graph, 1_889),
+            (lambda: bipartite_kneser(3, 4).graph, 373),
+            (lambda: kneser(13, 6).graph, 7_832),
+        ],
+        ids=["KG(9,4)", "KG(11,5)", "BG(3,4)", "KG(13,6)"],
+    )
+    def test_family_node_counts(self, make, nodes):
+        search = _dim_search(make(), None)
+        for _ in search.solutions():
+            pass
+        assert search.nodes == nodes
+
+    def test_kg_13_6_closed_form_is_the_only_partition(self):
+        # Its 13 DIMs are the 13 classes of the closed-form partition, so
+        # that partition is the only DIM partition of KG(13,6).
+        labeled, closed_form = kneser_dim_partition(7)
+        dims = enumerate_dims(labeled.graph, budget=10_000)
+        assert dims == sorted(closed_form.classes, key=lambda d: tuple(sorted(d)))
+
     def test_membership_exactness(self):
         # every edge is dominated by exactly one member of any valid DIM
         for g in [petersen(), cycle(9), star(4), complete(3)]:
@@ -252,3 +286,76 @@ class TestBruteForce:
         for g in sampled + BG13_RELABELLED:
             if g.m <= 20:
                 assert set(enumerate_dims(g)) == set(brute_force_dims(g))
+
+
+STRATEGIES = (_ExactCover._scan_solutions, _ExactCover._counting_solutions)
+
+
+def assert_same_tree(rows, cols):
+    """Both strategies give the same solutions in the same order with the
+    same node count, and run out of a budget one node short alike."""
+    trees = []
+    for strategy in STRATEGIES:
+        search = _ExactCover(rows, cols, None)
+        trees.append(([list(sol) for sol in strategy(search)], search.nodes))
+    (scanned, nodes), counted = trees
+    assert counted == (scanned, nodes)
+    assert nodes > 0
+    for strategy in STRATEGIES:
+        search = _ExactCover(rows, cols, nodes - 1)
+        found = []
+        with pytest.raises(SearchBudgetExceeded):
+            for sol in strategy(search):
+                found.append(list(sol))
+        assert found == scanned[: len(found)]
+        assert search.nodes == nodes
+
+
+def family_instances():
+    graphs = [
+        ("Petersen", petersen()),
+        ("KG(9,4)", kneser(9, 4).graph),
+        ("KG(11,5)", kneser(11, 5).graph),
+        ("BG(3,4)", bipartite_kneser(3, 4).graph),
+        ("BG(4,4)", bipartite_kneser(4, 4).graph),
+    ]
+    for name, g in graphs:
+        yield pytest.param(g, id=f"{name}-canonical")
+        for seed in (1, 2):
+            yield pytest.param(relabelled(g, seed), id=f"{name}-relabelled-{seed}")
+
+
+class TestBranchingStrategies:
+    """The scan and the per-column counts choose the same column.
+
+    ``_ExactCover.solutions`` picks one of them by instance size, so each
+    is called directly here on instances of both sizes.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_connected_graphs(self, n):
+        # Edgeless graphs have no columns, which solutions() answers
+        # before it chooses a strategy.
+        for g in connected_graphs(n):
+            masks = _dim_search(g, None).rows
+            assert_same_tree(masks, masks)
+
+    @pytest.mark.parametrize("g", family_instances())
+    def test_family_graphs(self, g):
+        masks = _dim_search(g, None).rows
+        assert_same_tree(masks, masks)
+
+    def test_partition_cover_instance(self, monkeypatch):
+        # find_dim_partition covers KG(9,4)'s 315 edges by its 9 DIMs.
+        built = []
+
+        class Recording(_ExactCover):
+            def __init__(self, rows, cols, *args):
+                built.append((rows, cols))
+                super().__init__(rows, cols, *args)
+
+        monkeypatch.setattr(partition, "_ExactCover", Recording)
+        assert partition.find_dim_partition(kneser(9, 4).graph) is not None
+        [(rows, cols)] = built
+        assert (len(rows), len(cols)) == (9, 315)
+        assert_same_tree(rows, cols)
