@@ -27,17 +27,18 @@ The laws covered:
 
 :func:`full_report` runs all of them on one graph.  It computes each
 fact the checks share once, up front: the degree profile, connectivity,
-one DIM, the cycle-law result for that DIM, the list of all DIMs, the
-DIM partition and its list assignment.  For a connected graph the
-partition search covers the edges by that DIM list instead of
-enumerating the DIMs again.  Every entry then follows one rule.  A
-check whose hypothesis fails is not applicable.  A check that applies
-while a search it reads (the DIM search or the partition search) ran
-out of budget is an error entry; where the DIM search ran out, whether
-a DIM exists is unknown, so every check that needs one applies as far
-as the rest of its hypothesis goes.  Otherwise the check runs, and a
-budget hit inside it is an error entry too.  A budget hit never reads
-as "no DIM" or "no partition".
+the DIMs, the cycle-law result for one of them, the DIM partition and
+its list assignment.  One run of the exact-cover engine gives the DIMs:
+its first solution is the DIM :func:`~dimtools.solver.find_dim` returns
+and all of them are the DIM list.  For a connected graph the partition
+search covers the edges by that list instead of enumerating the DIMs
+again.  Every entry then follows one rule.  A check whose hypothesis
+fails is not applicable.  A check that applies while a search it reads
+(the DIM search or the partition search) ran out of budget is an error
+entry; where the DIM search ran out, whether a DIM exists is unknown, so
+every check that needs one applies as far as the rest of its hypothesis
+goes.  Otherwise the check runs, and a budget hit inside it is an error
+entry too.  A budget hit never reads as "no DIM" or "no partition".
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from typing import Callable, Collection, Optional, Sequence
 from .graph import EdgeId, Graph, degree_profile, enumerate_cycles, is_connected
 from .partition import (
     DimPartition,
-    _search_dims,
     check_kneser_isomorphism,
     find_dim_partition,
     list_assignment,
@@ -60,8 +60,8 @@ from .partition import (
 from .solver import (
     EdgeSet,
     SearchBudgetExceeded,
+    _dim_search,
     classify_dim,
-    find_dim,
 )
 
 
@@ -205,10 +205,18 @@ def check_partition_regularity(g: Graph, p: DimPartition) -> bool:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Resource limits threaded through a full verification report."""
+    """Resource limits threaded through a full verification report.
+
+    Both are checked on construction, so a bad limit is rejected before
+    any search, whatever the graph.
+    """
 
     max_cycle_len: int = 8
     search_nodes: int = 10_000_000
+
+    def __post_init__(self) -> None:
+        if self.max_cycle_len < 3 or self.search_nodes < 0:
+            raise ValueError(f"need max_cycle_len >= 3 and search_nodes >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -328,34 +336,35 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     k = profile.max_degree
     regular = profile.is_regular and k >= 1
 
-    dim: Optional[EdgeSet] = None
-    dim_error: Optional[str] = None
+    # One engine run gives the DIM and the DIM list.
+    search = _dim_search(g, budgets.search_nodes)
+    dims: list[list[int]] = []
+    search_error: Optional[str] = None
     try:
-        dim = find_dim(g, budgets.search_nodes)
+        for sol in search.solutions():
+            dims.append(sorted(sol))
     except SearchBudgetExceeded as exc:
-        dim_error = str(exc)
-    # After a budget hit it is unknown whether a DIM exists.
+        search_error = str(exc)
+    dim = frozenset(dims[0]) if dims else None
+    # A budget hit before the first solution leaves it unknown whether a
+    # DIM exists; a hit after it leaves the DIM list incomplete.
+    dim_error = None if dims else search_error
     maybe_dim = dim is not None or dim_error is not None
 
     cycles: Optional[CycleIntersectionCheck] = None
-    dims: Optional[list[list[int]]] = None
-    dims_error: Optional[str] = None
     p: Optional[DimPartition] = None
     partition_error = dim_error
     if dim is not None:
         cycles = check_cycle_intersections(g, dim, budgets.max_cycle_len)
         try:
-            dims, spent = _search_dims(g, budgets.search_nodes)
-        except SearchBudgetExceeded as exc:
-            dims_error = str(exc)
-            spent = budgets.search_nodes
-        try:
             if connected:
                 # g is the partition search's only component, so it would
-                # enumerate these same DIMs in as many nodes.  If that
-                # enumeration ran out, the whole budget is spent and the
-                # search runs out at its first node, as it would have.
-                p = find_dim_partition(g, budgets.search_nodes, dims, spent)
+                # enumerate these same DIMs in as many nodes.  After a
+                # budget hit search.nodes is past the budget, so the
+                # search enumerates again and runs out at its first node,
+                # as it would have.
+                complete = None if search_error else dims
+                p = find_dim_partition(g, budgets.search_nodes, complete, search.nodes)
             else:
                 p = find_dim_partition(g, budgets.search_nodes)
         except SearchBudgetExceeded as exc:
@@ -374,8 +383,8 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         return res.holds, f"edges {g.m} vs bound {res.bound}"
 
     def invariance():
-        if dims_error is not None:
-            raise SearchBudgetExceeded(dims_error)
+        if search_error is not None:
+            raise SearchBudgetExceeded(search_error)
         return check_dim_size_invariance(dims), f"dim count {len(dims)}"
 
     def bounds():

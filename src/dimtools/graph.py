@@ -240,35 +240,28 @@ def _assemble_biregular(
     if not sides:
         return BiregularClasses(0, 0, frozenset(), frozenset())
     # Vertex 0 lives in side0 of the first component and pins X there.
-    x0, y0 = sides[0][2], sides[0][3]
-    # y0 is unconstrained when the first component is a lone vertex.
-    candidates = [(x0, y0)] if sides[0][1] else [(x0, None)]
-    for x, y in candidates:
-        xs: list[int] = []
-        ys: list[int] = []
-        ok = True
-        for s0, s1, d0, d1 in sides:
-            placements = []
-            if d0 == x and (y is None or d1 == y or not s1):
-                placements.append((s0, s1, d1 if s1 else None))
-            if d1 == x and (y is None or d0 == y) and s1:
-                placements.append((s1, s0, d0))
-            if not placements:
-                ok = False
-                break
-            sx, sy, dy = placements[0]
-            xs.extend(sx)
-            ys.extend(sy)
-            if y is None and dy is not None:
-                y = dy
-        if ok:
-            return BiregularClasses(
-                x_degree=x,
-                y_degree=y if y is not None else 0,
-                x_side=frozenset(xs),
-                y_side=frozenset(ys),
-            )
-    return None
+    # y is unconstrained while only lone vertices have been placed.
+    x = sides[0][2]
+    y = sides[0][3] if sides[0][1] else None
+    xs: list[int] = []
+    ys: list[int] = []
+    for s0, s1, d0, d1 in sides:
+        if d0 == x and (y is None or d1 == y or not s1):
+            sx, sy, dy = s0, s1, d1 if s1 else None
+        elif d1 == x and (y is None or d0 == y) and s1:
+            sx, sy, dy = s1, s0, d0
+        else:
+            return None
+        xs.extend(sx)
+        ys.extend(sy)
+        if y is None and dy is not None:
+            y = dy
+    return BiregularClasses(
+        x_degree=x,
+        y_degree=y if y is not None else 0,
+        x_side=frozenset(xs),
+        y_side=frozenset(ys),
+    )
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,15 @@
 For a connected graph whose edges split into DIM color classes, the
 number of classes is forced: every class holds exactly one edge of
 E(u) union E(v) for any fixed edge uv, so there are d(u) + d(v) - 1
-classes, and the graph must be regular or biregular.  The search here
-rejects graphs that break those constraints up front.  Otherwise it
-enumerates each component's DIMs with the solver's exact-cover engine
-and runs the same engine once more to cover the component's edges
-exactly by those DIMs; every class of such a cover is a DIM, so the
-cover is the partition.  :func:`brute_force_dim_partitions` is the
-assumption-free oracle that covers the edge set by DIMs from the
-subset-scan oracle with a search of its own.
+classes, and the graph must be regular or biregular.  The second fact
+follows from the first, so the search checks only the first, up front
+and over all edges at once.  Then it enumerates each component's DIMs
+with the solver's exact-cover engine and runs the same engine once
+more to cover the component's edges exactly by those DIMs; every class
+of such a cover is a DIM, so the cover is the partition.
+:func:`brute_force_dim_partitions` is the assumption-free oracle that
+covers the edge set by DIMs from the subset-scan oracle with a search
+of its own.
 
 The list assignment sends each vertex to the set of class colors
 missing from its incident edges.  For an r-regular graph with 2r - 1
@@ -87,7 +88,7 @@ class ListCheck:
     equal_fibers: bool
 
 
-def _component_class_count(g: Graph) -> Optional[int]:
+def _class_count(g: Graph) -> Optional[int]:
     """The forced class count d(u)+d(v)-1, or None if it varies by edge."""
     counts = {g.degrees[u] + g.degrees[v] - 1 for u, v in g.edges}
     if len(counts) != 1:
@@ -145,42 +146,38 @@ def find_dim_partition(
 ) -> Optional[DimPartition]:
     """Partition E(g) into DIM classes, or None when impossible.
 
-    Each edge-bearing component is partitioned independently; all
-    components must agree on the class count (forced per component by
-    the degree sums), and a connected component whose degree profile is
-    neither regular nor biregular is rejected without search.  Classes
-    are numbered in order of their smallest edge within each component.
-    The edgeless graph gets the empty partition.  Raises
-    SearchBudgetExceeded once the searches of all components together
-    expand more than ``budget`` nodes, of which ``spent`` are already
-    used on entry.
+    Every edge uv must give the same class count d(u)+d(v)-1; this one
+    precondition is checked over all of g's edges before any search.
+    It also makes every connected component regular or biregular: a
+    constant d(u)+d(v) = s makes the degrees alternate between a and
+    s-a along every walk, so either a = s-a and the component is
+    regular, or the two degree classes are the two sides of a
+    bipartition and it is biregular.  Each edge-bearing component is
+    then partitioned independently, its classes numbered in order of
+    their smallest edge.  The edgeless graph gets the empty partition.
+    Raises SearchBudgetExceeded once the searches of all components
+    together expand more than ``budget`` nodes, of which ``spent`` are
+    already used on entry.
 
-    A caller that has enumerated the DIMs of a connected g with
-    :func:`_search_dims` under the same budget passes them as ``dims``
-    and that search's node total as ``spent``; the search then covers
-    E(g) by them instead of enumerating again, and builds the same
-    partition with the same node count.
+    A caller that has enumerated the DIMs of a connected g with the
+    exact-cover engine under the same budget passes them as ``dims``,
+    each a sorted edge list in engine order as :func:`_search_dims`
+    returns them, and that search's node total as ``spent``; the search
+    then covers E(g) by them instead of enumerating again, and builds
+    the same partition with the same node count.
     """
     comp_vertex_sets = [c for c in components(g) if any(g.incident[v] for v in c)]
     if not comp_vertex_sets:
         return DimPartition(0, ())
     if dims is not None and len(comp_vertex_sets) > 1:
         raise ValueError("dims can stand in only for a connected graph's DIMs")
+    k = _class_count(g)
+    if k is None:
+        return None
 
-    target_k: Optional[int] = None
     color_of = [0] * g.m
     for comp in comp_vertex_sets:
         sub, old_vertices = induced_subgraph(g, comp)
-        k = _component_class_count(sub)
-        if k is None:
-            return None
-        if target_k is None:
-            target_k = k
-        elif k != target_k:
-            return None
-        profile = degree_profile(sub)
-        if not profile.is_regular and profile.biregular is None:
-            return None
         sub_colors, spent = _cover_by_dims(sub, k, budget, spent, dims)
         if sub_colors is None:
             return None
@@ -188,7 +185,7 @@ def find_dim_partition(
             eid = g.edge_id(old_vertices[a], old_vertices[b])
             color_of[eid] = sub_colors[local_eid]
 
-    partition = DimPartition(target_k, tuple(color_of))
+    partition = DimPartition(k, tuple(color_of))
     for cls in partition.classes:
         witness = classify_dim(g, cls)
         if not witness.is_valid:

@@ -18,7 +18,7 @@ from dimtools.checks import (
     three_coloring_from_dim,
 )
 from dimtools.corpus import sample_connected_graphs
-from dimtools.families import cycle, complete, kneser_dim_partition, petersen, star
+from dimtools.families import cycle, complete, kneser, kneser_dim_partition, petersen, star
 from dimtools.graph import build_graph
 from dimtools.partition import find_dim_partition
 from dimtools.solver import SearchBudgetExceeded, enumerate_dims, find_dim
@@ -26,6 +26,8 @@ from dimtools.solver import SearchBudgetExceeded, enumerate_dims, find_dim
 
 # The Petersen graph moved to vertices 10..19.
 DISJOINT_PETERSEN = [(u + 10, v + 10) for u, v in petersen().edges]
+# C9 on vertices 10..18, beside a Petersen graph on 0..9.
+C9_AFTER_PETERSEN = [(u + 10, v + 10) for u, v in cycle(9).edges]
 
 
 def k4_minus_edge():
@@ -160,6 +162,19 @@ class TestPartitionRegularity:
             check_partition_regularity(g, p)
 
 
+class TestBudgets:
+    @pytest.mark.parametrize("kwargs", [{"max_cycle_len": 2}, {"search_nodes": -1}])
+    def test_bad_limits_rejected_whatever_the_graph(self, kwargs):
+        # Cycles were enumerated only when a DIM existed, so a cycle length
+        # below 3 used to pass on C4 and fail on Petersen.
+        with pytest.raises(ValueError):
+            Budgets(**kwargs)
+
+    def test_smallest_limits_accepted(self):
+        report = full_report(cycle(4), Budgets(max_cycle_len=3, search_nodes=0))
+        assert report.budgets == Budgets(3, 0)
+
+
 class TestFullReport:
     def test_petersen_everything_passes(self):
         report = full_report(petersen())
@@ -216,7 +231,7 @@ class TestFullReport:
             return wrapper
 
         for name in (
-            "find_dim",
+            "_dim_search",
             "check_cycle_intersections",
             "find_dim_partition",
             "list_assignment",
@@ -224,7 +239,7 @@ class TestFullReport:
             monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
         assert full_report(petersen()).all_passed
         assert calls == {
-            "find_dim": 1,
+            "_dim_search": 1,
             "check_cycle_intersections": 1,
             "find_dim_partition": 1,
             "list_assignment": 1,
@@ -232,13 +247,13 @@ class TestFullReport:
 
     @pytest.mark.parametrize(
         "g,searches",
-        [(petersen(), 2), (build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]), 4)],
+        [(petersen(), 1), (build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]), 3)],
         ids=["connected", "two-components"],
     )
     def test_dims_enumerated_once(self, monkeypatch, g, searches):
-        # find_dim, then one enumeration that the partition search of a
-        # connected graph reuses; a disconnected graph's partition search
-        # enumerates each component on its own.
+        # One engine run gives the DIM and the DIM list, and the partition
+        # search of a connected graph reuses that list; a disconnected
+        # graph's partition search enumerates each component on its own.
         calls = []
         dim_search = solver._dim_search
 
@@ -246,8 +261,8 @@ class TestFullReport:
             calls.append(args)
             return dim_search(*args)
 
-        monkeypatch.setattr(solver, "_dim_search", counted)
-        monkeypatch.setattr(partition, "_dim_search", counted)
+        for module in (solver, checks, partition):
+            monkeypatch.setattr(module, "_dim_search", counted)
         assert full_report(g).all_passed
         assert len(calls) == searches
 
@@ -265,6 +280,40 @@ class TestFullReport:
             report = full_report(g, Budgets(search_nodes=budget))
             if report.dim_exists:
                 assert report.entry("partition-regularity").error == alone
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            petersen(),
+            cycle(9),
+            kneser(7, 3).graph,
+            build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]),
+            build_graph(19, [*petersen().edges, *C9_AFTER_PETERSEN]),
+        ],
+        ids=["Petersen", "C9", "KG(7,3)", "two-Petersens", "Petersen+C9"],
+    )
+    def test_dim_entries_follow_the_public_searches(self, g):
+        # The report takes its DIM and its DIM list from one engine run;
+        # each must run out of budget exactly when find_dim or
+        # enumerate_dims on its own does, and otherwise agree with it.
+        for budget in range(61):
+            report = full_report(g, Budgets(max_cycle_len=3, search_nodes=budget))
+            try:
+                alone = find_dim(g, budget)
+                assert report.dim_search_error is None
+                assert report.dim_exists == (alone is not None)
+                assert report.dim_size == (len(alone) if alone is not None else None)
+            except SearchBudgetExceeded as exc:
+                assert report.dim_search_error == str(exc)
+                assert not report.dim_exists
+            if not report.dim_exists:
+                continue
+            entry = report.entry("dim-size-invariance")
+            try:
+                assert entry.details == f"dim count {len(enumerate_dims(g, budget))}"
+                assert entry.error is None
+            except SearchBudgetExceeded as exc:
+                assert entry.error == str(exc)
 
     def test_partition_budget_exhaustion_is_an_error_not_na(self):
         # 10 nodes find a DIM of the Petersen graph but do not enumerate

@@ -237,6 +237,14 @@ class TestVerify:
         )
         assert "search-nodes = 54321" in out
 
+    @pytest.mark.parametrize("graph", ["c4_file", "petersen_file"])
+    def test_max_cycle_below_three_is_usage_error(self, request, graph):
+        # Rejected before any search, with or without a DIM to check cycles on.
+        path = request.getfixturevalue(graph)
+        code, out, err = invoke(["verify", "all", str(path), "--max-cycle", "2"])
+        assert code == 2 and out == ""
+        assert "max_cycle_len >= 3" in err
+
 
 class TestSweep:
     def test_exhaustive_small(self, tmp_path):

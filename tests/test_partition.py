@@ -93,6 +93,34 @@ class TestFindPartition:
         g = build_graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
         assert find_dim_partition(g) is None
 
+    def test_class_count_mismatch_absent_at_every_budget(self):
+        # Petersen forces 5 classes and C9 forces 3, so no partition exists;
+        # that is known before any component is searched.
+        pet = petersen().edges
+        g = build_graph(19, [*pet, *((u + 10, v + 10) for u, v in cycle(9).edges)])
+        for budget in range(41):
+            assert find_dim_partition(g, budget) is None
+
+    def test_constant_degree_sum_forces_regular_or_biregular(self):
+        # The partition search checks only that d(u)+d(v) is the same on
+        # every edge; on a connected graph that implies the paper's
+        # regular-or-biregular law, which it therefore does not test.
+        constant = 0
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                if len({g.degrees[u] + g.degrees[v] for u, v in g.edges}) > 1:
+                    continue
+                constant += 1
+                assert degree_profile(g).regularity in ("regular", "biregular")
+        assert constant > 0
+
+    def test_degree_profile_not_consulted(self, monkeypatch):
+        # The constant degree sum stands in for the regular-or-biregular test.
+        monkeypatch.setattr(partition, "degree_profile", None)
+        path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        for g, exists in ((petersen(), True), (star(3), True), (cycle(4), False), (path, False)):
+            assert (find_dim_partition(g) is not None) == exists
+
     def test_disconnected_mixed_regularity(self):
         # a 6-cycle next to a 3-leaf star: both need 3 classes
         g = build_graph(
