@@ -6,7 +6,7 @@ Exit codes:
 * 1 answered no: no DIM, no partition, a failed check, or a sweep
   counterexample;
 * 2 usage or input errors, including a graph file whose header declares
-  more than ``io.MAX_VERTICES`` vertices;
+  more than ``io.MAX_VERTICES`` vertices and a sweep over no graphs;
 * 3 a search ran out of budget: for ``verify`` and ``sweep``, the DIM
   search or any check of any report (this takes precedence over 1);
 * 4 internal error: any other exception, reported on one stderr line.
@@ -335,6 +335,8 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     if args.sample:
         if args.n is None:
             raise _CliError("sample mode requires --n")
+        if args.count < 1:
+            raise _CliError("--count must be at least 1")
         graphs = sample_connected_graphs(args.n, args.count, args.seed)
         header = f"sweep mode=sample n={args.n} seed={args.seed} count={args.count}"
     else:
@@ -342,6 +344,8 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
             raise _CliError("exhaustive mode requires --max-n")
         if args.max_n > 7:
             raise _CliError("exhaustive sweeps are limited to --max-n 7")
+        if args.max_n < 1:
+            raise _CliError("--max-n must be at least 1")
         graphs = (
             g for n in range(1, args.max_n + 1) for g in connected_graphs(n)
         )

@@ -31,6 +31,8 @@ def connected_graphs(n: int) -> Iterator[Graph]:
 
 def sample_connected_graphs(n: int, count: int, seed: int) -> list[Graph]:
     """``count`` connected labeled graphs on n vertices, seeded."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
     rng = random.Random(seed)
     slots = list(itertools.combinations(range(n), 2))
     out: list[Graph] = []

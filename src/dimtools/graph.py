@@ -104,7 +104,9 @@ class BiregularClasses:
 
     ``x_side`` is the side containing vertex 0 (for n >= 1); every
     vertex there has degree ``x_degree``, every ``y_side`` vertex has
-    degree ``y_degree``.  An empty side reports degree 0.
+    degree ``y_degree``.  An empty side reports degree 0.  When the two
+    degrees differ the sides are the two degree classes; when they are
+    equal, the smallest vertex of every component lies in ``x_side``.
     """
 
     x_degree: int
@@ -166,64 +168,37 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
     return build_graph(len(order), pairs), order
 
 
-def _two_color(g: Graph, comp: list[int]) -> Optional[tuple[list[int], list[int]]]:
-    """BFS 2-coloring of one component; side 0 holds the smallest vertex."""
-    root = comp[0]
-    color = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors[v]:
-            if w not in color:
-                color[w] = 1 - color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                return None
-    side0 = sorted(v for v in comp if color[v] == 0)
-    side1 = sorted(v for v in comp if color[v] == 1)
-    return side0, side1
-
-
-def _uniform_degree(g: Graph, side: list[int]) -> Optional[int]:
-    """Common degree of ``side`` (0 if empty), or None if mixed."""
-    if not side:
-        return 0
-    degs = {g.degrees[v] for v in side}
-    return degs.pop() if len(degs) == 1 else None
-
-
 def degree_profile(g: Graph) -> DegreeProfile:
     """Degrees together with regularity and biregularity structure.
 
     The graph is biregular when its vertices split into two sides X and
     Y such that every edge crosses, all X-degrees agree and all
-    Y-degrees agree.  X is the side containing vertex 0; when several
-    (x, y) pairs are feasible the one induced by vertex 0's component is
-    reported.  Edgeless graphs are regular and trivially biregular
-    with classes (0, 0).
+    Y-degrees agree.  Let lo and hi be the smallest and largest degree.
+    If lo < hi, every vertex of one side has one degree, so the sides
+    can only be the two degree classes, and g is biregular exactly when
+    every edge joins a degree-lo vertex to a degree-hi vertex; X is the
+    class of vertex 0.  The degrees are compared as a set, not summed:
+    K(1,5) + K(2,4) has d(u) + d(v) = 6 on every edge and is not
+    biregular.  If lo == hi, any 2-coloring has uniform sides, so g is
+    biregular exactly when it is bipartite; one BFS 2-coloring decides
+    it, with roots taken in ascending order, so the smallest vertex of
+    every component lies on X.  Edgeless graphs are regular and
+    trivially biregular with classes (0, 0).
     """
     degs = g.degrees
-    lo = min(degs) if degs else 0
-    hi = max(degs) if degs else 0
-    comps = components(g)
-
-    sides = []
-    bipartite = True
-    for comp in comps:
-        split = _two_color(g, comp)
-        if split is None:
-            bipartite = False
-            break
-        d0 = _uniform_degree(g, split[0])
-        d1 = _uniform_degree(g, split[1])
-        if d0 is None or d1 is None:
-            bipartite = False
-            break
-        sides.append((split[0], split[1], d0, d1))
-
+    lo = min(degs, default=0)
+    hi = max(degs, default=0)
+    if lo == hi:
+        x_side = _even_side(g)
+    elif all({degs[u], degs[v]} == {lo, hi} for u, v in g.edges):
+        x_side = frozenset(v for v in range(g.n) if degs[v] == degs[0])
+    else:
+        x_side = None
     biregular = None
-    if bipartite:
-        biregular = _assemble_biregular(sides)
+    if x_side is not None:
+        x = degs[0] if degs else 0
+        y_side = frozenset(range(g.n)) - x_side
+        biregular = BiregularClasses(x, lo + hi - x, x_side, y_side)
     return DegreeProfile(
         degrees=degs,
         min_degree=lo,
@@ -233,35 +208,24 @@ def degree_profile(g: Graph) -> DegreeProfile:
     )
 
 
-def _assemble_biregular(
-    sides: list[tuple[list[int], list[int], int, int]],
-) -> Optional[BiregularClasses]:
-    """Orient per-component bipartitions into one global (x, y) split."""
-    if not sides:
-        return BiregularClasses(0, 0, frozenset(), frozenset())
-    # Vertex 0 lives in side0 of the first component and pins X there.
-    # y is unconstrained while only lone vertices have been placed.
-    x = sides[0][2]
-    y = sides[0][3] if sides[0][1] else None
-    xs: list[int] = []
-    ys: list[int] = []
-    for s0, s1, d0, d1 in sides:
-        if d0 == x and (y is None or d1 == y or not s1):
-            sx, sy, dy = s0, s1, d1 if s1 else None
-        elif d1 == x and (y is None or d0 == y) and s1:
-            sx, sy, dy = s1, s0, d0
-        else:
-            return None
-        xs.extend(sx)
-        ys.extend(sy)
-        if y is None and dy is not None:
-            y = dy
-    return BiregularClasses(
-        x_degree=x,
-        y_degree=y if y is not None else 0,
-        x_side=frozenset(xs),
-        y_side=frozenset(ys),
-    )
+def _even_side(g: Graph) -> Optional[frozenset[int]]:
+    """Color 0 of a BFS 2-coloring rooted at each component's smallest
+    vertex, or None if g is not bipartite."""
+    color = [-1] * g.n
+    for root in range(g.n):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors[v]:
+                if color[w] < 0:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return frozenset(v for v in range(g.n) if color[v] == 0)
 
 
 @dataclass(frozen=True)

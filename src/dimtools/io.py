@@ -255,9 +255,7 @@ def _parse_label_set(token: str) -> frozenset[int]:
 
 
 def serialize_list_assignment(assignment: ListAssignment) -> str:
-    return "".join(
-        f"{v} : {_format_label_set(lst)}\n" for v, lst in enumerate(assignment.lists)
-    )
+    return serialize_labels(assignment.lists)
 
 
 def parse_list_assignment(text: str, num_labels: Optional[int] = None) -> ListAssignment:

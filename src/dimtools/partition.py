@@ -14,13 +14,15 @@ covers the edge set by DIMs from the subset-scan oracle with a search
 of its own.
 
 The list assignment sends each vertex to the set of class colors
-missing from its incident edges.  For an r-regular graph with 2r - 1
-classes each list is an (r-1)-subset of the color set; lists of
-adjacent vertices are disjoint, every (r-1)-subset occurs, and all
-fibers have equal size.  In the biregular case with side degrees
-(x, y) and x + y - 1 classes, degree-x vertices carry (y-1)-subsets
-and degree-y vertices carry (x-1)-subsets, with the same three
-properties split across the two target families.
+missing from its incident edges.  A DIM class meets every vertex in
+at most one edge, so with k classes vertex v misses exactly k - d(v)
+colors.  For an r-regular graph with k = 2r - 1 each list is an
+(r-1)-subset of the color set; lists of adjacent vertices are
+disjoint, every (r-1)-subset occurs, and all fibers have equal size.
+In the biregular case with side degrees (x, y) and k = x + y - 1,
+degree-x vertices carry (y-1)-subsets and degree-y vertices carry
+(x-1)-subsets, with the same three properties split across the two
+target families.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ class DimPartition:
     def __post_init__(self) -> None:
         if self.num_classes < 0:
             raise ValueError("class count must be nonnegative")
+        # Checked before the buckets are allocated, so a hostile class
+        # count costs no memory.
+        if self.num_classes > len(self.color_of):
+            raise ValueError("every color class must be nonempty")
         buckets: list[set[int]] = [set() for _ in range(self.num_classes)]
         for eid, c in enumerate(self.color_of):
             if not (1 <= c <= self.num_classes):
@@ -234,51 +240,33 @@ def list_assignment(g: Graph, p: DimPartition) -> ListAssignment:
     return ListAssignment(p.num_classes, tuple(lists))
 
 
-def _expected_list_shape(g: Graph) -> tuple[dict[int, int], int, set[int]]:
-    """Expected per-vertex list size, universe size, and target subset sizes.
-
-    Regular degree r: every list is an (r-1)-subset of a (2r-1)-color
-    universe.  Biregular (x, y): degree-x vertices carry (y-1)-subsets
-    and degree-y vertices (x-1)-subsets of an (x+y-1)-color universe.
-    Raises when the profile is neither.
-    """
-    profile = degree_profile(g)
-    if profile.is_regular:
-        r = profile.max_degree
-        universe = 2 * r - 1 if r > 0 else 0
-        size = max(r - 1, 0)
-        return {v: size for v in range(g.n)}, universe, {size}
-    if profile.biregular is not None:
-        x, y = profile.biregular.x_degree, profile.biregular.y_degree
-        expected = {}
-        for v in profile.biregular.x_side:
-            expected[v] = y - 1
-        for v in profile.biregular.y_side:
-            expected[v] = x - 1
-        return expected, x + y - 1, {x - 1, y - 1}
-    raise ValueError("degree profile is neither regular nor biregular")
-
-
 def verify_list_properties(g: Graph, assignment: ListAssignment) -> ListCheck:
     """Check disjointness along edges, surjectivity, and equal fibers.
 
-    The target family is every subset of the color universe whose size
-    matches some vertex's expected list size (one size in the regular
-    case, up to two in the biregular case).  Fiber sizes are compared
-    across the whole combined family, not only disjoint pairs.
+    The graph must be regular or biregular, with smallest degree lo and
+    largest hi.  The color universe then has k = lo + hi - 1 colors (0
+    for the edgeless graph), and vertex v misses exactly k - d(v) of
+    them, so its list must have k - d(v) colors.  The target family is
+    every subset of the universe of size k - lo or k - hi (one size in
+    the regular case, two in the biregular case).  Fiber sizes are
+    compared across the whole combined family, not only disjoint pairs.
     """
-    expected, universe_size, subset_sizes = _expected_list_shape(g)
-    if assignment.num_labels != universe_size:
+    profile = degree_profile(g)
+    if profile.regularity == "neither":
+        raise ValueError("degree profile is neither regular nor biregular")
+    lo, hi = profile.min_degree, profile.max_degree
+    k = max(lo + hi - 1, 0)
+    if assignment.num_labels != k:
         raise ValueError(
-            f"label universe has {assignment.num_labels} colors, expected {universe_size}"
+            f"label universe has {assignment.num_labels} colors, expected {k}"
         )
     if len(assignment.lists) != g.n:
         raise ValueError("assignment does not cover every vertex")
     for v in range(g.n):
-        if len(assignment.lists[v]) != expected[v]:
+        if len(assignment.lists[v]) != k - g.degrees[v]:
             raise ValueError(
                 f"vertex {v} has a list of size {len(assignment.lists[v])}, "
-                f"expected {expected[v]}"
+                f"expected {k - g.degrees[v]}"
             )
 
     disjoint = all(
@@ -286,7 +274,7 @@ def verify_list_properties(g: Graph, assignment: ListAssignment) -> ListCheck:
     )
 
     fibers: dict[frozenset[int], int] = {}
-    for size in sorted(subset_sizes):
+    for size in sorted({k - lo, k - hi}):
         for combo in itertools.combinations(range(1, assignment.num_labels + 1), size):
             fibers[frozenset(combo)] = 0
     for v in range(g.n):

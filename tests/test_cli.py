@@ -194,6 +194,17 @@ class TestPartitionCmd:
         assert code == 0
         assert parse_partition(out, parse_graph(path.read_text())).num_classes == 11
 
+    def test_verify_huge_class_count_is_input_error(self, tmp_path):
+        graph = tmp_path / "k2.g"
+        graph.write_text("2 1\n0 1\n")
+        partition = tmp_path / "k2.partition"
+        partition.write_text("classes 1000000000\n0 1 1\n")
+        code, out, err = invoke(
+            ["partition", "verify", "--partition", str(partition), str(graph)]
+        )
+        assert code == 2 and out == ""
+        assert "every color class must be nonempty" in err
+
     def test_verify_requires_partition_flag(self, petersen_file):
         code, _, err = invoke(["partition", "verify", str(petersen_file)])
         assert code == 2
@@ -285,6 +296,21 @@ class TestSweep:
     def test_guardrail(self):
         code, _, err = invoke(["sweep", "--max-n", "8"])
         assert code == 2 and "limited" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--max-n", "0"], "--max-n must be at least 1"),
+            (["--max-n", "-2"], "--max-n must be at least 1"),
+            (["--sample", "--n", "5", "--count", "-1"], "--count must be at least 1"),
+            (["--sample", "--n", "5", "--count", "0"], "--count must be at least 1"),
+            (["--sample", "--n", "0", "--count", "3"], "need at least one vertex"),
+        ],
+    )
+    def test_sweep_over_no_graphs_is_usage_error(self, tmp_path, argv, message):
+        code, out, err = invoke(["sweep", *argv, "--dump-dir", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_sample_mode_requires_n(self):
         code, _, err = invoke(["sweep", "--sample"])

@@ -33,3 +33,9 @@ def test_samples_are_connected():
     for g in sample_connected_graphs(8, 40, seed=1):
         assert g.n == 8
         assert is_connected(g)
+
+
+def test_sampling_needs_a_vertex():
+    # An empty sample would read as a sweep that passed.
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        sample_connected_graphs(0, 3, seed=0)

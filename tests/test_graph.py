@@ -1,7 +1,9 @@
 """Graph construction, degree profiles, and cycle enumeration."""
 
 import itertools
+import random
 import time
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from dimtools.corpus import connected_graphs, sample_connected_graphs
 from dimtools.families import bipartite_kneser, cycle, complete, kneser, petersen, star
 from dimtools.graph import (
+    BiregularClasses,
+    DegreeProfile,
     Graph,
     build_graph,
     components,
@@ -91,6 +95,118 @@ def brute_force_biregular(g):
     return feasible
 
 
+def labelled_graphs(n):
+    """Every labelled graph on vertices 0..n-1, connected or not."""
+    slots = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(slots)):
+        yield build_graph(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
+
+
+def disjoint_union(parts, seed):
+    """Union of (vertex count, edges) parts, relabelled by a seeded shuffle."""
+    n = sum(size for size, _ in parts)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    pairs, offset = [], 0
+    for size, edges in parts:
+        pairs.extend((perm[offset + u], perm[offset + v]) for u, v in edges)
+        offset += size
+    return build_graph(n, pairs)
+
+
+def random_union(rng):
+    """Up to four stars, complete bipartite graphs, cycles, paths, K2 or K1."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["star", "kab", "cycle", "path", "k2", "k1"])
+        if kind == "star":
+            k = rng.randint(1, 5)
+            parts.append((k + 1, [(0, i) for i in range(1, k + 1)]))
+        elif kind == "kab":
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            parts.append((a + b, [(i, a + j) for i in range(a) for j in range(b)]))
+        elif kind == "cycle":
+            n = rng.randint(3, 7)
+            parts.append((n, [(i, (i + 1) % n) for i in range(n)]))
+        elif kind == "path":
+            n = rng.randint(2, 6)
+            parts.append((n, [(i, i + 1) for i in range(n - 1)]))
+        elif kind == "k2":
+            parts.append((2, [(0, 1)]))
+        else:
+            parts.append((1, []))
+    return parts
+
+
+# Reference: biregularity decided component by component, with no use
+# of the degree classes.  Each component is 2-colored from its smallest
+# vertex, each side must have one degree, and the components' sides are
+# then oriented into one (x, y) split with vertex 0 on X.
+def _two_color(g, comp):
+    root = comp[0]
+    color = {root: 0}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors[v]:
+            if w not in color:
+                color[w] = 1 - color[v]
+                queue.append(w)
+            elif color[w] == color[v]:
+                return None
+    side0 = sorted(v for v in comp if color[v] == 0)
+    side1 = sorted(v for v in comp if color[v] == 1)
+    return side0, side1
+
+
+def _uniform_degree(g, side):
+    if not side:
+        return 0
+    degs = {g.degrees[v] for v in side}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def _assemble_biregular(sides):
+    if not sides:
+        return BiregularClasses(0, 0, frozenset(), frozenset())
+    x = sides[0][2]
+    y = sides[0][3] if sides[0][1] else None
+    xs, ys = [], []
+    for s0, s1, d0, d1 in sides:
+        if d0 == x and (y is None or d1 == y or not s1):
+            sx, sy, dy = s0, s1, d1 if s1 else None
+        elif d1 == x and (y is None or d0 == y) and s1:
+            sx, sy, dy = s1, s0, d0
+        else:
+            return None
+        xs.extend(sx)
+        ys.extend(sy)
+        if y is None and dy is not None:
+            y = dy
+    return BiregularClasses(x, y if y is not None else 0, frozenset(xs), frozenset(ys))
+
+
+def per_component_degree_profile(g):
+    degs = g.degrees
+    sides = []
+    for comp in components(g):
+        split = _two_color(g, comp)
+        if split is None:
+            biregular = None
+            break
+        d0 = _uniform_degree(g, split[0])
+        d1 = _uniform_degree(g, split[1])
+        if d0 is None or d1 is None:
+            biregular = None
+            break
+        sides.append((split[0], split[1], d0, d1))
+    else:
+        biregular = _assemble_biregular(sides)
+    lo = min(degs) if degs else 0
+    hi = max(degs) if degs else 0
+    return DegreeProfile(degs, lo, hi, lo == hi, biregular)
+
+
 class TestDegreeProfile:
     def test_star(self):
         p = degree_profile(star(3))
@@ -123,15 +239,55 @@ class TestDegreeProfile:
         g = build_graph(5, [(1, 2), (1, 3), (1, 4)])
         assert degree_profile(g).biregular is None
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    def test_components_colored_from_their_smallest_vertex(self):
+        # C6 on 0..5 plus C4 on 6..9: both regular, so the sides come
+        # from the 2-coloring, not from the degrees.
+        g = build_graph(10, [(i, (i + 1) % 6) for i in range(6)]
+                        + [(6 + i, 6 + (i + 1) % 4) for i in range(4)])
+        p = degree_profile(g)
+        assert p.biregular.x_side == frozenset({0, 2, 4, 6, 8})
+        assert (p.biregular.x_degree, p.biregular.y_degree) == (2, 2)
+
+    def test_star_with_leaves_first_puts_leaves_on_x(self):
+        g = build_graph(6, [(v, 5) for v in range(5)])
+        p = degree_profile(g)
+        assert p.biregular.x_side == frozenset(range(5))
+        assert p.biregular.y_side == frozenset({5})
+        assert (p.biregular.x_degree, p.biregular.y_degree) == (1, 5)
+
+    def test_equal_degree_sums_are_not_biregular(self):
+        # K(1,5) + K(2,4): d(u) + d(v) = 6 on every edge, but the edges
+        # of K(2,4) join degrees 4 and 2, not the extremes 1 and 5.
+        g = disjoint_union([
+            (6, [(0, i) for i in range(1, 6)]),
+            (6, [(i, j) for i in range(2) for j in range(2, 6)]),
+        ], seed=0)
+        assert {g.degrees[u] + g.degrees[v] for u, v in g.edges} == {6}
+        p = degree_profile(g)
+        assert p.biregular is None and p.regularity == "neither"
+
+    @pytest.mark.parametrize("n", range(0, 6))
     def test_matches_brute_force_exhaustive(self, n):
-        for g in connected_graphs(n):
+        for g in labelled_graphs(n):
             feasible = brute_force_biregular(g)
             p = degree_profile(g)
             if p.biregular is None:
                 assert not feasible
             else:
                 assert (p.biregular.x_degree, p.biregular.y_degree) in feasible
+                for u, v in g.edges:
+                    assert (u in p.biregular.x_side) != (v in p.biregular.x_side)
+            assert p == per_component_degree_profile(g), g.edges
+
+    def test_equals_per_component_reference_on_unions(self):
+        rng = random.Random(2024)
+        kinds = set()
+        for seed in range(2000):
+            g = disjoint_union(random_union(rng), seed)
+            p = degree_profile(g)
+            assert p == per_component_degree_profile(g), g.edges
+            kinds.add(p.regularity)
+        assert kinds == {"regular", "biregular", "neither"}
 
     @given(graphs_strategy(max_n=10))
     @settings(max_examples=150, deadline=None)

@@ -1,5 +1,7 @@
 """Text format round trips and error handling."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -164,6 +166,19 @@ class TestPartitionFormat:
         g = build_graph(2, [(0, 1)])
         with pytest.raises(FormatError):
             parse_partition("classes 1\n0 1 2\n", g)
+
+    def test_class_count_above_edge_count_costs_no_memory(self):
+        # Every class must be nonempty, so a count above the edge count
+        # is rejected before one set per declared class is allocated.
+        g = build_graph(2, [(0, 1)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="nonempty"):
+                parse_partition("classes 1000000\n0 1 1\n", g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestListAssignmentFormat:
