@@ -157,8 +157,15 @@ def is_connected(g: Graph) -> bool:
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
-    """Subgraph induced by ``vertices``; returns (subgraph, old-id-per-new-id)."""
+    """Subgraph induced by ``vertices``; returns (subgraph, old-id-per-new-id).
+
+    When ``vertices`` is all of g's vertices the subgraph is g itself,
+    returned as is: a Graph is frozen and canonical, so a rebuilt copy
+    would equal it.
+    """
     order = sorted(vertices)
+    if order == list(range(g.n)):
+        return g, order
     remap = {v: i for i, v in enumerate(order)}
     pairs = [
         (remap[u], remap[v])

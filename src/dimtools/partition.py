@@ -13,6 +13,12 @@ of such a cover is a DIM, so the cover is the partition.
 covers the edge set by DIMs from the subset-scan oracle with a search
 of its own.
 
+Whether every class of a given coloring is a DIM is decided in one pass
+over the vertices' sets of incident colors (:func:`_incident_colors`),
+for :func:`verify_dim_partition`, for :func:`list_assignment` and for
+the search's postcondition; :func:`~dimtools.solver.classify_dim` runs
+per class only to name the failure.
+
 The list assignment sends each vertex to the set of class colors
 missing from its incident edges.  A DIM class meets every vertex in
 at most one edge, so with k classes vertex v misses exactly k - d(v)
@@ -187,19 +193,49 @@ def find_dim_partition(
         sub_colors, spent = _cover_by_dims(sub, k, budget, spent, dims)
         if sub_colors is None:
             return None
+        if sub is g:
+            color_of = sub_colors
+            continue
         for local_eid, (a, b) in enumerate(sub.edges):
             eid = g.edge_id(old_vertices[a], old_vertices[b])
             color_of[eid] = sub_colors[local_eid]
 
     partition = DimPartition(k, tuple(color_of))
-    for cls in partition.classes:
-        witness = classify_dim(g, cls)
-        if not witness.is_valid:
-            raise RuntimeError(
-                f"partition search produced a non-DIM class "
-                f"({witness.classification.value})"
-            )
+    if _incident_colors(g, partition) is None:
+        for cls in partition.classes:
+            witness = classify_dim(g, cls)
+            if not witness.is_valid:
+                raise RuntimeError(
+                    f"partition search produced a non-DIM class "
+                    f"({witness.classification.value})"
+                )
     return partition
+
+
+def _incident_colors(g: Graph, p: DimPartition) -> Optional[list[set[int]]]:
+    """Each vertex's set C(v) of incident edge colors, or None unless
+    every class of p is a DIM of g; p must color g's edges.
+
+    One pass decides all classes at once.  A color repeated at a vertex
+    means its class is not a matching.  Given matchings, an edge uv
+    whose endpoints share a color other than uv's own lies outside that
+    class with both ends covered by it, so every class is induced
+    exactly when |C(u) & C(v)| = 1 on every edge; and color c dominates
+    uv exactly when c is in C(u) | C(v), so every class is dominating
+    exactly when |C(u) | C(v)| = k on every edge.
+    """
+    color_of, k = p.color_of, p.num_classes
+    colors_at = []
+    for inc in g.incident:
+        colors = {color_of[e] for e in inc}
+        if len(colors) != len(inc):
+            return None
+        colors_at.append(colors)
+    for u, v in g.edges:
+        cu, cv = colors_at[u], colors_at[v]
+        if len(cu & cv) != 1 or len(cu | cv) != k:
+            return None
+    return colors_at
 
 
 def verify_dim_partition(g: Graph, p: DimPartition) -> PartitionCheck:
@@ -213,7 +249,7 @@ def verify_dim_partition(g: Graph, p: DimPartition) -> PartitionCheck:
         raise ValueError(
             f"partition colors {len(p.color_of)} edges, graph has {g.m}"
         )
-    valid = all(classify_dim(g, cls).is_valid for cls in p.classes)
+    valid = _incident_colors(g, p) is not None
     count_ok = all(
         p.num_classes == g.degrees[u] + g.degrees[v] - 1 for u, v in g.edges
     )
@@ -224,20 +260,17 @@ def verify_dim_partition(g: Graph, p: DimPartition) -> PartitionCheck:
 
 def list_assignment(g: Graph, p: DimPartition) -> ListAssignment:
     """Assign each vertex the set of class colors absent at that vertex."""
-    for cls in p.classes:
-        witness = classify_dim(g, cls)
-        if not witness.is_valid:
-            raise ValueError(
-                f"partition class is not a DIM ({witness.classification.value})"
-            )
-    if len(p.color_of) != g.m:
+    colors_at = _incident_colors(g, p) if len(p.color_of) == g.m else None
+    if colors_at is None:
+        for cls in p.classes:
+            witness = classify_dim(g, cls)
+            if not witness.is_valid:
+                raise ValueError(
+                    f"partition class is not a DIM ({witness.classification.value})"
+                )
         raise ValueError("partition does not color this graph")
     universe = frozenset(range(1, p.num_classes + 1))
-    lists = []
-    for v in range(g.n):
-        incident_colors = {p.color_of[e] for e in g.incident[v]}
-        lists.append(universe - incident_colors)
-    return ListAssignment(p.num_classes, tuple(lists))
+    return ListAssignment(p.num_classes, tuple(universe - c for c in colors_at))
 
 
 def verify_list_properties(g: Graph, assignment: ListAssignment) -> ListCheck:

@@ -17,9 +17,12 @@ is bounded by memory rather than by the interpreter's recursion limit.
 Small instances find that column by scanning the uncovered columns;
 instances with at least ``_COUNTING_MIN_COLUMNS`` columns keep every
 column's count of viable rows up to date instead, as Dancing Links
-keeps its column sizes.  Both pick the same column at every node, so
-the tree, the solutions and their order, and the node counts do not
-depend on which one runs.
+keeps its column sizes, in an int32 numpy array.  Both pick the same
+column at every node, so the tree, the solutions and their order, and
+the node counts do not depend on which one runs.  Per-row set-up is
+lazy on both paths: a row's kill mask is built the first time the row
+is chosen and its column list the first time it dies, so the set-up
+grows with the search rather than with the instance.
 In the DIM instance the rows are the sets D_e and, because D is
 symmetric (f in D_e iff e in D_f), the columns are the same sets.
 Every row tried is one search node; a search that tries more rows than
@@ -123,15 +126,28 @@ def classify_dim(g: Graph, edge_ids: Iterable[EdgeId]) -> DimWitness:
 
 # Instances with at least this many columns choose the branching column
 # from per-column counts of viable rows (see _ExactCover); smaller ones
-# scan.  Keeping the counts costs a list update for every column of
-# every row a choice kills, plus a set-up pass, which the scan's early
-# exit beats on small instances.  Measured on Python 3.11 (2-vCPU VM),
-# counting over scanning, median of 15: enumerating all DIMs, KG(7,3)
-# (70 columns) 1.8x, BG(3,3) (140) 1.0-1.2x, BG(2,5) (168) 0.89x,
-# BG(2,6) (252) 0.73x, KG(9,4) (315) 0.74-0.85x, KG(11,5) (1 386) 0.25x;
-# stopping at the first DIM, BG(2,6) 0.96-1.09x, KG(9,4) 1.01-1.07x,
-# KG(11,5) 0.32x.  The crossover is near 160 columns for enumeration and
-# near 300 for a first solution; 256 sits between them.
+# scan.  Each node of the counting path pays a few numpy calls over all
+# columns and builds the column lists of rows dying for the first time,
+# which the scan's early exit beats on small instances and on short
+# searches.  Measured on Python 3.11 (2-vCPU VM), counting over scanning,
+# median of 21, both paths with lazy kill masks:
+#
+#   instance     columns  all DIMs  first DIM (or none)
+#   Petersen          15     5.1x      5.6x
+#   KG(7,3)           70     2.1x      3.6x
+#   prism C30         90     3.3x      3.4x  (8 nodes, no DIM)
+#   BG(3,3)          140     1.5x      2.1x
+#   BG(2,5)          168     1.06x     1.7x
+#   prism C60        180     2.4x      2.4x  (8 nodes, no DIM)
+#   BG(2,6)          252     0.80x     1.3x
+#   prism C90        270     1.8x      1.9x  (8 nodes, no DIM)
+#   BG(3,4)          280     0.93x     1.4x
+#   KG(9,4)          315     0.83x     1.6x
+#   prism C120       360     1.5x      1.5x  (8 nodes, no DIM)
+#   KG(11,5)       1 386     0.23x     0.37x
+#
+# The crossover is near 190 columns for enumeration and between 360 and
+# 1 386 for a first solution; 256 sits between them.
 _COUNTING_MIN_COLUMNS = 256
 
 
@@ -157,26 +173,34 @@ class _ExactCover:
     * scanning (:meth:`_scan_solutions`): count every uncovered column's
       viable rows with a popcount, stopping at the first count <= 1;
     * counting (:meth:`_counting_solutions`): keep every column's count
-      in a list, as Knuth's Dancing Links keeps column sizes, and when a
-      chosen row kills rows, decrement the counts of their columns; a
-      bitmask of columns whose count has fallen to 1 or less is kept
-      beside it.  Covered columns hold a sentinel above every real
-      count, so the branching column is the lowest uncovered column of
-      that mask, or else ``counts.index(min(counts))``.
+      in an int32 numpy array, as Knuth's Dancing Links keeps column
+      sizes.  When a chosen row kills rows, one ``np.bincount`` over the
+      dead rows' columns is subtracted from the counts, and the chosen
+      row's columns are set to a sentinel above every real count.  The
+      branching column is then ``counts.argmin()``, the first column of
+      fewest rows, unless that count is 0; then it is
+      ``(counts <= 1).argmax()``, since a column with one row may come
+      first.
 
     Both pick the same column at every node: the scan visits columns in
     ascending order, stops at the first count <= 1 and otherwise keeps
     the first column of smallest count, and those are the two rules the
-    mask and ``counts.index`` read off.  So they build the same tree:
-    the same solutions in the same order, the same node counts and the
-    same point of budget exhaustion.
+    counts are read by.  So they build the same tree: the same solutions
+    in the same order, the same node counts and the same point of budget
+    exhaustion.
+
+    Nothing is built per row up front.  ``kill[i]`` is built the first
+    time row i is chosen, on both paths, and the counting path builds a
+    row's column list the first time the row dies (a chosen row dies
+    too).  ``find_dim`` on KG(11,5) tries 126 of its 1 386 rows, so it
+    builds at most 126 kill masks rather than 1 386.
 
     A frame that still has untried rows keeps its counts and its child
-    gets a copy; a frame trying its last row hands its list down to be
-    updated in place, so only frames with rows left to try hold a list.
-    A copy at every level would hold depth x columns counts: the first
-    DIM of KG(15,7) (25 740 columns, 1 716 levels) peaked at 544 MB that
-    way and peaks at 267 MB this way.
+    gets a copy; a frame trying its last row hands its array down to be
+    updated in place, so only frames with rows left to try hold one.
+    The first DIM of KG(15,7) (25 740 columns, 1 716 levels) peaks at
+    155 MB this way; it peaked at 267 MB with the counts in Python
+    lists, and at 544 MB with a list copied at every level.
     """
 
     def __init__(
@@ -188,16 +212,22 @@ class _ExactCover:
     ) -> None:
         self.rows = rows
         self.cols = cols
-        self.kill: list[int] = []
-        for mask in rows:
-            k = 0
+        self.kill: list[Optional[int]] = [None] * len(rows)
+        self.budget = budget
+        self.nodes = spent
+
+    def _kill(self, i: int) -> int:
+        """Row i and every row sharing a column with it, as a row mask,
+        built the first time row i is chosen."""
+        k = self.kill[i]
+        if k is None:
+            cols, mask, k = self.cols, self.rows[i], 0
             while mask:
                 low = mask & -mask
                 k |= cols[low.bit_length() - 1]
                 mask ^= low
-            self.kill.append(k)
-        self.budget = budget
-        self.nodes = spent
+            self.kill[i] = k
+        return k
 
     def solutions(self) -> Iterator[list[int]]:
         """Each exact cover as the list of chosen rows, in choice order.
@@ -227,7 +257,7 @@ class _ExactCover:
 
     def _scan_solutions(self) -> Iterator[list[int]]:
         """:meth:`solutions`, scanning for the branching column."""
-        rows, kill, budget = self.rows, self.kill, self.budget
+        rows, budget = self.rows, self.budget
         uncovered = (1 << len(self.cols)) - 1
         viable = (1 << len(rows)) - 1
         chosen: list[int] = []
@@ -251,26 +281,25 @@ class _ExactCover:
                 yield chosen
                 chosen.pop()
                 continue
-            viable &= ~kill[i]
+            viable &= ~self._kill(i)
             stack.append((uncovered, viable, self._branch_rows(uncovered, viable)))
 
     def _counting_solutions(self) -> Iterator[list[int]]:
         """:meth:`solutions`, keeping per-column counts of viable rows."""
-        rows, cols, kill, budget = self.rows, self.cols, self.kill, self.budget
-        row_cols = [_bits(mask) for mask in rows]
+        rows, cols, budget = self.rows, self.cols, self.budget
+        # row_cols[r], row r's columns, is built the first time r dies.
+        row_cols: list[Optional[np.ndarray]] = [None] * len(rows)
         covered = len(rows) + 1  # above every real count
-        counts = [mask.bit_count() for mask in cols]
-        forced = 0
-        for c, count in enumerate(counts):
-            if count <= 1:
-                forced |= 1 << c
-        uncovered = (1 << len(cols)) - 1
+        ncols = len(cols)
+        counts = np.fromiter(
+            (mask.bit_count() for mask in cols), dtype=np.int32, count=ncols
+        )
+        uncovered = (1 << ncols) - 1
         viable = (1 << len(rows)) - 1
         chosen: list[int] = []
-        branch = _counted_branch(counts, forced, uncovered)
-        stack = [(uncovered, viable, counts, forced, cols[branch])]
+        stack = [(uncovered, viable, counts, cols[_counted_branch(counts)])]
         while stack:
-            uncovered, viable, counts, forced, cand = stack[-1]
+            uncovered, viable, counts, cand = stack[-1]
             if not cand:
                 stack.pop()
                 if chosen:
@@ -278,7 +307,7 @@ class _ExactCover:
                 continue
             low = cand & -cand
             cand ^= low
-            stack[-1] = (uncovered, viable, counts, forced, cand)
+            stack[-1] = (uncovered, viable, counts, cand)
             self.nodes += 1
             if budget is not None and self.nodes > budget:
                 raise SearchBudgetExceeded(f"exceeded search budget of {budget} nodes")
@@ -289,31 +318,40 @@ class _ExactCover:
                 yield chosen
                 chosen.pop()
                 continue
-            dead = viable & kill[i]
+            dead = viable & self._kill(i)
             viable ^= dead
-            if cand:
-                counts = counts.copy()
+            # Row i is viable until chosen, so it is among the dead rows.
+            dead_cols = []
             while dead:
                 low = dead & -dead
                 dead ^= low
-                for c in row_cols[low.bit_length() - 1]:
-                    count = counts[c] - 1
-                    counts[c] = count
-                    if count == 1:
-                        forced |= 1 << c
-            for c in row_cols[i]:
-                counts[c] = covered
-            branch = _counted_branch(counts, forced, uncovered)
-            stack.append((uncovered, viable, counts, forced, cols[branch] & viable))
+                r = low.bit_length() - 1
+                rc = row_cols[r]
+                if rc is None:
+                    rc = row_cols[r] = np.array(_bits(rows[r]), dtype=np.intp)
+                dead_cols.append(rc)
+            if cand:
+                counts = counts.copy()
+            dying = np.bincount(np.concatenate(dead_cols), minlength=ncols)
+            # Subtracting the int64 bincount from int32 counts in place
+            # would cast element by element, about twice as slow.
+            counts -= dying.astype(np.int32)
+            counts[row_cols[i]] = covered
+            stack.append(
+                (uncovered, viable, counts, cols[_counted_branch(counts)] & viable)
+            )
 
 
-def _counted_branch(counts: list[int], forced: int, uncovered: int) -> int:
+def _counted_branch(counts: np.ndarray) -> int:
     """The branching column read off the counts: the lowest uncovered
-    column with at most one viable row, else the first of fewest."""
-    open_forced = forced & uncovered
-    if open_forced:
-        return (open_forced & -open_forced).bit_length() - 1
-    return counts.index(min(counts))
+    column with at most one viable row, else the first of fewest.
+
+    ``argmin`` finds the first column of fewest rows, which is also the
+    first with at most one unless the fewest is 0: then a column with
+    one row may come before it.
+    """
+    c = int(counts.argmin())
+    return int((counts <= 1).argmax()) if counts[c] == 0 else c
 
 
 def _bits(mask: int) -> list[int]:

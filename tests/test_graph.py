@@ -318,6 +318,14 @@ class TestComponents:
         assert old == [2, 3, 4]
         assert sub.edges == ((0, 1), (0, 2), (1, 2))
 
+    def test_induced_subgraph_on_every_vertex_is_the_graph(self):
+        g = build_graph(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+        sub, old = induced_subgraph(g, [4, 2, 0, 3, 1])
+        assert sub is g and old == [0, 1, 2, 3, 4]
+        # One vertex short, it is rebuilt.
+        sub, old = induced_subgraph(g, [0, 1, 2, 3])
+        assert sub.edges == ((0, 1), (2, 3)) and old == [0, 1, 2, 3]
+
 
 def closed_walk_cycle_counts(g, max_len):
     """Oracle: count cycles as closed walks with all-distinct vertices.

@@ -8,6 +8,8 @@ from math import comb
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimtools import checks, partition
 from dimtools.corpus import connected_graphs
@@ -34,7 +36,20 @@ from dimtools.partition import (
 from dimtools.solver import DimClass, DimWitness, SearchBudgetExceeded, classify_dim
 
 from test_cli import subprocess_env
+from test_graph import graphs_strategy
 from test_solver import BG13_RELABELLED
+
+# Small graphs that have a DIM partition, so that random draws also
+# reach valid colorings and colorings one edge away from valid.
+PARTITIONABLE = [
+    cycle(3),
+    cycle(6),
+    cycle(9),
+    star(4),
+    petersen(),
+    bg_dim_partition(2, 3)[0].graph,
+    build_graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+]
 
 
 class TestDimPartitionType:
@@ -206,6 +221,19 @@ class TestPostconditions:
                 def solutions(self):
                     yield from ([0, 1], [2, 3], [4, 5])
 
+            # C6's partition {0, 4}, {1, 3}, {2, 5} with the colors of
+            # edges 0 and 1 swapped: no class is induced any more.
+            swapped = partition.DimPartition(3, (2, 1, 3, 2, 1, 3))
+            if partition.verify_dim_partition(cycle(6), swapped).valid:
+                sys.exit("verify_dim_partition accepted a non-DIM class")
+            try:
+                partition.list_assignment(cycle(6), swapped)
+            except ValueError as exc:
+                if str(exc) != "partition class is not a DIM (not-induced)":
+                    sys.exit(f"list_assignment raised {exc!r}")
+            else:
+                sys.exit("list_assignment accepted a non-DIM class")
+
             partition._dim_search = lambda g, b, s: NonDimSearch()
             valid = DimWitness(frozenset(), DimClass.VALID_DIM)
             checks.classify_dim = lambda g, dim: valid
@@ -256,10 +284,49 @@ class TestVerifyPartition:
         bad = DimPartition(3, (1, 2, 2, 3, 3, 1))
         report = verify_dim_partition(g, bad)
         assert not report.valid
+        # C4's edges colored alternately: two matchings that dominate
+        # every edge but are not induced
+        assert not verify_dim_partition(cycle(4), DimPartition(2, (1, 2, 2, 1))).valid
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             verify_dim_partition(cycle(6), DimPartition(1, (1, 1, 1)))
+
+    @given(
+        st.one_of(graphs_strategy(max_n=6), st.sampled_from(PARTITIONABLE)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_check_matches_classify_dim(self, g, rng):
+        # A found partition with its colors permuted, the same with one
+        # edge recolored, a random proper edge coloring (every class a
+        # matching, so induced and dominating decide), or a uniformly
+        # random total coloring.
+        found = find_dim_partition(g)
+        mode = rng.randrange(3)
+        if found is not None and mode == 0:
+            k = found.num_classes
+            relabel = rng.sample(range(1, k + 1), k)
+            colors = [relabel[c - 1] for c in found.color_of]
+            if g.m and rng.random() < 0.5:
+                colors[rng.randrange(g.m)] = rng.randint(1, k)
+        elif mode == 1:
+            k = max(g.degrees, default=0) + rng.randint(0, 2)
+            colors = []
+            for u, v in g.edges:
+                used = {colors[e] for e in g.incident[u] + g.incident[v] if e < len(colors)}
+                free = [c for c in range(1, k + 1) if c not in used]
+                colors.append(rng.choice(free) if free else rng.randint(1, k))
+        else:
+            k = rng.randint(1, max(g.m, 1))
+            colors = [rng.randint(1, k) for _ in range(g.m)]
+        try:
+            p = DimPartition(k, tuple(colors))
+        except ValueError:
+            return  # some color class is empty
+        expected = all(classify_dim(g, cls).is_valid for cls in p.classes)
+        assert (partition._incident_colors(g, p) is not None) == expected
+        assert verify_dim_partition(g, p).valid == expected
 
 
 class TestListAssignment:

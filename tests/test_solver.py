@@ -209,20 +209,21 @@ class TestEnumerate:
         assert all(classify_dim(g, d).is_valid for d in dims)
 
     @pytest.mark.parametrize(
-        "make,nodes",
+        "make,first,nodes",
         [
-            (lambda: kneser(9, 4).graph, 402),
-            (lambda: kneser(11, 5).graph, 1_889),
-            (lambda: bipartite_kneser(3, 4).graph, 373),
-            (lambda: kneser(13, 6).graph, 7_832),
+            (lambda: kneser(9, 4).graph, 35, 402),
+            (lambda: kneser(11, 5).graph, 126, 1_889),
+            (lambda: bipartite_kneser(3, 4).graph, 35, 373),
+            (lambda: kneser(13, 6).graph, 462, 7_832),
         ],
         ids=["KG(9,4)", "KG(11,5)", "BG(3,4)", "KG(13,6)"],
     )
-    def test_family_node_counts(self, make, nodes):
+    def test_family_node_counts(self, make, first, nodes):
+        # Node counts at the first solution (what find_dim pays) and at
+        # the end of the enumeration.
         search = _dim_search(make(), None)
-        for _ in search.solutions():
-            pass
-        assert search.nodes == nodes
+        at_solution = [search.nodes for _ in search.solutions()]
+        assert (at_solution[0], search.nodes) == (first, nodes)
 
     def test_kg_13_6_closed_form_is_the_only_partition(self):
         # Its 13 DIMs are the 13 classes of the closed-form partition, so
@@ -311,6 +312,14 @@ def assert_same_tree(rows, cols):
         assert search.nodes == nodes
 
 
+def prism(k):
+    """C_k x K2: outer cycle 0..k-1, inner cycle k..2k-1, spokes i -- k+i."""
+    pairs = [(i, (i + 1) % k) for i in range(k)]
+    pairs += [(k + i, k + (i + 1) % k) for i in range(k)]
+    pairs += [(i, k + i) for i in range(k)]
+    return build_graph(2 * k, pairs)
+
+
 def family_instances():
     graphs = [
         ("Petersen", petersen()),
@@ -343,6 +352,13 @@ class TestBranchingStrategies:
     @pytest.mark.parametrize("g", family_instances())
     def test_family_graphs(self, g):
         masks = _dim_search(g, None).rows
+        assert_same_tree(masks, masks)
+
+    @pytest.mark.parametrize("k", (30, 60, 90, 120))
+    def test_wide_short_prisms(self, k):
+        # 90 to 360 columns, no DIM, and a search of only 8 nodes: the
+        # counting path's set-up is most of its work here.
+        masks = _dim_search(prism(k), None).rows
         assert_same_tree(masks, masks)
 
     def test_partition_cover_instance(self, monkeypatch):
