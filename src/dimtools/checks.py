@@ -58,6 +58,7 @@ from .partition import (
     verify_list_properties,
 )
 from .solver import (
+    DEFAULT_BUDGET,
     EdgeSet,
     SearchBudgetExceeded,
     _dim_search,
@@ -212,7 +213,7 @@ class Budgets:
     """
 
     max_cycle_len: int = 8
-    search_nodes: int = 10_000_000
+    search_nodes: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.max_cycle_len < 3 or self.search_nodes < 0:

@@ -47,16 +47,13 @@ from .io import (
     serialize_partition,
 )
 from .partition import find_dim_partition, verify_dim_partition
-from .solver import SearchBudgetExceeded, enumerate_dims, find_dim
+from .solver import DEFAULT_BUDGET, SearchBudgetExceeded, enumerate_dims, find_dim
 
 EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-DEFAULT_BUDGET = 10_000_000
-DEFAULT_MAX_CYCLE = 8
 
 
 class _CliError(Exception):
@@ -162,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the verification report")
     ver.add_argument("action", choices=("all", "report"))
     ver.add_argument("graphfile")
-    ver.add_argument("--max-cycle", type=int, default=DEFAULT_MAX_CYCLE)
+    ver.add_argument("--max-cycle", type=int, default=Budgets.max_cycle_len)
     ver.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     ver.add_argument("--format", choices=GRAPH_FORMATS, default="edgelist")
 
@@ -173,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--count", type=int, default=1000)
     sweep.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    sweep.add_argument("--max-cycle", type=int, default=DEFAULT_MAX_CYCLE)
+    sweep.add_argument("--max-cycle", type=int, default=Budgets.max_cycle_len)
     sweep.add_argument("--dump-dir", default=".", help="where counterexamples go")
     return parser
 
@@ -229,13 +226,6 @@ def _cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_dim(args: argparse.Namespace, out: TextIO) -> int:
     g = _read_graph(args.graphfile, args.format)
-    if args.action == "find":
-        found = find_dim(g, args.budget)
-        if found is None:
-            out.write("no DIM\n")
-            return EXIT_NO
-        out.write(serialize_certificate(g, found))
-        return EXIT_OK
     if args.action == "enum":
         dims = enumerate_dims(g, args.budget)
         out.write(f"dims {len(dims)}\n")
@@ -247,7 +237,10 @@ def _cmd_dim(args: argparse.Namespace, out: TextIO) -> int:
     if found is None:
         out.write("no DIM\n")
         return EXIT_NO
-    out.write(f"{len(found)}\n")
+    if args.action == "find":
+        out.write(serialize_certificate(g, found))
+    else:
+        out.write(f"{len(found)}\n")
     return EXIT_OK
 
 

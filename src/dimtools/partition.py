@@ -40,6 +40,8 @@ from typing import Optional
 
 from .graph import Graph, components, degree_profile, induced_subgraph, is_connected
 from .solver import (
+    DEFAULT_BUDGET,
+    DimClass,
     EdgeSet,
     _dim_search,
     _ExactCover,
@@ -152,7 +154,7 @@ def _cover_by_dims(
 
 def find_dim_partition(
     g: Graph,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_BUDGET,
     dims: Optional[list[list[int]]] = None,
     spent: int = 0,
 ) -> Optional[DimPartition]:
@@ -202,13 +204,10 @@ def find_dim_partition(
 
     partition = DimPartition(k, tuple(color_of))
     if _incident_colors(g, partition) is None:
-        for cls in partition.classes:
-            witness = classify_dim(g, cls)
-            if not witness.is_valid:
-                raise RuntimeError(
-                    f"partition search produced a non-DIM class "
-                    f"({witness.classification.value})"
-                )
+        raise RuntimeError(
+            f"partition search produced a non-DIM class "
+            f"({_first_non_dim(g, partition).value})"
+        )
     return partition
 
 
@@ -238,6 +237,17 @@ def _incident_colors(g: Graph, p: DimPartition) -> Optional[list[set[int]]]:
     return colors_at
 
 
+def _first_non_dim(g: Graph, p: DimPartition) -> DimClass:
+    """How the first class of p that is not a DIM of g fails, by
+    :func:`~dimtools.solver.classify_dim`; p must color g's edges and
+    fail :func:`_incident_colors`."""
+    for cls in p.classes:
+        witness = classify_dim(g, cls)
+        if not witness.is_valid:
+            return witness.classification
+    raise RuntimeError("one-pass partition check disagrees with classify_dim")
+
+
 def verify_dim_partition(g: Graph, p: DimPartition) -> PartitionCheck:
     """Re-check a partition from scratch against its graph.
 
@@ -260,15 +270,11 @@ def verify_dim_partition(g: Graph, p: DimPartition) -> PartitionCheck:
 
 def list_assignment(g: Graph, p: DimPartition) -> ListAssignment:
     """Assign each vertex the set of class colors absent at that vertex."""
-    colors_at = _incident_colors(g, p) if len(p.color_of) == g.m else None
-    if colors_at is None:
-        for cls in p.classes:
-            witness = classify_dim(g, cls)
-            if not witness.is_valid:
-                raise ValueError(
-                    f"partition class is not a DIM ({witness.classification.value})"
-                )
+    if len(p.color_of) != g.m:
         raise ValueError("partition does not color this graph")
+    colors_at = _incident_colors(g, p)
+    if colors_at is None:
+        raise ValueError(f"partition class is not a DIM ({_first_non_dim(g, p).value})")
     universe = frozenset(range(1, p.num_classes + 1))
     return ListAssignment(p.num_classes, tuple(universe - c for c in colors_at))
 

@@ -14,19 +14,22 @@ and the viable rows of a search node as two int bitmasks, branches on
 the uncovered column with the fewest viable rows (Knuth's Algorithm X,
 arXiv cs/0011047), and walks the tree with an explicit stack, so depth
 is bounded by memory rather than by the interpreter's recursion limit.
-Small instances find that column by scanning the uncovered columns;
-instances with at least ``_COUNTING_MIN_COLUMNS`` columns keep every
-column's count of viable rows up to date instead, as Dancing Links
-keeps its column sizes, in an int32 numpy array.  Both pick the same
-column at every node, so the tree, the solutions and their order, and
-the node counts do not depend on which one runs.  Per-row set-up is
-lazy on both paths: a row's kill mask is built the first time the row
-is chosen and its column list the first time it dies, so the set-up
-grows with the search rather than with the instance.
+It is one walk with two branching rules.  Small instances find the
+column by scanning the uncovered columns; instances with at least
+``_COUNTING_MIN_COLUMNS`` columns keep every column's count of viable
+rows up to date instead, as Dancing Links keeps its column sizes, in an
+int32 numpy array.  Both rules pick the same column at every node, so
+the tree, the solutions and their order, and the node counts do not
+depend on which one runs.  Per-row set-up is lazy: a row's kill mask is
+built the first time the row is chosen and its column list the first
+time it dies, so the set-up grows with the search rather than with the
+instance.
 In the DIM instance the rows are the sets D_e and, because D is
 symmetric (f in D_e iff e in D_f), the columns are the same sets.
-Every row tried is one search node; a search that tries more rows than
-its budget raises :class:`SearchBudgetExceeded` instead of answering.
+Every row tried is one search node.  Every search has a node budget,
+``DEFAULT_BUDGET`` unless the caller gives one; a search that tries
+more rows than its budget raises :class:`SearchBudgetExceeded` instead
+of answering.
 :func:`brute_force_dims` is the independent oracle that scans all 2^m
 edge subsets against the definitional check instead.
 """
@@ -42,6 +45,11 @@ import numpy as np
 from .graph import EdgeId, Graph
 
 EdgeSet = frozenset[EdgeId]
+
+
+# The node budget of every search that is not given one: the solver's
+# entry points, the partition search, a report's Budgets and the CLI.
+DEFAULT_BUDGET = 10_000_000
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -126,11 +134,11 @@ def classify_dim(g: Graph, edge_ids: Iterable[EdgeId]) -> DimWitness:
 
 # Instances with at least this many columns choose the branching column
 # from per-column counts of viable rows (see _ExactCover); smaller ones
-# scan.  Each node of the counting path pays a few numpy calls over all
+# scan.  Each node under the counting rule pays a few numpy calls over all
 # columns and builds the column lists of rows dying for the first time,
 # which the scan's early exit beats on small instances and on short
 # searches.  Measured on Python 3.11 (2-vCPU VM), counting over scanning,
-# median of 21, both paths with lazy kill masks:
+# median of 21, both rules with lazy kill masks:
 #
 #   instance     columns  all DIMs  first DIM (or none)
 #   Petersen          15     5.1x      5.6x
@@ -161,66 +169,51 @@ class _ExactCover:
     branches on the uncovered column with the fewest viable rows, as in
     Knuth's Algorithm X, and tries those rows in ascending order.
     Choosing row i removes its columns from ``uncovered`` and every row
-    sharing a column with it, ``kill[i]``, from ``viable``.  Every row
-    tried counts as one node against the budget; ``nodes`` keeps the
-    running total, starting from ``spent``.
+    sharing a column with it, ``kill[i]``, from ``viable``; ``kill[i]``
+    is built the first time row i is chosen.  Every row tried counts as
+    one node against the budget; ``nodes`` keeps the running total,
+    starting from ``spent``.
 
     The branching column is the lowest-index uncovered column with at
     most one viable row if there is one, and otherwise the lowest-index
-    uncovered column of minimum count.  There are two ways to find it,
-    chosen by the number of columns (``_COUNTING_MIN_COLUMNS``):
+    uncovered column of minimum count.  One walk finds it by one of two
+    rules, chosen by the number of columns (``_COUNTING_MIN_COLUMNS``):
 
-    * scanning (:meth:`_scan_solutions`): count every uncovered column's
+    * scanning (:meth:`_branch_rows`): count every uncovered column's
       viable rows with a popcount, stopping at the first count <= 1;
-    * counting (:meth:`_counting_solutions`): keep every column's count
-      in an int32 numpy array, as Knuth's Dancing Links keeps column
-      sizes.  When a chosen row kills rows, one ``np.bincount`` over the
-      dead rows' columns is subtracted from the counts, and the chosen
-      row's columns are set to a sentinel above every real count.  The
-      branching column is then ``counts.argmin()``, the first column of
-      fewest rows, unless that count is 0; then it is
-      ``(counts <= 1).argmax()``, since a column with one row may come
-      first.
+      such frames carry no counts;
+    * counting (:meth:`_recount`, :func:`_counted_branch`): each frame
+      carries every column's count in an int32 numpy array, as Knuth's
+      Dancing Links keeps column sizes.  A frame that still has untried
+      rows keeps its counts and its child gets a copy; a frame trying
+      its last row hands its array down to be updated in place.
 
-    Both pick the same column at every node: the scan visits columns in
-    ascending order, stops at the first count <= 1 and otherwise keeps
-    the first column of smallest count, and those are the two rules the
-    counts are read by.  So they build the same tree: the same solutions
-    in the same order, the same node counts and the same point of budget
-    exhaustion.
-
-    Nothing is built per row up front.  ``kill[i]`` is built the first
-    time row i is chosen, on both paths, and the counting path builds a
-    row's column list the first time the row dies (a chosen row dies
-    too).  ``find_dim`` on KG(11,5) tries 126 of its 1 386 rows, so it
-    builds at most 126 kill masks rather than 1 386.
-
-    A frame that still has untried rows keeps its counts and its child
-    gets a copy; a frame trying its last row hands its array down to be
-    updated in place, so only frames with rows left to try hold one.
-    The first DIM of KG(15,7) (25 740 columns, 1 716 levels) peaks at
-    155 MB this way; it peaked at 267 MB with the counts in Python
-    lists, and at 544 MB with a list copied at every level.
+    Both rules pick the same column at every node: the scan visits
+    columns in ascending order, stops at the first count <= 1 and
+    otherwise keeps the first column of smallest count, which is how
+    :func:`_counted_branch` reads the counts.  So the tree, the solutions
+    and their order, the node counts and the point of budget exhaustion
+    do not depend on which one runs.
     """
 
     def __init__(
-        self,
-        rows: list[int],
-        cols: list[int],
-        budget: Optional[int],
-        spent: int = 0,
+        self, rows: list[int], cols: list[int], budget: int, spent: int = 0
     ) -> None:
         self.rows = rows
         self.cols = cols
         self.kill: list[Optional[int]] = [None] * len(rows)
+        # row_cols[r], row r's columns, is built the first time r dies
+        # on the counting rule.
+        self.row_cols: list[Optional[np.ndarray]] = [None] * len(rows)
         self.budget = budget
         self.nodes = spent
 
     def _kill(self, i: int) -> int:
-        """Row i and every row sharing a column with it, as a row mask,
-        built the first time row i is chosen."""
+        """Row i and every row sharing a column with it, as a row mask."""
         k = self.kill[i]
         if k is None:
+            # Not through _bits: the list it builds made whole searches on
+            # small graphs about 13 % slower.
             cols, mask, k = self.cols, self.rows[i], 0
             while mask:
                 low = mask & -mask
@@ -234,11 +227,50 @@ class _ExactCover:
 
         The yielded list is reused by the search; copy it to keep it.
         """
-        if not self.cols:
-            return iter(([],))
-        if len(self.cols) >= _COUNTING_MIN_COLUMNS:
-            return self._counting_solutions()
-        return self._scan_solutions()
+        rows, cols, budget = self.rows, self.cols, self.budget
+        if not cols:
+            yield []
+            return
+        uncovered = (1 << len(cols)) - 1
+        viable = (1 << len(rows)) - 1
+        if len(cols) >= _COUNTING_MIN_COLUMNS:
+            counts = np.fromiter(
+                (mask.bit_count() for mask in cols), dtype=np.int32, count=len(cols)
+            )
+            cand = cols[_counted_branch(counts)]
+        else:
+            counts = None
+            cand = self._branch_rows(uncovered, viable)
+        chosen: list[int] = []
+        stack = [(uncovered, viable, counts, cand)]
+        while stack:
+            uncovered, viable, counts, cand = stack[-1]
+            if not cand:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            low = cand & -cand
+            cand ^= low
+            stack[-1] = (uncovered, viable, counts, cand)
+            self.nodes += 1
+            if self.nodes > budget:
+                raise SearchBudgetExceeded(f"exceeded search budget of {budget} nodes")
+            i = low.bit_length() - 1
+            chosen.append(i)
+            uncovered &= ~rows[i]
+            if not uncovered:
+                yield chosen
+                chosen.pop()
+                continue
+            dead = viable & self._kill(i)
+            viable ^= dead
+            if counts is None:
+                cand = self._branch_rows(uncovered, viable)
+            else:
+                counts = self._recount(counts.copy() if cand else counts, dead, i)
+                cand = cols[_counted_branch(counts)] & viable
+            stack.append((uncovered, viable, counts, cand))
 
     def _branch_rows(self, uncovered: int, viable: int) -> int:
         """Viable rows of the uncovered column with the fewest of them."""
@@ -255,91 +287,29 @@ class _ExactCover:
             uncovered ^= low
         return best
 
-    def _scan_solutions(self) -> Iterator[list[int]]:
-        """:meth:`solutions`, scanning for the branching column."""
-        rows, budget = self.rows, self.budget
-        uncovered = (1 << len(self.cols)) - 1
-        viable = (1 << len(rows)) - 1
-        chosen: list[int] = []
-        stack = [(uncovered, viable, self._branch_rows(uncovered, viable))]
-        while stack:
-            uncovered, viable, cand = stack[-1]
-            if not cand:
-                stack.pop()
-                if chosen:
-                    chosen.pop()
-                continue
-            low = cand & -cand
-            stack[-1] = (uncovered, viable, cand ^ low)
-            self.nodes += 1
-            if budget is not None and self.nodes > budget:
-                raise SearchBudgetExceeded(f"exceeded search budget of {budget} nodes")
-            i = low.bit_length() - 1
-            chosen.append(i)
-            uncovered &= ~rows[i]
-            if not uncovered:
-                yield chosen
-                chosen.pop()
-                continue
-            viable &= ~self._kill(i)
-            stack.append((uncovered, viable, self._branch_rows(uncovered, viable)))
+    def _recount(self, counts: np.ndarray, dead: int, i: int) -> np.ndarray:
+        """counts, updated in place, once the rows of ``dead`` have died
+        because row i (one of them) was chosen.
 
-    def _counting_solutions(self) -> Iterator[list[int]]:
-        """:meth:`solutions`, keeping per-column counts of viable rows."""
-        rows, cols, budget = self.rows, self.cols, self.budget
-        # row_cols[r], row r's columns, is built the first time r dies.
-        row_cols: list[Optional[np.ndarray]] = [None] * len(rows)
-        covered = len(rows) + 1  # above every real count
-        ncols = len(cols)
-        counts = np.fromiter(
-            (mask.bit_count() for mask in cols), dtype=np.int32, count=ncols
-        )
-        uncovered = (1 << ncols) - 1
-        viable = (1 << len(rows)) - 1
-        chosen: list[int] = []
-        stack = [(uncovered, viable, counts, cols[_counted_branch(counts)])]
-        while stack:
-            uncovered, viable, counts, cand = stack[-1]
-            if not cand:
-                stack.pop()
-                if chosen:
-                    chosen.pop()
-                continue
-            low = cand & -cand
-            cand ^= low
-            stack[-1] = (uncovered, viable, counts, cand)
-            self.nodes += 1
-            if budget is not None and self.nodes > budget:
-                raise SearchBudgetExceeded(f"exceeded search budget of {budget} nodes")
-            i = low.bit_length() - 1
-            chosen.append(i)
-            uncovered &= ~rows[i]
-            if not uncovered:
-                yield chosen
-                chosen.pop()
-                continue
-            dead = viable & self._kill(i)
-            viable ^= dead
-            # Row i is viable until chosen, so it is among the dead rows.
-            dead_cols = []
-            while dead:
-                low = dead & -dead
-                dead ^= low
-                r = low.bit_length() - 1
-                rc = row_cols[r]
-                if rc is None:
-                    rc = row_cols[r] = np.array(_bits(rows[r]), dtype=np.intp)
-                dead_cols.append(rc)
-            if cand:
-                counts = counts.copy()
-            dying = np.bincount(np.concatenate(dead_cols), minlength=ncols)
-            # Subtracting the int64 bincount from int32 counts in place
-            # would cast element by element, about twice as slow.
-            counts -= dying.astype(np.int32)
-            counts[row_cols[i]] = covered
-            stack.append(
-                (uncovered, viable, counts, cols[_counted_branch(counts)] & viable)
-            )
+        One ``np.bincount`` over the dead rows' columns is subtracted,
+        and row i's columns are set to a sentinel above every real count.
+        """
+        rows, row_cols = self.rows, self.row_cols
+        dead_cols = []
+        while dead:
+            low = dead & -dead
+            dead ^= low
+            r = low.bit_length() - 1
+            rc = row_cols[r]
+            if rc is None:
+                rc = row_cols[r] = np.array(_bits(rows[r]), dtype=np.intp)
+            dead_cols.append(rc)
+        dying = np.bincount(np.concatenate(dead_cols), minlength=len(counts))
+        # Subtracting the int64 bincount from int32 counts in place
+        # would cast element by element, about twice as slow.
+        counts -= dying.astype(np.int32)
+        counts[row_cols[i]] = len(rows) + 1
+        return counts
 
 
 def _counted_branch(counts: np.ndarray) -> int:
@@ -364,7 +334,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _dim_search(g: Graph, budget: Optional[int], spent: int = 0) -> _ExactCover:
+def _dim_search(g: Graph, budget: int, spent: int = 0) -> _ExactCover:
     """The DIM instance: rows and columns are both the sets D_e.
 
     D is symmetric (f in D_e iff e in D_f), so the column masks equal
@@ -374,17 +344,19 @@ def _dim_search(g: Graph, budget: Optional[int], spent: int = 0) -> _ExactCover:
     return _ExactCover(masks, masks, budget, spent)
 
 
-def find_dim(g: Graph, budget: Optional[int] = None) -> Optional[EdgeSet]:
+def find_dim(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[EdgeSet]:
     """Some valid DIM of g, or None if no DIM exists.
 
-    The empty matching is a DIM of any edgeless graph.
+    The empty matching is a DIM of any edgeless graph.  Raises
+    SearchBudgetExceeded once the search expands more than ``budget``
+    nodes.
     """
     for sol in _dim_search(g, budget).solutions():
         return frozenset(sol)
     return None
 
 
-def enumerate_dims(g: Graph, budget: int = 10_000_000) -> list[EdgeSet]:
+def enumerate_dims(g: Graph, budget: int = DEFAULT_BUDGET) -> list[EdgeSet]:
     """All DIMs of g, in lexicographic order of sorted edge-id tuples.
 
     Raises SearchBudgetExceeded once the search expands more than
@@ -395,7 +367,7 @@ def enumerate_dims(g: Graph, budget: int = 10_000_000) -> list[EdgeSet]:
     return sols
 
 
-def dim_size(g: Graph, budget: Optional[int] = None) -> Optional[int]:
+def dim_size(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[int]:
     """The common size of g's DIMs (all DIMs of a graph have equal size),
     or None if g has no DIM."""
     sol = find_dim(g, budget)

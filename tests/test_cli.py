@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, formats, determinism, round trips."""
 
+import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,18 +12,22 @@ from pathlib import Path
 import pytest
 
 import dimtools
-from dimtools import cli
+from dimtools import cli, partition, solver
+from dimtools.checks import Budgets
 from dimtools.cli import run
+from dimtools.graph import build_graph
 from dimtools.io import (
     MAX_VERTICES,
     parse_certificate,
     parse_graph,
     parse_labels,
     parse_partition,
+    serialize_graph,
 )
-from dimtools.families import cycle, petersen
+from dimtools.families import cycle, kneser, petersen
 
-# Sweep stdout that a change to the report code must reproduce byte for byte.
+# Golden stdout (sweeps, engine output) that a change must reproduce byte
+# for byte.
 DATA = Path(__file__).parent / "data"
 
 
@@ -378,3 +384,45 @@ class TestBudgetFlag:
         for argv in (["dim", "find"], ["partition", "find"], ["verify", "all"]):
             code, _, err = invoke([*argv, str(path), "--budget", budget])
             assert code == 0, (argv, err)
+
+
+# Seeded relabellings whose engine output is pinned byte for byte: the
+# first under the scan rule (70 columns), the second under the counting
+# rule (315 columns).  The DIM certificate and the partition are the
+# engine's first solutions, so these files pin its solution order.
+ENGINE_GOLDENS = {"kneser-7-3-seed5": (7, 3), "kneser-9-4-seed5": (9, 4)}
+
+
+def test_engine_goldens_are_seeded_relabellings_on_both_rules():
+    for name, (n, k) in ENGINE_GOLDENS.items():
+        g = kneser(n, k).graph
+        perm = list(range(g.n))
+        random.Random(5).shuffle(perm)
+        h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert (DATA / f"{name}.g").read_text(encoding="utf-8") == serialize_graph(h)
+    m = [kneser(n, k).graph.m for n, k in ENGINE_GOLDENS.values()]
+    assert m[0] < solver._COUNTING_MIN_COLUMNS <= m[1]
+
+
+@pytest.mark.parametrize("name", ENGINE_GOLDENS)
+@pytest.mark.parametrize("command", [("dim", "find"), ("dim", "enum"), ("partition", "find")])
+def test_engine_output_matches_golden(name, command):
+    code, out, err = invoke([*command, str(DATA / f"{name}.g")])
+    assert (code, err) == (0, "")
+    golden = DATA / f"{name}.{'-'.join(command)}.txt"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_default_budgets_are_one_constant():
+    budget = solver.DEFAULT_BUDGET
+    for fn in (solver.find_dim, solver.dim_size, solver.enumerate_dims,
+               partition.find_dim_partition):
+        assert inspect.signature(fn).parameters["budget"].default == budget, fn
+    assert Budgets().search_nodes == budget
+    parser = cli._build_parser()
+    for argv in (["dim", "find", "g"], ["partition", "find", "g"],
+                 ["verify", "all", "g"], ["sweep"]):
+        args = parser.parse_args(argv)
+        assert args.budget == budget, argv
+        if argv[0] in ("verify", "sweep"):
+            assert args.max_cycle == Budgets().max_cycle_len, argv

@@ -359,6 +359,27 @@ class TestListAssignment:
         with pytest.raises(ValueError):
             list_assignment(g, bad)
 
+    @pytest.mark.parametrize(
+        "other",
+        [lambda: kneser_dim_partition(4)[1], lambda: find_dim_partition(cycle(9))],
+        ids=["KG(7,3)", "C9"],
+    )
+    def test_partition_of_another_graph_rejected(self, other):
+        # 70 and 9 colored edges against Petersen's 15: the edge count is
+        # checked before any class is.
+        with pytest.raises(ValueError, match="^partition does not color this graph$"):
+            list_assignment(petersen(), other())
+
+    def test_one_pass_check_disagreeing_with_classify_dim_is_internal(
+        self, monkeypatch
+    ):
+        g = cycle(6)
+        p = find_dim_partition(g)
+        monkeypatch.setattr(partition, "_incident_colors", lambda g, p: None)
+        for call in (lambda: list_assignment(g, p), lambda: find_dim_partition(g)):
+            with pytest.raises(RuntimeError, match="disagrees with classify_dim"):
+                call()
+
 
 class TestVerifyListProperties:
     def test_petersen_all_three(self):

@@ -1,12 +1,13 @@
 """DIM classification, search, enumeration, and the subset-scan oracle."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimtools import partition
+from dimtools import partition, solver
 from dimtools.corpus import connected_graphs, sample_connected_graphs
 from dimtools.families import (
     bipartite_kneser,
@@ -19,6 +20,7 @@ from dimtools.families import (
 )
 from dimtools.graph import build_graph
 from dimtools.solver import (
+    DEFAULT_BUDGET,
     DimClass,
     SearchBudgetExceeded,
     _dim_search,
@@ -221,7 +223,7 @@ class TestEnumerate:
     def test_family_node_counts(self, make, first, nodes):
         # Node counts at the first solution (what find_dim pays) and at
         # the end of the enumeration.
-        search = _dim_search(make(), None)
+        search = _dim_search(make(), DEFAULT_BUDGET)
         at_solution = [search.nodes for _ in search.solutions()]
         assert (at_solution[0], search.nodes) == (first, nodes)
 
@@ -289,24 +291,28 @@ class TestBruteForce:
                 assert set(enumerate_dims(g)) == set(brute_force_dims(g))
 
 
-STRATEGIES = (_ExactCover._scan_solutions, _ExactCover._counting_solutions)
+# _COUNTING_MIN_COLUMNS values that force one branching rule on every
+# instance: the scan, then the per-column counts.
+RULES = (sys.maxsize, 0)
 
 
-def assert_same_tree(rows, cols):
-    """Both strategies give the same solutions in the same order with the
-    same node count, and run out of a budget one node short alike."""
+def assert_same_tree(monkeypatch, rows, cols):
+    """Both branching rules give the same solutions in the same order with
+    the same node count, and run out of a budget one node short alike."""
     trees = []
-    for strategy in STRATEGIES:
-        search = _ExactCover(rows, cols, None)
-        trees.append(([list(sol) for sol in strategy(search)], search.nodes))
+    for threshold in RULES:
+        monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
+        search = _ExactCover(rows, cols, DEFAULT_BUDGET)
+        trees.append(([list(sol) for sol in search.solutions()], search.nodes))
     (scanned, nodes), counted = trees
     assert counted == (scanned, nodes)
     assert nodes > 0
-    for strategy in STRATEGIES:
+    for threshold in RULES:
+        monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
         search = _ExactCover(rows, cols, nodes - 1)
         found = []
         with pytest.raises(SearchBudgetExceeded):
-            for sol in strategy(search):
+            for sol in search.solutions():
                 found.append(list(sol))
         assert found == scanned[: len(found)]
         assert search.nodes == nodes
@@ -338,28 +344,27 @@ class TestBranchingStrategies:
     """The scan and the per-column counts choose the same column.
 
     ``_ExactCover.solutions`` picks one of them by instance size, so each
-    is called directly here on instances of both sizes.
+    is forced here through ``_COUNTING_MIN_COLUMNS`` on instances of both
+    sizes.
     """
 
     @pytest.mark.parametrize("n", range(2, 6))
-    def test_connected_graphs(self, n):
-        # Edgeless graphs have no columns, which solutions() answers
-        # before it chooses a strategy.
+    def test_connected_graphs(self, monkeypatch, n):
         for g in connected_graphs(n):
-            masks = _dim_search(g, None).rows
-            assert_same_tree(masks, masks)
+            masks = _dim_search(g, DEFAULT_BUDGET).rows
+            assert_same_tree(monkeypatch, masks, masks)
 
     @pytest.mark.parametrize("g", family_instances())
-    def test_family_graphs(self, g):
-        masks = _dim_search(g, None).rows
-        assert_same_tree(masks, masks)
+    def test_family_graphs(self, monkeypatch, g):
+        masks = _dim_search(g, DEFAULT_BUDGET).rows
+        assert_same_tree(monkeypatch, masks, masks)
 
     @pytest.mark.parametrize("k", (30, 60, 90, 120))
-    def test_wide_short_prisms(self, k):
+    def test_wide_short_prisms(self, monkeypatch, k):
         # 90 to 360 columns, no DIM, and a search of only 8 nodes: the
-        # counting path's set-up is most of its work here.
-        masks = _dim_search(prism(k), None).rows
-        assert_same_tree(masks, masks)
+        # counting rule's set-up is most of its work here.
+        masks = _dim_search(prism(k), DEFAULT_BUDGET).rows
+        assert_same_tree(monkeypatch, masks, masks)
 
     def test_partition_cover_instance(self, monkeypatch):
         # find_dim_partition covers KG(9,4)'s 315 edges by its 9 DIMs.
@@ -374,4 +379,21 @@ class TestBranchingStrategies:
         assert partition.find_dim_partition(kneser(9, 4).graph) is not None
         [(rows, cols)] = built
         assert (len(rows), len(cols)) == (9, 315)
-        assert_same_tree(rows, cols)
+        assert_same_tree(monkeypatch, rows, cols)
+
+    @pytest.mark.parametrize("threshold", RULES, ids=["scan", "counting"])
+    def test_no_columns(self, monkeypatch, threshold):
+        # An edgeless graph's instance has no columns: one empty solution,
+        # found without trying a row, so even a budget of 0 suffices.
+        monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
+        search = _dim_search(build_graph(4, []), 0)
+        assert [list(sol) for sol in search.solutions()] == [[]]
+        assert search.nodes == 0
+
+    def test_rule_is_picked_by_column_count(self):
+        # Only the counting rule builds per-row column lists.
+        for g, counting in ((kneser(7, 3).graph, False), (kneser(9, 4).graph, True)):
+            search = _dim_search(g, DEFAULT_BUDGET)
+            assert (len(search.cols) >= solver._COUNTING_MIN_COLUMNS) == counting
+            assert sum(1 for _ in search.solutions()) == len(enumerate_dims(g))
+            assert any(rc is not None for rc in search.row_cols) == counting
