@@ -45,6 +45,7 @@ from .solver import (
     EdgeSet,
     _dim_search,
     _ExactCover,
+    _padded,
     brute_force_dims,
     classify_dim,
 )
@@ -126,7 +127,7 @@ def _cover_by_dims(
     Enumerates the DIMs with the exact-cover engine, unless ``dims``
     already lists them as :func:`_search_dims` does, then runs the same
     engine on the instance whose rows are those DIMs and whose columns
-    are the edges.  The first cover found is returned, its classes
+    are the edges; the DIMs' edge lists are its row table.  The first cover found is returned, its classes
     numbered 1..k in order of their smallest edge.  Both searches draw
     on one node budget, of which ``spent`` nodes are already used.
     """
@@ -137,7 +138,7 @@ def _cover_by_dims(
         for e in dim:
             cols[e] |= 1 << i
     rows = [sum(1 << e for e in dim) for dim in dims]
-    cover_search = _ExactCover(rows, cols, budget, spent)
+    cover_search = _ExactCover(rows, cols, lambda: _padded(dims, g.m), budget, spent)
     cover = next(cover_search.solutions(), None)
     if cover is None:
         return None, cover_search.nodes

@@ -18,12 +18,15 @@ It is one walk with two branching rules.  Small instances find the
 column by scanning the uncovered columns; instances with at least
 ``_COUNTING_MIN_COLUMNS`` columns keep every column's count of viable
 rows up to date instead, as Dancing Links keeps its column sizes, in an
-int32 numpy array.  Both rules pick the same column at every node, so
-the tree, the solutions and their order, and the node counts do not
-depend on which one runs.  Per-row set-up is lazy: a row's kill mask is
-built the first time the row is chosen and its column list the first
-time it dies, so the set-up grows with the search rather than with the
-instance.
+int32 numpy array.  That rule holds the rows also as a padded
+row-to-column index table, and a node updates the counts in a fixed
+number of numpy calls however many rows die: the dead rows are unpacked
+from their bitmask at once, their columns gathered from the table and
+subtracted as one ``np.bincount``.  Both rules pick the same column at
+every node, so the tree, the solutions and their order, and the node
+counts do not depend on which one runs.  A row's kill mask is built
+the first time the row is chosen, so that set-up grows with the search
+rather than with the instance.
 In the DIM instance the rows are the sets D_e and, because D is
 symmetric (f in D_e iff e in D_f), the columns are the same sets.
 Every row tried is one search node.  Every search has a node budget,
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -91,16 +94,41 @@ def dominated_set(g: Graph, e: EdgeId) -> EdgeSet:
 
 
 def _domination_masks(g: Graph) -> list[int]:
-    """Bitmask of D_e per edge (bit f set iff f is dominated by e)."""
-    masks = []
-    for u, v in g.edges:
+    """Bitmask of D_e per edge (bit f set iff f is dominated by e).
+
+    D_e for e = uv is the union of the incidence masks of u and v.
+    """
+    inc = []
+    for ids in g.incident:
         mask = 0
-        for f in g.incident[u]:
-            mask |= 1 << f
-        for f in g.incident[v]:
-            mask |= 1 << f
-        masks.append(mask)
-    return masks
+        for e in ids:
+            mask |= 1 << e
+        inc.append(mask)
+    return [inc[u] | inc[v] for u, v in g.edges]
+
+
+def _padded(lists: Sequence[Sequence[int]], pad: int) -> np.ndarray:
+    """The lists as the rows of an int array, each filled out with ``pad``
+    to the length of the longest."""
+    table = np.full((len(lists), max(map(len, lists), default=0)), pad, dtype=np.int32)
+    for i, row in enumerate(lists):
+        table[i, : len(row)] = row
+    return table
+
+
+def _domination_table(g: Graph) -> np.ndarray:
+    """D_e per edge as a row of edge ids, padded with m.
+
+    Row e = uv is u's incident edges followed by v's, each padded to the
+    maximum degree, with e's second occurrence (among v's) padded too, so
+    no edge appears twice in a row.
+    """
+    m = g.m
+    inc = _padded(g.incident, m)
+    ends = np.array(g.edges, dtype=np.intp)
+    at_u, at_v = inc[ends[:, 0]], inc[ends[:, 1]]
+    at_v[at_v == np.arange(m)[:, None]] = m
+    return np.hstack((at_u, at_v))
 
 
 def classify_dim(g: Graph, edge_ids: Iterable[EdgeId]) -> DimWitness:
@@ -134,28 +162,31 @@ def classify_dim(g: Graph, edge_ids: Iterable[EdgeId]) -> DimWitness:
 
 # Instances with at least this many columns choose the branching column
 # from per-column counts of viable rows (see _ExactCover); smaller ones
-# scan.  Each node under the counting rule pays a few numpy calls over all
-# columns and builds the column lists of rows dying for the first time,
-# which the scan's early exit beats on small instances and on short
-# searches.  Measured on Python 3.11 (2-vCPU VM), counting over scanning,
-# median of 21, both rules with lazy kill masks:
+# scan.  The counting rule builds its row table up front and pays a fixed
+# few numpy calls over all rows and columns per node, which the scan's
+# early exit beats on small instances and on short searches.  Measured on
+# Python 3.11 (2-vCPU VM), counting over scanning, each including the
+# instance's set-up, median of 21 (then the median of three such runs):
 #
 #   instance     columns  all DIMs  first DIM (or none)
-#   Petersen          15     5.1x      5.6x
-#   KG(7,3)           70     2.1x      3.6x
-#   prism C30         90     3.3x      3.4x  (8 nodes, no DIM)
-#   BG(3,3)          140     1.5x      2.1x
-#   BG(2,5)          168     1.06x     1.7x
-#   prism C60        180     2.4x      2.4x  (8 nodes, no DIM)
-#   BG(2,6)          252     0.80x     1.3x
-#   prism C90        270     1.8x      1.9x  (8 nodes, no DIM)
-#   BG(3,4)          280     0.93x     1.4x
-#   KG(9,4)          315     0.83x     1.6x
-#   prism C120       360     1.5x      1.5x  (8 nodes, no DIM)
-#   KG(11,5)       1 386     0.23x     0.37x
+#   Petersen          15     5.9x      4.8x
+#   KG(7,3)           70     2.3x      2.1x
+#   prism C30         90     3.4x      3.9x  (8 nodes, no DIM)
+#   BG(3,3)          140     2.0x      1.4x
+#   BG(2,5)          168     1.11x     1.16x
+#   prism C60        180     2.8x      2.9x  (8 nodes, no DIM)
+#   BG(2,6)          252     0.72x     0.71x
+#   prism C90        270     2.7x      2.5x  (8 nodes, no DIM)
+#   BG(3,4)          280     0.90x     0.95x
+#   KG(9,4)          315     0.78x     0.68x
+#   prism C120       360     2.4x      2.4x  (8 nodes, no DIM)
+#   KG(11,5)       1 386     0.15x     0.13x
 #
-# The crossover is near 190 columns for enumeration and between 360 and
-# 1 386 for a first solution; 256 sits between them.
+# On searches of 20 nodes or more the crossover lies between 168 and 252
+# columns, for enumeration and for a first solution alike; an 8-node
+# search is 0.1-0.4 ms slower counting at every width up to 360.  256
+# sits just above that crossover; a lower threshold would also send the
+# short searches of 200-odd columns to counting.
 _COUNTING_MIN_COLUMNS = 256
 
 
@@ -164,15 +195,17 @@ class _ExactCover:
 
     ``rows[i]`` is the column bitmask of row i and ``cols[c]`` the row
     bitmask of column c; a solution is a set of rows that covers every
-    column exactly once.  A search node holds the uncovered columns and
-    the viable rows (those disjoint from every chosen row) as ints.  It
-    branches on the uncovered column with the fewest viable rows, as in
-    Knuth's Algorithm X, and tries those rows in ascending order.
-    Choosing row i removes its columns from ``uncovered`` and every row
-    sharing a column with it, ``kill[i]``, from ``viable``; ``kill[i]``
-    is built the first time row i is chosen.  Every row tried counts as
-    one node against the budget; ``nodes`` keeps the running total,
-    starting from ``spent``.
+    column exactly once.  ``row_table`` builds the same rows as an int
+    array: row i's columns, each once, padded with ``len(cols)``; it is
+    called only by the counting rule, once.  A search node holds the
+    uncovered columns and the viable rows (those disjoint from every
+    chosen row) as ints.  It branches on the uncovered column with the
+    fewest viable rows, as in Knuth's Algorithm X, and tries those rows
+    in ascending order.  Choosing row i removes its columns from
+    ``uncovered`` and every row sharing a column with it, ``kill[i]``,
+    from ``viable``; ``kill[i]`` is built the first time row i is chosen.
+    Every row tried counts as one node against the budget; ``nodes``
+    keeps the running total, starting from ``spent``.
 
     The branching column is the lowest-index uncovered column with at
     most one viable row if there is one, and otherwise the lowest-index
@@ -184,9 +217,13 @@ class _ExactCover:
       such frames carry no counts;
     * counting (:meth:`_recount`, :func:`_counted_branch`): each frame
       carries every column's count in an int32 numpy array, as Knuth's
-      Dancing Links keeps column sizes.  A frame that still has untried
-      rows keeps its counts and its child gets a copy; a frame trying
-      its last row hands its array down to be updated in place.
+      Dancing Links keeps column sizes, plus one spare slot that the
+      table's padding points at.  A node updates it with a fixed number
+      of numpy calls: the dying rows are read off their bitmask at once,
+      their columns gathered from ``table`` and subtracted as one
+      ``np.bincount``.  A frame that still has untried rows keeps its
+      counts and its child gets a copy; a frame trying its last row
+      hands its array down to be updated in place.
 
     Both rules pick the same column at every node: the scan visits
     columns in ascending order, stops at the first count <= 1 and
@@ -197,14 +234,19 @@ class _ExactCover:
     """
 
     def __init__(
-        self, rows: list[int], cols: list[int], budget: int, spent: int = 0
+        self,
+        rows: list[int],
+        cols: list[int],
+        row_table: Callable[[], np.ndarray],
+        budget: int,
+        spent: int = 0,
     ) -> None:
         self.rows = rows
         self.cols = cols
+        self.row_table = row_table
+        # The counting rule's row_table(), None until it runs.
+        self.table: Optional[np.ndarray] = None
         self.kill: list[Optional[int]] = [None] * len(rows)
-        # row_cols[r], row r's columns, is built the first time r dies
-        # on the counting rule.
-        self.row_cols: list[Optional[np.ndarray]] = [None] * len(rows)
         self.budget = budget
         self.nodes = spent
 
@@ -212,13 +254,20 @@ class _ExactCover:
         """Row i and every row sharing a column with it, as a row mask."""
         k = self.kill[i]
         if k is None:
-            # Not through _bits: the list it builds made whole searches on
-            # small graphs about 13 % slower.
-            cols, mask, k = self.cols, self.rows[i], 0
-            while mask:
-                low = mask & -mask
-                k |= cols[low.bit_length() - 1]
-                mask ^= low
+            cols, k = self.cols, 0
+            if self.table is None:
+                # The scan's masks are short; walking their bits inline
+                # beats building a list of them.
+                mask = self.rows[i]
+                while mask:
+                    low = mask & -mask
+                    k |= cols[low.bit_length() - 1]
+                    mask ^= low
+            else:
+                pad = len(cols)
+                for c in self.table[i].tolist():
+                    if c != pad:
+                        k |= cols[c]
             self.kill[i] = k
         return k
 
@@ -234,10 +283,10 @@ class _ExactCover:
         uncovered = (1 << len(cols)) - 1
         viable = (1 << len(rows)) - 1
         if len(cols) >= _COUNTING_MIN_COLUMNS:
-            counts = np.fromiter(
-                (mask.bit_count() for mask in cols), dtype=np.int32, count=len(cols)
-            )
-            cand = cols[_counted_branch(counts)]
+            self.table = self.row_table()
+            counts = np.bincount(self.table.ravel(), minlength=len(cols) + 1)
+            counts = counts.astype(np.int32)
+            cand = cols[_counted_branch(counts[:-1])]
         else:
             counts = None
             cand = self._branch_rows(uncovered, viable)
@@ -269,7 +318,7 @@ class _ExactCover:
                 cand = self._branch_rows(uncovered, viable)
             else:
                 counts = self._recount(counts.copy() if cand else counts, dead, i)
-                cand = cols[_counted_branch(counts)] & viable
+                cand = cols[_counted_branch(counts[:-1])] & viable
             stack.append((uncovered, viable, counts, cand))
 
     def _branch_rows(self, uncovered: int, viable: int) -> int:
@@ -291,24 +340,22 @@ class _ExactCover:
         """counts, updated in place, once the rows of ``dead`` have died
         because row i (one of them) was chosen.
 
-        One ``np.bincount`` over the dead rows' columns is subtracted,
-        and row i's columns are set to a sentinel above every real count.
+        The dead rows are the set bits of ``dead``, unpacked in one go;
+        one ``np.bincount`` of their columns is subtracted, and row i's
+        columns are set to a sentinel above every real count.  The
+        padding lands in the spare last slot, which is never read.
         """
-        rows, row_cols = self.rows, self.row_cols
-        dead_cols = []
-        while dead:
-            low = dead & -dead
-            dead ^= low
-            r = low.bit_length() - 1
-            rc = row_cols[r]
-            if rc is None:
-                rc = row_cols[r] = np.array(_bits(rows[r]), dtype=np.intp)
-            dead_cols.append(rc)
-        dying = np.bincount(np.concatenate(dead_cols), minlength=len(counts))
-        # Subtracting the int64 bincount from int32 counts in place
-        # would cast element by element, about twice as slow.
+        table, n = self.table, len(self.rows)
+        packed = np.frombuffer(dead.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        # Viewed as bools, the bits take nonzero()'s fast path, 4x faster
+        # than as uint8 at 25 740 rows.
+        is_dead = np.unpackbits(packed, count=n, bitorder="little").view(np.bool_)
+        dying = np.bincount(table[is_dead.nonzero()[0]].ravel(), minlength=len(counts))
+        # int32 counts halve the copies the stack holds; subtracting the
+        # int64 bincount in place would cast element by element, about
+        # twice as slow as one astype.
         counts -= dying.astype(np.int32)
-        counts[row_cols[i]] = len(rows) + 1
+        counts[table[i]] = n + 1
         return counts
 
 
@@ -324,16 +371,6 @@ def _counted_branch(counts: np.ndarray) -> int:
     return int((counts <= 1).argmax()) if counts[c] == 0 else c
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _dim_search(g: Graph, budget: int, spent: int = 0) -> _ExactCover:
     """The DIM instance: rows and columns are both the sets D_e.
 
@@ -341,7 +378,7 @@ def _dim_search(g: Graph, budget: int, spent: int = 0) -> _ExactCover:
     the row masks and no transpose is needed.
     """
     masks = _domination_masks(g)
-    return _ExactCover(masks, masks, budget, spent)
+    return _ExactCover(masks, masks, lambda: _domination_table(g), budget, spent)
 
 
 def find_dim(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[EdgeSet]:
@@ -379,7 +416,8 @@ def brute_force_dims(g: Graph) -> list[EdgeSet]:
 
     Evaluates matching, induced, and dominating independently for every
     subset using vectorized subset-DP over bitmasks; shares nothing
-    with the exact cover search.  Requires m <= 20.
+    with the exact cover search, not even its D_e masks, which are
+    built here from the edge list alone.  Requires m <= 20.
     """
     m = g.m
     if m > 20:
@@ -387,7 +425,13 @@ def brute_force_dims(g: Graph) -> list[EdgeSet]:
     if m == 0:
         return [frozenset()]
 
-    dom = np.array(_domination_masks(g), dtype=np.int64)
+    dom = np.array(
+        [
+            sum(1 << f for f, (a, b) in enumerate(g.edges) if {a, b} & {u, v})
+            for u, v in g.edges
+        ],
+        dtype=np.int64,
+    )
     adjacent = dom & ~(np.int64(1) << np.arange(m, dtype=np.int64))
     vertex_of = sorted({w for e in g.edges for w in e})
     vid = {w: i for i, w in enumerate(vertex_of)}

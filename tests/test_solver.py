@@ -257,6 +257,34 @@ class TestDimSize:
                 assert len(sizes) <= 1
 
 
+def domination_instances():
+    yield from connected_graphs(5)
+    yield build_graph(7, [(0, 1), (1, 2), (1, 3), (4, 5)])
+    yield prism(30)
+    yield relabelled(kneser(9, 4).graph, 1)
+    yield relabelled(bipartite_kneser(3, 4).graph, 2)
+
+
+class TestDominationSets:
+    """The engine's two forms of D_e agree with :func:`dominated_set`."""
+
+    def test_masks(self):
+        for g in domination_instances():
+            masks = solver._domination_masks(g)
+            assert masks == [
+                sum(1 << f for f in dominated_set(g, e)) for e in range(g.m)
+            ]
+
+    def test_table_rows_list_each_edge_once(self):
+        for g in domination_instances():
+            table = solver._domination_table(g)
+            assert table.shape == (g.m, 2 * max(g.degrees))
+            for e, row in enumerate(table.tolist()):
+                cols = [c for c in row if c != g.m]
+                assert len(cols) == len(set(cols))
+                assert set(cols) == dominated_set(g, e)
+
+
 class TestBruteForce:
     def test_c6_matches_enumerate(self):
         g = cycle(6)
@@ -281,6 +309,16 @@ class TestBruteForce:
         for g in connected_graphs(n):
             assert enumerate_dims(g) == brute_force_dims(g)
 
+    def test_independent_of_engine_masks(self, monkeypatch):
+        # Wrong D_e masks mislead the engine but not the oracle.
+        graphs = [petersen(), cycle(6), star(3)]
+        expected = [brute_force_dims(g) for g in graphs]
+        monkeypatch.setattr(
+            solver, "_domination_masks", lambda g: [(1 << g.m) - 1] * g.m
+        )
+        assert enumerate_dims(petersen()) != expected[0]
+        assert [brute_force_dims(g) for g in graphs] == expected
+
     def test_oracle_equivalence_sampled_larger(self):
         # 1000 sampled graphs at 7-8 vertices and three relabellings of
         # BG(1,3); the scan oracle caps at 20 edges, so denser draws are
@@ -296,26 +334,33 @@ class TestBruteForce:
 RULES = (sys.maxsize, 0)
 
 
-def assert_same_tree(monkeypatch, rows, cols):
+def assert_same_tree(monkeypatch, search_for):
     """Both branching rules give the same solutions in the same order with
-    the same node count, and run out of a budget one node short alike."""
+    the same node count, and run out of a budget one node short alike.
+
+    ``search_for(budget)`` builds a fresh engine on the instance.
+    """
     trees = []
     for threshold in RULES:
         monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
-        search = _ExactCover(rows, cols, DEFAULT_BUDGET)
+        search = search_for(DEFAULT_BUDGET)
         trees.append(([list(sol) for sol in search.solutions()], search.nodes))
     (scanned, nodes), counted = trees
     assert counted == (scanned, nodes)
     assert nodes > 0
     for threshold in RULES:
         monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
-        search = _ExactCover(rows, cols, nodes - 1)
+        search = search_for(nodes - 1)
         found = []
         with pytest.raises(SearchBudgetExceeded):
             for sol in search.solutions():
                 found.append(list(sol))
         assert found == scanned[: len(found)]
         assert search.nodes == nodes
+
+
+def dim_instance(g):
+    return lambda budget: _dim_search(g, budget)
 
 
 def prism(k):
@@ -351,35 +396,56 @@ class TestBranchingStrategies:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_connected_graphs(self, monkeypatch, n):
         for g in connected_graphs(n):
-            masks = _dim_search(g, DEFAULT_BUDGET).rows
-            assert_same_tree(monkeypatch, masks, masks)
+            assert_same_tree(monkeypatch, dim_instance(g))
 
     @pytest.mark.parametrize("g", family_instances())
     def test_family_graphs(self, monkeypatch, g):
-        masks = _dim_search(g, DEFAULT_BUDGET).rows
-        assert_same_tree(monkeypatch, masks, masks)
+        assert_same_tree(monkeypatch, dim_instance(g))
 
     @pytest.mark.parametrize("k", (30, 60, 90, 120))
     def test_wide_short_prisms(self, monkeypatch, k):
         # 90 to 360 columns, no DIM, and a search of only 8 nodes: the
         # counting rule's set-up is most of its work here.
-        masks = _dim_search(prism(k), DEFAULT_BUDGET).rows
-        assert_same_tree(monkeypatch, masks, masks)
+        assert_same_tree(monkeypatch, dim_instance(prism(k)))
 
-    def test_partition_cover_instance(self, monkeypatch):
-        # find_dim_partition covers KG(9,4)'s 315 edges by its 9 DIMs.
+    @staticmethod
+    def assert_cover_instance_same_tree(monkeypatch, g, shape):
+        """find_dim_partition's cover instance on g has the given shape
+        and an unpadded table, and both rules search it alike."""
         built = []
 
         class Recording(_ExactCover):
-            def __init__(self, rows, cols, *args):
-                built.append((rows, cols))
-                super().__init__(rows, cols, *args)
+            def __init__(self, rows, cols, row_table, *args):
+                built.append((rows, cols, row_table))
+                super().__init__(rows, cols, row_table, *args)
 
         monkeypatch.setattr(partition, "_ExactCover", Recording)
-        assert partition.find_dim_partition(kneser(9, 4).graph) is not None
-        [(rows, cols)] = built
-        assert (len(rows), len(cols)) == (9, 315)
-        assert_same_tree(monkeypatch, rows, cols)
+        assert partition.find_dim_partition(g) is not None
+        [(rows, cols, row_table)] = built
+        assert (len(rows), len(cols)) == shape
+        # All DIMs of a graph have one size, so no row is padded.
+        assert (row_table() < len(cols)).all()
+        assert_same_tree(
+            monkeypatch, lambda budget: _ExactCover(rows, cols, row_table, budget)
+        )
+
+    def test_partition_cover_instance(self, monkeypatch):
+        # find_dim_partition covers KG(9,4)'s 315 edges by its 9 DIMs;
+        # 9 rows end the dead-row bitmask in a partial byte.
+        self.assert_cover_instance_same_tree(monkeypatch, kneser(9, 4).graph, (9, 315))
+
+    def test_partition_cover_instance_bg_3_4(self, monkeypatch):
+        # BG(3,4)'s 280 edges by its 8 DIMs, which fill whole bytes.
+        self.assert_cover_instance_same_tree(
+            monkeypatch, bipartite_kneser(3, 4).graph, (8, 280)
+        )
+
+    @pytest.mark.parametrize("threshold", RULES, ids=["scan", "counting"])
+    def test_cover_instance_without_rows(self, monkeypatch, threshold):
+        # A prism has no DIM, so its cover instance has 90 columns and no
+        # rows, and its row table is empty.
+        monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
+        assert partition.find_dim_partition(prism(30)) is None
 
     @pytest.mark.parametrize("threshold", RULES, ids=["scan", "counting"])
     def test_no_columns(self, monkeypatch, threshold):
@@ -391,9 +457,17 @@ class TestBranchingStrategies:
         assert search.nodes == 0
 
     def test_rule_is_picked_by_column_count(self):
-        # Only the counting rule builds per-row column lists.
+        # Only the counting rule builds the row-to-column table.
         for g, counting in ((kneser(7, 3).graph, False), (kneser(9, 4).graph, True)):
             search = _dim_search(g, DEFAULT_BUDGET)
             assert (len(search.cols) >= solver._COUNTING_MIN_COLUMNS) == counting
             assert sum(1 for _ in search.solutions()) == len(enumerate_dims(g))
-            assert any(rc is not None for rc in search.row_cols) == counting
+            assert (search.table is not None) == counting
+
+    def test_kill_masks_only_for_rows_tried(self):
+        # find_dim on KG(11,5) tries 126 of its 1 386 rows and builds the
+        # kill masks of those rows alone.
+        search = _dim_search(kneser(11, 5).graph, DEFAULT_BUDGET)
+        next(search.solutions())
+        assert search.nodes == 126
+        assert 0 < sum(k is not None for k in search.kill) <= 126
