@@ -127,9 +127,10 @@ def _cover_by_dims(
     Enumerates the DIMs with the exact-cover engine, unless ``dims``
     already lists them as :func:`_search_dims` does, then runs the same
     engine on the instance whose rows are those DIMs and whose columns
-    are the edges; the DIMs' edge lists are its row table.  The first cover found is returned, its classes
-    numbered 1..k in order of their smallest edge.  Both searches draw
-    on one node budget, of which ``spent`` nodes are already used.
+    are the edges; the DIMs' edge lists are its row table.  The first
+    cover found is returned, its classes numbered 1..k in order of their
+    smallest edge.  Both searches draw on one node budget, of which
+    ``spent`` nodes are already used.
     """
     if dims is None:
         dims, spent = _search_dims(g, budget, spent)

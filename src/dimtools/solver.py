@@ -284,8 +284,7 @@ class _ExactCover:
         viable = (1 << len(rows)) - 1
         if len(cols) >= _COUNTING_MIN_COLUMNS:
             self.table = self.row_table()
-            counts = np.bincount(self.table.ravel(), minlength=len(cols) + 1)
-            counts = counts.astype(np.int32)
+            counts = np.bincount(self.table.ravel(), minlength=len(cols) + 1).astype(np.int32)
             cand = cols[_counted_branch(counts[:-1])]
         else:
             counts = None
