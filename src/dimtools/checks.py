@@ -26,11 +26,14 @@ The laws covered:
   graph.
 
 :func:`full_report` runs all of them on one graph.  It computes each
-fact the checks share once, up front: the degree profile, connectivity,
-the DIMs, the cycle-law result for one of them, the DIM partition and
-its list assignment.  One run of the exact-cover engine gives the DIMs:
-its first solution is the DIM :func:`~dimtools.solver.find_dim` returns
-and all of them are the DIM list.  For a connected graph the partition
+fact the checks share once, up front: the degree profile, the DIMs,
+connectivity, the cycle-law result for one of them, the DIM partition
+and its list assignment.  Connectivity is computed only when some check
+can apply, that is when a DIM exists or the DIM search ran out of
+budget; no check reads it otherwise.  One run of the exact-cover engine
+gives the DIMs: its first solution is the DIM
+:func:`~dimtools.solver.find_dim` returns and all of them are the DIM
+list.  For a connected graph the partition
 search covers the edges by that list instead of enumerating the DIMs
 again.  Every entry then follows one rule.  A check whose hypothesis
 fails is not applicable.  A check that applies while a search it reads
@@ -39,12 +42,15 @@ entry; where the DIM search ran out, whether a DIM exists is unknown, so
 every check that needs one applies as far as the rest of its hypothesis
 goes.  Otherwise the check runs, and a budget hit inside it is an error
 entry too.  A budget hit never reads as "no DIM" or "no partition".
+Not-applicable entries depend only on the check's name and reason, so
+each is built once per process and shared, immutable, by every report.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Callable, Collection, Optional, Sequence
 
@@ -304,6 +310,13 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+@cache
+def _not_applicable(name: str, reason: str) -> CheckEntry:
+    """The one entry, shared by every report, for check ``name`` not
+    applying for ``reason``; a CheckEntry is frozen, so sharing is safe."""
+    return CheckEntry(name, applicable=False, passed=False, details=reason)
+
+
 def _entry(
     name: str,
     applies: bool,
@@ -314,7 +327,7 @@ def _entry(
     """One report entry: not applicable, a budget error, or the result
     ``(passed, details)`` of ``run``."""
     if not applies:
-        return CheckEntry(name, applicable=False, passed=False, details=na_reason)
+        return _not_applicable(name, na_reason)
     if search_error is None:
         try:
             passed, details = run()
@@ -333,7 +346,6 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     Output is deterministic for fixed inputs and budgets.
     """
     profile = degree_profile(g)
-    connected = is_connected(g)
     k = profile.max_degree
     regular = profile.is_regular and k >= 1
 
@@ -351,6 +363,9 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     # DIM exists; a hit after it leaves the DIM list incomplete.
     dim_error = None if dims else search_error
     maybe_dim = dim is not None or dim_error is not None
+    # Only a check that can apply reads connectivity, and none can without
+    # a DIM.
+    connected = maybe_dim and is_connected(g)
 
     cycles: Optional[CycleIntersectionCheck] = None
     p: Optional[DimPartition] = None

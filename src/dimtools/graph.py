@@ -264,35 +264,46 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
     vertices above it.  The search keeps one neighbor iterator per path
     vertex on an explicit stack, so cycles longer than the recursion
     limit are found too.
+
+    Each vertex's ``(neighbor, edge id)`` pairs, in ascending neighbor
+    order, are listed once per call, and the search carries the id of
+    each path edge along with the path: a cycle's ``edge_ids`` are the
+    path's ids plus the id of the edge that closes it, with no lookup.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
+    # Edges are sorted pairs (u, v) with u < v, so the pairs of a vertex x
+    # arrive in ascending neighbor order: first (u, x) by u < x, then (x, v)
+    # by v > x.
+    adj: list[list[tuple[int, EdgeId]]] = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
     out: list[Cycle] = []
-
-    def edge_set(cycle: tuple[int, ...]) -> frozenset[EdgeId]:
-        ids = [
-            g.edge_id(cycle[i], cycle[(i + 1) % len(cycle)])
-            for i in range(len(cycle))
-        ]
-        return frozenset(ids)
-
     for root in range(g.n):
-        nbrs = sorted(g.neighbors[root])
-        if len(nbrs) < 2 or nbrs[-2] < root:
+        nbrs = adj[root]
+        if len(nbrs) < 2 or nbrs[-2][0] < root:
             continue
         path = [root]
+        # ids[i] is the id of the edge into path[i]; the root's slot holds
+        # the closing edge while a cycle is recorded.
+        ids = [-1]
         on_path = {root}
         stack = [iter(nbrs)]
         while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
+            step = next(stack[-1], None)
+            if step is None:
                 stack.pop()
                 on_path.remove(path.pop())
-            elif nxt == root and len(path) >= 3 and path[1] < path[-1]:
-                cyc = tuple(path)
-                out.append(Cycle(cyc, edge_set(cyc)))
+                ids.pop()
+                continue
+            nxt, eid = step
+            if nxt == root and len(path) >= 3 and path[1] < path[-1]:
+                ids[0] = eid
+                out.append(Cycle(tuple(path), frozenset(ids)))
             elif nxt > root and nxt not in on_path and len(path) < max_len:
                 path.append(nxt)
+                ids.append(eid)
                 on_path.add(nxt)
-                stack.append(iter(sorted(g.neighbors[nxt])))
+                stack.append(iter(adj[nxt]))
     return out

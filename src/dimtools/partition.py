@@ -163,12 +163,13 @@ def find_dim_partition(
     """Partition E(g) into DIM classes, or None when impossible.
 
     Every edge uv must give the same class count d(u)+d(v)-1; this one
-    precondition is checked over all of g's edges before any search.
-    It also makes every connected component regular or biregular: a
-    constant d(u)+d(v) = s makes the degrees alternate between a and
-    s-a along every walk, so either a = s-a and the component is
-    regular, or the two degree classes are the two sides of a
-    bipartition and it is biregular.  Each edge-bearing component is
+    precondition is checked over all of g's edges before any search, and
+    before the components are found: without ``dims``, a graph that fails
+    it costs no BFS.  It also makes every connected component regular or
+    biregular: a constant d(u)+d(v) = s makes the degrees alternate
+    between a and s-a along every walk, so either a = s-a and the
+    component is regular, or the two degree classes are the two sides
+    of a bipartition and it is biregular.  Each edge-bearing component is
     then partitioned independently, its classes numbered in order of
     their smallest edge.  The edgeless graph gets the empty partition.
     Raises SearchBudgetExceeded once the searches of all components
@@ -180,14 +181,18 @@ def find_dim_partition(
     each a sorted edge list in engine order as :func:`_search_dims`
     returns them, and that search's node total as ``spent``; the search
     then covers E(g) by them instead of enumerating again, and builds
-    the same partition with the same node count.
+    the same partition with the same node count.  ``dims`` for a graph
+    with more than one edge-bearing component raises ValueError,
+    whatever the class count.
     """
-    comp_vertex_sets = [c for c in components(g) if any(g.incident[v] for v in c)]
-    if not comp_vertex_sets:
+    if not g.edges:
         return DimPartition(0, ())
+    k = _class_count(g)
+    if k is None and dims is None:
+        return None
+    comp_vertex_sets = [c for c in components(g) if any(g.incident[v] for v in c)]
     if dims is not None and len(comp_vertex_sets) > 1:
         raise ValueError("dims can stand in only for a connected graph's DIMs")
-    k = _class_count(g)
     if k is None:
         return None
 

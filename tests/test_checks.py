@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimtools import checks, partition, solver
+from dimtools import checks, graph, partition, solver
 from dimtools.checks import (
     Budgets,
     check_cycle_intersections,
@@ -32,6 +32,23 @@ C9_AFTER_PETERSEN = [(u + 10, v + 10) for u, v in cycle(9).edges]
 
 def k4_minus_edge():
     return build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+def count_calls(monkeypatch, targets):
+    """Wrap each (module, name) in targets; the returned dict counts the
+    calls by function name."""
+    calls = {}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    return calls
 
 
 class TestThreeColoring:
@@ -221,22 +238,12 @@ class TestFullReport:
             assert not entry.applicable and entry.error is None
 
     def test_each_fact_computed_once(self, monkeypatch):
-        calls = {}
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in (
-            "_dim_search",
-            "check_cycle_intersections",
-            "find_dim_partition",
-            "list_assignment",
-        ):
-            monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
+        calls = count_calls(monkeypatch, [
+            (checks, "_dim_search"),
+            (checks, "check_cycle_intersections"),
+            (checks, "find_dim_partition"),
+            (checks, "list_assignment"),
+        ])
         assert full_report(petersen()).all_passed
         assert calls == {
             "_dim_search": 1,
@@ -244,6 +251,39 @@ class TestFullReport:
             "find_dim_partition": 1,
             "list_assignment": 1,
         }
+
+    def test_facts_computed_only_when_needed(self, monkeypatch):
+        # is_connected reaches components through the graph module.
+        calls = count_calls(monkeypatch, [
+            (graph, "components"),
+            (partition, "components"),
+            (checks, "degree_profile"),
+            (partition, "degree_profile"),
+        ])
+        # No DIM: no check can apply, so connectivity is never asked for.
+        assert not full_report(cycle(4)).dim_exists
+        assert calls == {"degree_profile": 1}
+        # A DIM, but d(u)+d(v)-1 is 2 on the end edges and 3 in the middle,
+        # so the partition search gives up before looking for components.
+        # In the report it is handed the DIM list, and one BFS still checks
+        # that the graph is connected, as a DIM list may stand in only there.
+        path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        calls.clear()
+        assert find_dim_partition(path) is None
+        assert calls == {}
+        report = full_report(path)
+        assert report.dim_exists and not report.entry("partition-regularity").applicable
+        assert calls == {"components": 2, "degree_profile": 1}
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(0, 1), (2, 3)], [(0, 1), (1, 2), (2, 3), (4, 5)]],
+        ids=["constant-class-count", "varying-class-count"],
+    )
+    def test_dims_on_a_disconnected_graph_rejected(self, pairs):
+        g = build_graph(6, pairs)
+        with pytest.raises(ValueError, match="connected"):
+            find_dim_partition(g, dims=[[0]])
 
     @pytest.mark.parametrize(
         "g,searches",

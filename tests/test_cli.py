@@ -26,8 +26,8 @@ from dimtools.io import (
 )
 from dimtools.families import cycle, kneser, petersen
 
-# Golden stdout (sweeps, engine output) that a change must reproduce byte
-# for byte.
+# Golden stdout (sweeps, verify reports, engine output) that a change must
+# reproduce byte for byte.
 DATA = Path(__file__).parent / "data"
 
 
@@ -216,7 +216,26 @@ class TestPartitionCmd:
         assert code == 2
 
 
+# Graphs whose verify reports are kept as goldens: C4 has no DIM, so no
+# entry applies; the path 0-1-2-3 has a DIM but no partition; every entry
+# applies on the Petersen graph.
+VERIFY_GOLDENS = {
+    "c4": cycle(4),
+    "path4": build_graph(4, [(0, 1), (1, 2), (2, 3)]),
+    "petersen": petersen(),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("action", ["all", "report"])
+    @pytest.mark.parametrize("name", VERIFY_GOLDENS)
+    def test_output_matches_golden(self, tmp_path, name, action):
+        path = tmp_path / f"{name}.g"
+        path.write_text(serialize_graph(VERIFY_GOLDENS[name]), encoding="utf-8")
+        code, out, err = invoke(["verify", action, str(path)])
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"verify-{action}-{name}.txt").read_text(encoding="utf-8")
+
     def test_all_passes_on_petersen(self, petersen_file):
         code, out, _ = invoke(["verify", "all", str(petersen_file)])
         assert code == 0

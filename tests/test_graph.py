@@ -450,5 +450,31 @@ def test_cycles_match_networkx_simple_cycles(max_len):
         expected = sorted(
             canonical_cycle(c) for c in nx.simple_cycles(G, length_bound=max_len)
         )
-        found = sorted(c.vertices for c in enumerate_cycles(g, max_len))
-        assert found == expected, g.edges
+        cycles = enumerate_cycles(g, max_len)
+        assert sorted(c.vertices for c in cycles) == expected, g.edges
+        for c in cycles:
+            closed = zip(c.vertices, c.vertices[1:] + c.vertices[:1])
+            assert c.edge_ids == {g.edge_id(a, b) for a, b in closed}, c
+
+
+# enumerate_cycles(petersen(), 8) in the order the search finds them: by
+# root, then by path, neighbors taken in ascending order.
+PETERSEN_CYCLES_UP_TO_8 = [
+    (0, 5, 6, 2, 3, 7, 1, 9), (0, 5, 6, 2, 3, 8), (0, 5, 6, 2, 9),
+    (0, 5, 6, 2, 9, 1, 4, 8), (0, 5, 6, 4, 1, 7, 3, 8), (0, 5, 6, 4, 1, 9),
+    (0, 5, 6, 4, 8), (0, 5, 6, 4, 8, 3, 2, 9), (0, 5, 7, 1, 4, 6, 2, 9),
+    (0, 5, 7, 1, 4, 8), (0, 5, 7, 1, 9), (0, 5, 7, 1, 9, 2, 3, 8),
+    (0, 5, 7, 3, 2, 6, 4, 8), (0, 5, 7, 3, 2, 9), (0, 5, 7, 3, 8),
+    (0, 5, 7, 3, 8, 4, 1, 9), (0, 8, 3, 2, 6, 4, 1, 9), (0, 8, 3, 2, 9),
+    (0, 8, 3, 7, 1, 9), (0, 8, 3, 7, 5, 6, 2, 9), (0, 8, 4, 1, 7, 3, 2, 9),
+    (0, 8, 4, 1, 9), (0, 8, 4, 6, 2, 9), (0, 8, 4, 6, 5, 7, 1, 9), (1, 4, 6, 2, 3, 7),
+    (1, 4, 6, 2, 9), (1, 4, 6, 5, 7), (1, 4, 6, 5, 7, 3, 2, 9),
+    (1, 4, 8, 3, 2, 6, 5, 7), (1, 4, 8, 3, 2, 9), (1, 4, 8, 3, 7), (1, 7, 3, 2, 9),
+    (1, 7, 3, 8, 4, 6, 2, 9), (1, 7, 5, 6, 2, 9), (2, 3, 7, 5, 6), (2, 3, 8, 4, 6),
+    (3, 7, 5, 6, 4, 8),
+]
+
+
+def test_cycle_order_is_pinned():
+    found = [c.vertices for c in enumerate_cycles(petersen(), 8)]
+    assert found == PETERSEN_CYCLES_UP_TO_8
