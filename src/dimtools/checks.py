@@ -26,17 +26,16 @@ The laws covered:
   graph.
 
 :func:`full_report` runs all of them on one graph.  It computes each
-fact the checks share once, up front: the degree profile, the DIMs,
-connectivity, the cycle-law result for one of them, the DIM partition
-and its list assignment.  Connectivity is computed only when some check
-can apply, that is when a DIM exists or the DIM search ran out of
-budget; no check reads it otherwise.  One run of the exact-cover engine
-gives the DIMs: its first solution is the DIM
-:func:`~dimtools.solver.find_dim` returns and all of them are the DIM
-list.  For a connected graph the partition
-search covers the edges by that list instead of enumerating the DIMs
-again.  Every entry then follows one rule.  A check whose hypothesis
-fails is not applicable.  A check that applies while a search it reads
+fact the checks share once, up front, and passes it down: the degree
+profile, the DIMs, the components, the cycle-law result for one DIM,
+the DIM partition with its incident-color sets and the list assignment
+built from them.  The components are found only when some check can
+apply, that is when a DIM exists or the DIM search ran out of budget.
+One run of the exact-cover engine gives the DIMs: its first solution is
+the DIM :func:`~dimtools.solver.find_dim` returns and all of them are
+the DIM list.  The partition search of a connected graph covers the
+edges by that list.  Every entry then follows one rule.  A check whose
+hypothesis fails is not applicable.  A check that applies while a search it reads
 (the DIM search or the partition search) ran out of budget is an error
 entry; where the DIM search ran out, whether a DIM exists is unknown, so
 every check that needs one applies as far as the rest of its hypothesis
@@ -54,14 +53,14 @@ from functools import cache
 from math import comb
 from typing import Callable, Collection, Optional, Sequence
 
-from .graph import EdgeId, Graph, degree_profile, enumerate_cycles, is_connected
+from .graph import EdgeId, Graph, components, degree_profile, enumerate_cycles
 from .partition import (
     DimPartition,
+    _class_count,
+    _list_properties,
+    _lists,
+    _search_partition,
     check_kneser_isomorphism,
-    find_dim_partition,
-    list_assignment,
-    verify_dim_partition,
-    verify_list_properties,
 )
 from .solver import (
     DEFAULT_BUDGET,
@@ -198,16 +197,6 @@ def check_cycle_intersections(
         if r == 4 and hits != 0:
             short_ok = False
     return CycleIntersectionCheck(bound_ok, parity_ok, short_ok, len(cycles))
-
-
-def check_partition_regularity(g: Graph, p: DimPartition) -> bool:
-    """Regular-or-biregular plus exact class count, for connected graphs."""
-    if not is_connected(g):
-        raise ValueError("regularity law applies to connected graphs")
-    report = verify_dim_partition(g, p)
-    if not report.valid:
-        raise ValueError("partition classes are not all DIMs")
-    return report.regularity in ("regular", "biregular") and report.class_count_ok
 
 
 @dataclass(frozen=True)
@@ -363,32 +352,35 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     # DIM exists; a hit after it leaves the DIM list incomplete.
     dim_error = None if dims else search_error
     maybe_dim = dim is not None or dim_error is not None
-    # Only a check that can apply reads connectivity, and none can without
-    # a DIM.
-    connected = maybe_dim and is_connected(g)
+    # Only a check that can apply reads the components, and none can
+    # without a DIM.
+    comps = components(g) if maybe_dim else []
+    connected = maybe_dim and len(comps) <= 1
 
     cycles: Optional[CycleIntersectionCheck] = None
     p: Optional[DimPartition] = None
     partition_error = dim_error
+    assignment = None
     if dim is not None:
         cycles = check_cycle_intersections(g, dim, budgets.max_cycle_len)
+        classes = _class_count(g)
+        # A connected g is the partition search's only component, so it
+        # would enumerate these same DIMs in as many nodes.  After a budget
+        # hit search.nodes is past the budget, so the search enumerates
+        # again and runs out at its first node, as it would have.
+        known = (None if search_error else dims, search.nodes) if connected else ()
         try:
-            if connected:
-                # g is the partition search's only component, so it would
-                # enumerate these same DIMs in as many nodes.  After a
-                # budget hit search.nodes is past the budget, so the
-                # search enumerates again and runs out at its first node,
-                # as it would have.
-                complete = None if search_error else dims
-                p = find_dim_partition(g, budgets.search_nodes, complete, search.nodes)
-            else:
-                p = find_dim_partition(g, budgets.search_nodes)
+            # No partition exists without one class count on every edge.
+            found = classes and _search_partition(
+                g, classes, budgets.search_nodes, comps, *known
+            )
         except SearchBudgetExceeded as exc:
             partition_error = str(exc)
+        else:
+            if found:
+                p, colors_at = found
+                assignment = _lists(classes, colors_at)
     maybe_partition = (p is not None or partition_error is not None) and g.m > 0
-    assignment = None
-    if p is not None and g.m > 0 and profile.regularity != "neither":
-        assignment = list_assignment(g, p)
 
     def coloring():
         used = sorted(set(three_coloring_from_dim(g, dim).color_of))
@@ -420,10 +412,14 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         return lambda: (getattr(cycles, law), f"cycles checked {cycles.cycles_checked}")
 
     def partition_regularity():
-        return check_partition_regularity(g, p), f"classes {p.num_classes}"
+        # The law itself, on the partition found and the degree profile.
+        ok = profile.regularity != "neither" and all(
+            p.num_classes == g.degrees[u] + g.degrees[v] - 1 for u, v in g.edges
+        )
+        return ok, f"classes {p.num_classes}"
 
     def lists():
-        res = verify_list_properties(g, assignment)
+        res = _list_properties(g, assignment, profile.min_degree, profile.max_degree)
         ok = res.disjointness and res.surjective and res.equal_fibers
         return ok, (
             f"disjoint {res.disjointness} surjective {res.surjective} "

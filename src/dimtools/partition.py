@@ -17,7 +17,9 @@ Whether every class of a given coloring is a DIM is decided in one pass
 over the vertices' sets of incident colors (:func:`_incident_colors`),
 for :func:`verify_dim_partition`, for :func:`list_assignment` and for
 the search's postcondition; :func:`~dimtools.solver.classify_dim` runs
-per class only to name the failure.
+per class only to name the failure.  The search returns those sets, so
+:func:`~dimtools.checks.full_report` builds its list assignment from
+them; the report passes its class count, components and DIM list down.
 
 The list assignment sends each vertex to the set of class colors
 missing from its incident edges.  A DIM class meets every vertex in
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
-from .graph import Graph, components, degree_profile, induced_subgraph, is_connected
+from .graph import Graph, components, degree_profile, induced_subgraph
 from .solver import (
     DEFAULT_BUDGET,
     DimClass,
@@ -154,50 +156,47 @@ def _cover_by_dims(
     return colors, cover_search.nodes
 
 
-def find_dim_partition(
-    g: Graph,
-    budget: int = DEFAULT_BUDGET,
-    dims: Optional[list[list[int]]] = None,
-    spent: int = 0,
-) -> Optional[DimPartition]:
+def find_dim_partition(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[DimPartition]:
     """Partition E(g) into DIM classes, or None when impossible.
 
     Every edge uv must give the same class count d(u)+d(v)-1; this one
     precondition is checked over all of g's edges before any search, and
-    before the components are found: without ``dims``, a graph that fails
-    it costs no BFS.  It also makes every connected component regular or
-    biregular: a constant d(u)+d(v) = s makes the degrees alternate
-    between a and s-a along every walk, so either a = s-a and the
-    component is regular, or the two degree classes are the two sides
-    of a bipartition and it is biregular.  Each edge-bearing component is
+    before the components are found, so a graph that fails it costs no
+    BFS.  It also makes every connected component regular or biregular:
+    a constant d(u)+d(v) = s makes the degrees alternate between a and
+    s-a along every walk, so either a = s-a and the component is
+    regular, or the two degree classes are the two sides of a
+    bipartition and it is biregular.  Each edge-bearing component is
     then partitioned independently, its classes numbered in order of
     their smallest edge.  The edgeless graph gets the empty partition.
     Raises SearchBudgetExceeded once the searches of all components
-    together expand more than ``budget`` nodes, of which ``spent`` are
-    already used on entry.
-
-    A caller that has enumerated the DIMs of a connected g with the
-    exact-cover engine under the same budget passes them as ``dims``,
-    each a sorted edge list in engine order as :func:`_search_dims`
-    returns them, and that search's node total as ``spent``; the search
-    then covers E(g) by them instead of enumerating again, and builds
-    the same partition with the same node count.  ``dims`` for a graph
-    with more than one edge-bearing component raises ValueError,
-    whatever the class count.
+    together expand more than ``budget`` nodes.
     """
     if not g.edges:
         return DimPartition(0, ())
     k = _class_count(g)
-    if k is None and dims is None:
-        return None
-    comp_vertex_sets = [c for c in components(g) if any(g.incident[v] for v in c)]
-    if dims is not None and len(comp_vertex_sets) > 1:
-        raise ValueError("dims can stand in only for a connected graph's DIMs")
     if k is None:
         return None
+    found = _search_partition(g, k, budget, components(g))
+    return found[0] if found else None
 
+
+def _search_partition(
+    g: Graph, k: int, budget: int, comps: list[list[int]],
+    dims: Optional[list[list[int]]] = None, spent: int = 0,
+) -> Optional[tuple[DimPartition, list[set[int]]]]:
+    """:func:`find_dim_partition` on a g with edges, forced class count
+    k and components ``comps``, with ``spent`` nodes already used: the
+    partition and each vertex's incident colors, or None.
+
+    A caller that has enumerated the DIMs of a connected g under the
+    same budget passes them as ``dims``, as :func:`_search_dims` returns
+    them, and that search's node total as ``spent``; the search covers
+    E(g) by them instead of enumerating again, with the same partition
+    and node count.
+    """
     color_of = [0] * g.m
-    for comp in comp_vertex_sets:
+    for comp in (c for c in comps if any(g.incident[v] for v in c)):
         sub, old_vertices = induced_subgraph(g, comp)
         sub_colors, spent = _cover_by_dims(sub, k, budget, spent, dims)
         if sub_colors is None:
@@ -210,12 +209,13 @@ def find_dim_partition(
             color_of[eid] = sub_colors[local_eid]
 
     partition = DimPartition(k, tuple(color_of))
-    if _incident_colors(g, partition) is None:
+    colors_at = _incident_colors(g, partition)
+    if colors_at is None:
         raise RuntimeError(
             f"partition search produced a non-DIM class "
             f"({_first_non_dim(g, partition).value})"
         )
-    return partition
+    return partition, colors_at
 
 
 def _incident_colors(g: Graph, p: DimPartition) -> Optional[list[set[int]]]:
@@ -282,8 +282,13 @@ def list_assignment(g: Graph, p: DimPartition) -> ListAssignment:
     colors_at = _incident_colors(g, p)
     if colors_at is None:
         raise ValueError(f"partition class is not a DIM ({_first_non_dim(g, p).value})")
-    universe = frozenset(range(1, p.num_classes + 1))
-    return ListAssignment(p.num_classes, tuple(universe - c for c in colors_at))
+    return _lists(p.num_classes, colors_at)
+
+
+def _lists(k: int, colors_at: list[set[int]]) -> ListAssignment:
+    """The lists of a k-class DIM partition with these incident colors."""
+    universe = frozenset(range(1, k + 1))
+    return ListAssignment(k, tuple(universe - c for c in colors_at))
 
 
 def verify_list_properties(g: Graph, assignment: ListAssignment) -> ListCheck:
@@ -300,7 +305,11 @@ def verify_list_properties(g: Graph, assignment: ListAssignment) -> ListCheck:
     profile = degree_profile(g)
     if profile.regularity == "neither":
         raise ValueError("degree profile is neither regular nor biregular")
-    lo, hi = profile.min_degree, profile.max_degree
+    return _list_properties(g, assignment, profile.min_degree, profile.max_degree)
+
+
+def _list_properties(g: Graph, assignment: ListAssignment, lo: int, hi: int) -> ListCheck:
+    """:func:`verify_list_properties` given g's extreme degrees lo, hi."""
     k = max(lo + hi - 1, 0)
     if assignment.num_labels != k:
         raise ValueError(
@@ -340,8 +349,10 @@ def check_kneser_isomorphism(g: Graph, assignment: ListAssignment) -> bool:
 
     True exactly when the vertex count equals C(2r-1, r-1), the lists
     hit every (r-1)-subset of {1..2r-1} once, and two vertices are
-    adjacent iff their lists are disjoint.  Requires a connected
-    regular graph.
+    adjacent iff their lists are disjoint.  Requires a regular graph.
+    A disconnected one gets False: when every condition holds, the lists
+    are all the (r-1)-subsets of {1..2r-1} and g is KG(2r-1, r-1),
+    which is connected.
 
     Only the edges need checking.  Once the lists are C(2r-1, r-1)
     distinct (r-1)-subsets of {1..2r-1}, they are all of them, and each
@@ -351,12 +362,9 @@ def check_kneser_isomorphism(g: Graph, assignment: ListAssignment) -> bool:
     are disjoint from its own.  So "every edge joins disjoint lists"
     already gives "adjacent iff disjoint", in time linear in the edges.
     """
-    profile = degree_profile(g)
-    if not profile.is_regular:
+    r = max(g.degrees, default=0)
+    if min(g.degrees, default=0) != r:
         raise ValueError("graph is not regular")
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
-    r = profile.max_degree
     if assignment.num_labels != 2 * r - 1 or len(assignment.lists) != g.n:
         raise ValueError("assignment shape does not match an r-regular partition")
 

@@ -12,15 +12,22 @@ from dimtools.checks import (
     check_dim_bounds,
     check_dim_size_invariance,
     check_edge_bound,
-    check_partition_regularity,
     full_report,
     regular_dim_formula,
     three_coloring_from_dim,
 )
 from dimtools.corpus import sample_connected_graphs
-from dimtools.families import cycle, complete, kneser, kneser_dim_partition, petersen, star
+from dimtools.families import (
+    bipartite_kneser,
+    complete,
+    cycle,
+    kneser,
+    kneser_dim_partition,
+    petersen,
+    star,
+)
 from dimtools.graph import build_graph
-from dimtools.partition import find_dim_partition
+from dimtools.partition import DimPartition, find_dim_partition
 from dimtools.solver import SearchBudgetExceeded, enumerate_dims, find_dim
 
 
@@ -160,23 +167,39 @@ class TestCycleIntersections:
 
 
 class TestPartitionRegularity:
+    """The report's partition-regularity entry."""
+
+    def passes(self, g):
+        entry = full_report(g).entry("partition-regularity")
+        return entry.applicable and entry.passed
+
     def test_c6(self):
-        g = cycle(6)
-        assert check_partition_regularity(g, find_dim_partition(g))
+        assert self.passes(cycle(6))
 
     def test_star(self):
-        g = star(3)
-        assert check_partition_regularity(g, find_dim_partition(g))
+        assert self.passes(star(3))
 
     def test_petersen(self):
-        lg, p = kneser_dim_partition(3)
-        assert check_partition_regularity(lg.graph, p)
+        assert self.passes(kneser_dim_partition(3)[0].graph)
 
     def test_disconnected_rejected(self):
+        # The law is for connected graphs; this one has a partition.
         g = build_graph(4, [(0, 1), (2, 3)])
-        p = find_dim_partition(g)
-        with pytest.raises(ValueError):
-            check_partition_regularity(g, p)
+        assert find_dim_partition(g) is not None
+        entry = full_report(g).entry("partition-regularity")
+        assert not entry.applicable and entry.error is None
+
+    def test_class_count_read_off_the_partition(self, monkeypatch):
+        # C6 with its edges split into two perfect matchings: the entry
+        # must compare the partition's own class count, 2, with
+        # d(u)+d(v)-1 = 3, not trust the search's class count.
+        g = cycle(6)
+        wrong = DimPartition(2, (1, 2, 1, 2, 1, 2))
+        colors_at = [{1, 2}] * 6
+        monkeypatch.setattr(checks, "_search_partition", lambda *args: (wrong, colors_at))
+        entry = full_report(g).entry("partition-regularity")
+        assert entry.applicable and not entry.passed
+        assert entry.details == "classes 2"
 
 
 class TestBudgets:
@@ -237,25 +260,48 @@ class TestFullReport:
             entry = report.entry(name)
             assert not entry.applicable and entry.error is None
 
-    def test_each_fact_computed_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            (petersen(), {}),
+            (kneser(7, 3).graph, {}),
+            (cycle(9), {}),
+            (bipartite_kneser(2, 3).graph, {}),
+            (star(3), {}),
+            # The partition search enumerates each component's DIMs.
+            (build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]), {"_dim_search": 3}),
+            # d(u)+d(v)-1 is 5 on Petersen and 3 on C9: no partition search.
+            (build_graph(19, [*petersen().edges, *C9_AFTER_PETERSEN]),
+             {"_incident_colors": 0}),
+            (cycle(4), {"components": 0, "check_cycle_intersections": 0,
+                        "_incident_colors": 0}),
+        ],
+        ids=["Petersen", "KG(7,3)", "C9", "BG(2,3)", "star(3)", "two-Petersens",
+             "Petersen+C9", "C4-no-dim"],
+    )
+    def test_each_fact_computed_once(self, monkeypatch, g, expected):
         calls = count_calls(monkeypatch, [
+            (graph, "components"),
+            (checks, "components"),
+            (partition, "components"),
+            (checks, "degree_profile"),
+            (partition, "degree_profile"),
+            (partition, "_incident_colors"),
             (checks, "_dim_search"),
+            (partition, "_dim_search"),
             (checks, "check_cycle_intersections"),
-            (checks, "find_dim_partition"),
-            (checks, "list_assignment"),
         ])
-        assert full_report(petersen()).all_passed
-        assert calls == {
-            "_dim_search": 1,
-            "check_cycle_intersections": 1,
-            "find_dim_partition": 1,
-            "list_assignment": 1,
-        }
+        assert full_report(g).all_passed
+        names = ("degree_profile", "components", "_incident_colors", "_dim_search",
+                 "check_cycle_intersections")
+        want = {name: expected.get(name, 1) for name in names}
+        assert {name: calls.get(name, 0) for name in names} == want
 
     def test_facts_computed_only_when_needed(self, monkeypatch):
         # is_connected reaches components through the graph module.
         calls = count_calls(monkeypatch, [
             (graph, "components"),
+            (checks, "components"),
             (partition, "components"),
             (checks, "degree_profile"),
             (partition, "degree_profile"),
@@ -265,25 +311,14 @@ class TestFullReport:
         assert calls == {"degree_profile": 1}
         # A DIM, but d(u)+d(v)-1 is 2 on the end edges and 3 in the middle,
         # so the partition search gives up before looking for components.
-        # In the report it is handed the DIM list, and one BFS still checks
-        # that the graph is connected, as a DIM list may stand in only there.
+        # The report finds them once, for its own connectivity test.
         path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         calls.clear()
         assert find_dim_partition(path) is None
         assert calls == {}
         report = full_report(path)
         assert report.dim_exists and not report.entry("partition-regularity").applicable
-        assert calls == {"components": 2, "degree_profile": 1}
-
-    @pytest.mark.parametrize(
-        "pairs",
-        [[(0, 1), (2, 3)], [(0, 1), (1, 2), (2, 3), (4, 5)]],
-        ids=["constant-class-count", "varying-class-count"],
-    )
-    def test_dims_on_a_disconnected_graph_rejected(self, pairs):
-        g = build_graph(6, pairs)
-        with pytest.raises(ValueError, match="connected"):
-            find_dim_partition(g, dims=[[0]])
+        assert calls == {"components": 1, "degree_profile": 1}
 
     @pytest.mark.parametrize(
         "g,searches",

@@ -1,5 +1,6 @@
 """DIM partitions, list assignments, and their verification."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimtools import checks, partition
+from dimtools import checks, graph, partition
 from dimtools.corpus import connected_graphs
 from dimtools.families import (
     bg_dim_partition,
@@ -22,7 +23,7 @@ from dimtools.families import (
     petersen,
     star,
 )
-from dimtools.graph import build_graph, degree_profile, is_connected
+from dimtools.graph import build_graph, components, degree_profile, is_connected
 from dimtools.partition import (
     DimPartition,
     ListAssignment,
@@ -35,6 +36,7 @@ from dimtools.partition import (
 )
 from dimtools.solver import DimClass, DimWitness, SearchBudgetExceeded, classify_dim
 
+from test_checks import count_calls
 from test_cli import subprocess_env
 from test_graph import graphs_strategy
 from test_solver import BG13_RELABELLED
@@ -169,14 +171,13 @@ class TestFindPartition:
 
     def test_known_dims_stand_in_for_the_enumeration(self):
         g = kneser(7, 3).graph
+        k, comps = partition._class_count(g), components(g)
         dims, spent = partition._search_dims(g, 10_000)
-        assert find_dim_partition(g, 10_000, dims, spent) == find_dim_partition(g, 10_000)
+        p, colors_at = partition._search_partition(g, k, 10_000, comps, dims, spent)
+        assert p == find_dim_partition(g, 10_000)
+        assert colors_at == partition._incident_colors(g, p)
         with pytest.raises(SearchBudgetExceeded):
-            find_dim_partition(g, spent, dims, spent)
-        pet = petersen().edges
-        two = build_graph(20, [*pet, *((u + 10, v + 10) for u, v in pet)])
-        with pytest.raises(ValueError, match="connected"):
-            find_dim_partition(two, 10_000, partition._search_dims(two, 10_000)[0])
+            partition._search_partition(g, k, spent, comps, dims, spent)
 
     def test_classes_numbered_by_smallest_edge(self):
         p = find_dim_partition(petersen())
@@ -522,6 +523,31 @@ class TestKneserIsomorphism:
         g = star(3)
         with pytest.raises(ValueError):
             check_kneser_isomorphism(g, list_assignment(g, find_dim_partition(g)))
+
+    def test_disconnected_regular_graph_false(self):
+        pet = petersen().edges
+        two = build_graph(20, [*pet, *((u + 10, v + 10) for u, v in pet)])
+        assert not check_kneser_isomorphism(two, list_assignment(two, find_dim_partition(two)))
+        # K4 + K3,3 is cubic on 10 = C(5, 2) vertices, so only its edges
+        # can tell it from KG(5, 2).
+        k4_k33 = build_graph(10, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                                  *((u, v) for u in range(4, 7) for v in range(7, 10))])
+        pairs = [frozenset(c) for c in itertools.combinations(range(1, 6), 2)]
+        for seed in range(20):
+            random.Random(seed).shuffle(pairs)
+            assert not check_kneser_isomorphism(k4_k33, ListAssignment(5, tuple(pairs)))
+
+    def test_reads_only_the_degrees(self, monkeypatch):
+        calls = count_calls(monkeypatch, [
+            (graph, "components"),
+            (partition, "components"),
+            (graph, "degree_profile"),
+            (partition, "degree_profile"),
+        ])
+        lg, p = kneser_dim_partition(4)
+        a = list_assignment(lg.graph, p)
+        assert check_kneser_isomorphism(lg.graph, a)
+        assert calls == {}
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_agrees_with_networkx_isomorphism(self, r):
