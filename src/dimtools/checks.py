@@ -26,10 +26,11 @@ The laws covered:
   graph.
 
 :func:`full_report` runs all of them on one graph.  It computes each
-fact the checks share once, up front, and passes it down: the degree
-profile, the DIMs, the components, the cycle-law result for one DIM,
-the DIM partition with its incident-color sets and the list assignment
-built from them.  The components are found only when some check can
+fact the checks share once, up front, and passes it down: the extreme
+degrees and the regularity, read off the degrees with no 2-coloring,
+the DIMs, the components, the cycle-law result for one DIM, the DIM
+partition with its incident-color sets and the list assignment built
+from them.  The components are found only when some check can
 apply, that is when a DIM exists or the DIM search ran out of budget.
 One run of the exact-cover engine gives the DIMs: its first solution is
 the DIM :func:`~dimtools.solver.find_dim` returns and all of them are
@@ -53,7 +54,7 @@ from functools import cache
 from math import comb
 from typing import Callable, Collection, Optional, Sequence
 
-from .graph import EdgeId, Graph, components, degree_profile, enumerate_cycles
+from .graph import EdgeId, Graph, _regularity, components, enumerate_cycles
 from .partition import (
     DimPartition,
     _class_count,
@@ -334,9 +335,8 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     the entries it affects and never aborts the rest of the report.
     Output is deterministic for fixed inputs and budgets.
     """
-    profile = degree_profile(g)
-    k = profile.max_degree
-    regular = profile.is_regular and k >= 1
+    lo, k, regularity = _regularity(g)
+    regular = lo == k >= 1
 
     # One engine run gives the DIM and the DIM list.
     search = _dim_search(g, budgets.search_nodes)
@@ -412,14 +412,14 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         return lambda: (getattr(cycles, law), f"cycles checked {cycles.cycles_checked}")
 
     def partition_regularity():
-        # The law itself, on the partition found and the degree profile.
-        ok = profile.regularity != "neither" and all(
+        # The law itself, on the partition found and the regularity.
+        ok = regularity != "neither" and all(
             p.num_classes == g.degrees[u] + g.degrees[v] - 1 for u, v in g.edges
         )
         return ok, f"classes {p.num_classes}"
 
     def lists():
-        res = _list_properties(g, assignment, profile.min_degree, profile.max_degree)
+        res = _list_properties(g, assignment, lo, k)
         ok = res.disjointness and res.surjective and res.equal_fibers
         return ok, (
             f"disjoint {res.disjointness} surjective {res.surjective} "
@@ -441,7 +441,7 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         ("three-coloring", True, "no dim", coloring),
         ("edge-count-bound", True, "no dim", edge_bound),
         ("dim-size-invariance", True, "no dim", invariance),
-        ("degree-ratio-bounds", profile.min_degree >= 2,
+        ("degree-ratio-bounds", lo >= 2,
          "no dim or min degree below 2", bounds),
         ("regular-size-formula", regular, "not regular or no dim", formula),
         ("regular-divisibility", regular, "not regular or no dim", divisibility),
@@ -452,7 +452,7 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     partition_checks = (
         ("partition-regularity", connected,
          "no partition or graph disconnected", partition_regularity),
-        ("list-properties", profile.regularity != "neither",
+        ("list-properties", regularity != "neither",
          "no partition or irregular degree profile", lists),
         ("vertex-count-divisibility", regular,
          "no partition or not regular", vertex_divisibility),
@@ -470,9 +470,9 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     return VerificationReport(
         vertices=g.n,
         edges=g.m,
-        min_degree=profile.min_degree,
-        max_degree=profile.max_degree,
-        regularity=profile.regularity,
+        min_degree=lo,
+        max_degree=k,
+        regularity=regularity,
         dim_exists=dim is not None,
         dim_size=len(dim) if dim is not None else None,
         dim_search_error=dim_error,

@@ -16,7 +16,10 @@ ids reproducibly.
 Construction is output-sensitive: a label's neighbors are the subsets
 of its complement of the other side's size, found by lookup in a label
 index, so building the graph costs at most one lookup per edge end
-rather than one disjointness test per vertex pair.
+rather than one disjointness test per vertex pair.  Each edge is kept
+once, from its smaller end, with each vertex's partners sorted, so the
+pairs come out in canonical order and go to the Graph constructor as
+they are.
 """
 
 from __future__ import annotations
@@ -51,18 +54,22 @@ def _disjoint_pairs(
     ground_size: int,
     offset: int,
 ) -> list[tuple[int, int]]:
-    """Vertex pairs (i, offset + j) with left[i] and right[j] disjoint.
+    """Vertex pairs (i, offset + j) with i < offset + j and left[i] and
+    right[j] disjoint, each once and in canonical order.
 
     ``right`` holds k-subsets of {1..ground_size}; the partners of
     left[i] are the k-subsets of its complement, looked up by index.
     Subsets are sorted tuples, as ``itertools.combinations`` yields them.
+    With ``offset`` 0 and ``right`` the same list as ``left`` these are
+    the edges of a Kneser graph, each found from its smaller end.
     """
     index = {s: offset + j for j, s in enumerate(right)}
     ground = range(1, ground_size + 1)
     pairs = []
     for i, s in enumerate(left):
         rest = [x for x in ground if x not in s]
-        pairs.extend((i, index[c]) for c in itertools.combinations(rest, k))
+        partners = sorted(index[c] for c in itertools.combinations(rest, k))
+        pairs.extend((i, j) for j in partners if j > i)
     return pairs
 
 
@@ -76,9 +83,9 @@ def kneser(n: int, k: int) -> LabeledGraph:
     if n < 1:
         raise ValueError("ground set size n must be positive")
     subsets = _colex_subsets(n, k)
-    pairs = [(i, j) for i, j in _disjoint_pairs(subsets, subsets, k, n, 0) if j > i]
+    edges = tuple(_disjoint_pairs(subsets, subsets, k, n, 0))
     labels = tuple(frozenset(s) for s in subsets)
-    return LabeledGraph(build_graph(len(labels), pairs), labels, n)
+    return LabeledGraph(Graph(len(labels), edges), labels, n)
 
 
 def bipartite_kneser(m: int, n: int) -> LabeledGraph:
@@ -92,20 +99,25 @@ def bipartite_kneser(m: int, n: int) -> LabeledGraph:
     ground = m + n + 1
     left = _colex_subsets(ground, m)
     right = _colex_subsets(ground, n)
-    pairs = _disjoint_pairs(left, right, n, ground, len(left))
+    edges = tuple(_disjoint_pairs(left, right, n, ground, len(left)))
     labels = tuple(frozenset(s) for s in left + right)
-    return LabeledGraph(build_graph(len(labels), pairs), labels, ground)
+    return LabeledGraph(Graph(len(labels), edges), labels, ground)
 
 
 def _leftover_coloring(lg: LabeledGraph) -> DimPartition:
-    """Color each edge by the unique ground element missing from both labels."""
-    ground = frozenset(range(1, lg.ground_size + 1))
+    """Color each edge by the unique ground element missing from both labels.
+
+    Labels are held as bitmasks with bit x set for element x, so an
+    edge's leftover is one mask operation and a single-bit test.
+    """
+    mask = [sum(1 << x for x in label) for label in lg.labels]
+    ground = (1 << (lg.ground_size + 1)) - 2
     colors = []
     for u, v in lg.graph.edges:
-        leftover = ground - lg.labels[u] - lg.labels[v]
-        if len(leftover) != 1:
+        leftover = ground & ~(mask[u] | mask[v])
+        if not leftover or leftover & (leftover - 1):
             raise ValueError("edge labels do not leave exactly one element uncovered")
-        colors.append(next(iter(leftover)))
+        colors.append(leftover.bit_length() - 1)
     return DimPartition(lg.ground_size, tuple(colors))
 
 

@@ -37,25 +37,27 @@ class Graph:
     degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        prev = None
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of canonical range for n={self.n}")
-            if prev is not None and (u, v) <= prev:
-                raise ValueError("edge list is not strictly increasing")
-            prev = (u, v)
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        inc: list[list[EdgeId]] = [[] for _ in range(self.n)]
+        # One pass checks canonical form and builds the adjacency: a
+        # failing edge raises before any later edge is looked at.
+        nbrs: list[set[int]] = [set() for _ in range(n)]
+        inc: list[list[EdgeId]] = [[] for _ in range(n)]
+        pu = pv = -1
         for eid, (u, v) in enumerate(self.edges):
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u}, {v}) out of canonical range for n={n}")
+            if u <= pu and (u < pu or v <= pv):
+                raise ValueError("edge list is not strictly increasing")
+            pu, pv = u, v
             nbrs[u].add(v)
             nbrs[v].add(u)
             inc[u].append(eid)
             inc[v].append(eid)
-        object.__setattr__(self, "neighbors", tuple(frozenset(s) for s in nbrs))
-        object.__setattr__(self, "incident", tuple(tuple(ids) for ids in inc))
-        object.__setattr__(self, "degrees", tuple(len(s) for s in nbrs))
+        object.__setattr__(self, "neighbors", tuple(map(frozenset, nbrs)))
+        object.__setattr__(self, "incident", tuple(map(tuple, inc)))
+        object.__setattr__(self, "degrees", tuple(map(len, inc)))
 
     @property
     def m(self) -> int:
@@ -90,11 +92,16 @@ def build_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """
     canon: set[VertexPair] = set()
     for u, v in pairs:
-        if u == v:
+        if u < v:
+            if u < 0 or v >= n:
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+            canon.add((u, v))
+        elif v < u:
+            if v < 0 or u >= n:
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+            canon.add((v, u))
+        else:
             raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        canon.add((u, v) if u < v else (v, u))
     return Graph(n, tuple(sorted(canon)))
 
 
@@ -193,11 +200,10 @@ def degree_profile(g: Graph) -> DegreeProfile:
     trivially biregular with classes (0, 0).
     """
     degs = g.degrees
-    lo = min(degs, default=0)
-    hi = max(degs, default=0)
+    lo, hi, regularity = _regularity(g)
     if lo == hi:
         x_side = _even_side(g)
-    elif all({degs[u], degs[v]} == {lo, hi} for u, v in g.edges):
+    elif regularity == "biregular":
         x_side = frozenset(v for v in range(g.n) if degs[v] == degs[0])
     else:
         x_side = None
@@ -213,6 +219,25 @@ def degree_profile(g: Graph) -> DegreeProfile:
         is_regular=lo == hi,
         biregular=biregular,
     )
+
+
+def _regularity(g: Graph) -> tuple[int, int, str]:
+    """g's smallest degree, largest degree and regularity, as
+    :class:`DegreeProfile` reports them, read off the degrees alone.
+
+    A regular graph is "regular" whether or not it is bipartite, so no
+    2-coloring runs; an irregular one is "biregular" exactly when every
+    edge joins a smallest-degree vertex to a largest-degree one, as
+    :func:`degree_profile` explains.
+    """
+    degs = g.degrees
+    lo = min(degs, default=0)
+    hi = max(degs, default=0)
+    if lo == hi:
+        return lo, hi, "regular"
+    if all({degs[u], degs[v]} == {lo, hi} for u, v in g.edges):
+        return lo, hi, "biregular"
+    return lo, hi, "neither"
 
 
 def _even_side(g: Graph) -> Optional[frozenset[int]]:

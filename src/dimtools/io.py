@@ -2,9 +2,19 @@
 
 Graph formats:
   edge-list  -- first line "n m", then m lines "u v" with 0-based
-                endpoints; lines starting with '#' are comments.
+                endpoints; lines starting with '#' are comments.  An
+                edge listed twice, in either orientation, is an error.
   dimacs     -- "p edge n m" then m lines "e u v" with 1-based
-                endpoints; 'c' lines are comments.
+                endpoints; 'c' lines are comments.  An edge listed
+                twice is merged, since files from other tools may do so.
+
+Each layer checks what it alone can name.  A parser checks lines: field
+counts, integers, self-loops, endpoint range and repeats, each error
+naming the line or vertex at fault, and hands the sorted canonical
+pairs straight to :class:`~dimtools.graph.Graph`, whose constructor
+checks canonical form in the pass that builds the adjacency.  The
+matching and partition parsers resolve each pair with one lookup in the
+graph's edge index.
 
 Serialization always emits canonical edge order, '\\n' line endings,
 and no trailing whitespace, so parse(serialize(g)) == g and
@@ -20,9 +30,10 @@ label sidecars use "v : {a,b,...}" lines with ascending labels.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import Iterable, Optional
 
-from .graph import Graph, build_graph
+from .graph import Graph
 from .partition import DimPartition, ListAssignment
 from .solver import EdgeSet
 
@@ -39,13 +50,11 @@ class FormatError(ValueError):
 
 
 def _significant_lines(text: str, comment_prefixes: tuple[str, ...]) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or any(line.startswith(p) for p in comment_prefixes):
-            continue
-        lines.append(line)
-    return lines
+    return [
+        line
+        for raw in text.splitlines()
+        if (line := raw.strip()) and not line.startswith(comment_prefixes)
+    ]
 
 
 def _check_counts(n: int, m: int) -> None:
@@ -55,34 +64,43 @@ def _check_counts(n: int, m: int) -> None:
         raise FormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
-def _parse_int_fields(line: str, count: int, what: str) -> list[int]:
-    parts = line.split()
-    if len(parts) != count:
-        raise FormatError(f"malformed {what} line: {line!r}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise FormatError(f"malformed {what} line: {line!r}") from None
-
-
 def parse_edgelist(text: str) -> Graph:
     lines = _significant_lines(text, ("#",))
     if not lines:
         raise FormatError("missing header line")
-    n, m = _parse_int_fields(lines[0], 2, "header")
+    try:
+        n, m = map(int, lines[0].split())
+    except ValueError:
+        raise FormatError(f"malformed header line: {lines[0]!r}") from None
     _check_counts(n, m)
-    data = lines[1:]
-    if len(data) != m:
-        raise FormatError(f"declared {m} edges but found {len(data)} edge lines")
-    pairs = []
-    for line in data:
-        u, v = _parse_int_fields(line, 2, "edge")
-        if u == v:
+    if len(lines) - 1 != m:
+        raise FormatError(f"declared {m} edges but found {len(lines) - 1} edge lines")
+    # The list keeps file order, which a serialized graph already has
+    # sorted; the set finds repeats.
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for line in itertools.islice(lines, 1, None):
+        # A wrong field count fails the unpacking with ValueError too.
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise FormatError(f"malformed edge line: {line!r}") from None
+        if u < v:
+            if u < 0 or v >= n:
+                raise FormatError(f"vertex out of range in line {line!r}")
+            edge = (u, v)
+        elif v < u:
+            if v < 0 or u >= n:
+                raise FormatError(f"vertex out of range in line {line!r}")
+            edge = (v, u)
+        else:
             raise FormatError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"vertex out of range in line {line!r}")
-        pairs.append((u, v))
-    return build_graph(n, pairs)
+        if edge in seen:
+            raise FormatError(f"repeated edge in line {line!r}")
+        seen.add(edge)
+        edges.append(edge)
+    edges.sort()
+    return Graph(n, tuple(edges))
 
 
 def serialize_edgelist(g: Graph) -> str:
@@ -103,24 +121,34 @@ def parse_dimacs(text: str) -> Graph:
     except ValueError:
         raise FormatError(f"malformed problem line: {lines[0]!r}") from None
     _check_counts(n, m)
-    data = lines[1:]
-    if len(data) != m:
-        raise FormatError(f"declared {m} edges but found {len(data)} edge lines")
-    pairs = []
-    for line in data:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "e":
-            raise FormatError(f"malformed edge line: {line!r}")
+    if len(lines) - 1 != m:
+        raise FormatError(f"declared {m} edges but found {len(lines) - 1} edge lines")
+    # Files from other tools may list an edge twice; it is kept once.
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for line in itertools.islice(lines, 1, None):
         try:
-            u, v = int(parts[1]), int(parts[2])
+            tag, a, b = line.split()
+            u, v = int(a), int(b)
         except ValueError:
             raise FormatError(f"malformed edge line: {line!r}") from None
-        if u == v:
+        if tag != "e":
+            raise FormatError(f"malformed edge line: {line!r}")
+        if u < v:
+            if u < 1 or v > n:
+                raise FormatError(f"vertex out of range in line {line!r}")
+            edge = (u - 1, v - 1)
+        elif v < u:
+            if v < 1 or u > n:
+                raise FormatError(f"vertex out of range in line {line!r}")
+            edge = (v - 1, u - 1)
+        else:
             raise FormatError(f"self-loop at vertex {u}")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise FormatError(f"vertex out of range in line {line!r}")
-        pairs.append((u - 1, v - 1))
-    return build_graph(n, pairs)
+        if edge not in seen:
+            seen.add(edge)
+            edges.append(edge)
+    edges.sort()
+    return Graph(n, tuple(edges))
 
 
 def serialize_dimacs(g: Graph) -> str:
@@ -156,19 +184,17 @@ def serialize_matching(g: Graph, edge_ids: Iterable[int]) -> str:
 
 
 def parse_matching(text: str, g: Graph) -> EdgeSet:
+    index = g._edge_index()
     ids = set()
     for line in _significant_lines(text, ("#",)):
-        parts = line.split("-")
-        if len(parts) != 2:
-            raise FormatError(f"malformed matching line: {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, line.split("-"))
         except ValueError:
             raise FormatError(f"malformed matching line: {line!r}") from None
-        try:
-            ids.add(g.edge_id(u, v))
-        except KeyError:
-            raise FormatError(f"({u}, {v}) is not an edge of the graph") from None
+        eid = index.get((u, v) if u < v else (v, u))
+        if eid is None:
+            raise FormatError(f"({u}, {v}) is not an edge of the graph")
+        ids.add(eid)
     return frozenset(ids)
 
 
@@ -216,20 +242,21 @@ def parse_partition(text: str, g: Graph) -> DimPartition:
         k = int(header[1])
     except ValueError:
         raise FormatError(f"malformed partition header: {lines[0]!r}") from None
-    data = lines[1:]
-    if len(data) != g.m:
-        raise FormatError(f"partition has {len(data)} edge lines, graph has {g.m}")
-    colors = [0] * g.m
-    seen = set()
-    for line in data:
-        u, v, c = _parse_int_fields(line, 3, "partition")
+    if len(lines) - 1 != g.m:
+        raise FormatError(f"partition has {len(lines) - 1} edge lines, graph has {g.m}")
+    index = g._edge_index()
+    # As many lines as edges and none repeated: every edge gets a color.
+    colors: list[Optional[int]] = [None] * g.m
+    for line in itertools.islice(lines, 1, None):
         try:
-            eid = g.edge_id(u, v)
-        except KeyError:
-            raise FormatError(f"({u}, {v}) is not an edge of the graph") from None
-        if eid in seen:
+            u, v, c = map(int, line.split())
+        except ValueError:
+            raise FormatError(f"malformed partition line: {line!r}") from None
+        eid = index.get((u, v) if u < v else (v, u))
+        if eid is None:
+            raise FormatError(f"({u}, {v}) is not an edge of the graph")
+        if colors[eid] is not None:
             raise FormatError(f"edge ({u}, {v}) colored twice")
-        seen.add(eid)
         colors[eid] = c
     try:
         return DimPartition(k, tuple(colors))

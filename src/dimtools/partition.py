@@ -13,8 +13,9 @@ of such a cover is a DIM, so the cover is the partition.
 covers the edge set by DIMs from the subset-scan oracle with a search
 of its own.
 
-Whether every class of a given coloring is a DIM is decided in one pass
-over the vertices' sets of incident colors (:func:`_incident_colors`),
+Whether every class of a given coloring is a DIM is decided from the
+vertices' sets of incident colors, held as bitmasks, in one pass over
+the vertices and one over the edges (:func:`_incident_colors`),
 for :func:`verify_dim_partition`, for :func:`list_assignment` and for
 the search's postcondition; :func:`~dimtools.solver.classify_dim` runs
 per class only to name the failure.  The search returns those sets, so
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
-from .graph import Graph, components, degree_profile, induced_subgraph
+from .graph import Graph, _regularity, components, induced_subgraph
 from .solver import (
     DEFAULT_BUDGET,
     DimClass,
@@ -73,14 +74,15 @@ class DimPartition:
         # count costs no memory.
         if self.num_classes > len(self.color_of):
             raise ValueError("every color class must be nonempty")
-        buckets: list[set[int]] = [set() for _ in range(self.num_classes)]
+        k = self.num_classes
+        buckets: list[list[int]] = [[] for _ in range(k)]
         for eid, c in enumerate(self.color_of):
-            if not (1 <= c <= self.num_classes):
-                raise ValueError(f"color {c} out of range 1..{self.num_classes}")
-            buckets[c - 1].add(eid)
-        if any(not b for b in buckets):
+            if not (1 <= c <= k):
+                raise ValueError(f"color {c} out of range 1..{k}")
+            buckets[c - 1].append(eid)
+        if not all(buckets):
             raise ValueError("every color class must be nonempty")
-        object.__setattr__(self, "classes", tuple(frozenset(b) for b in buckets))
+        object.__setattr__(self, "classes", tuple(map(frozenset, buckets)))
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,7 @@ def find_dim_partition(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[DimPa
 def _search_partition(
     g: Graph, k: int, budget: int, comps: list[list[int]],
     dims: Optional[list[list[int]]] = None, spent: int = 0,
-) -> Optional[tuple[DimPartition, list[set[int]]]]:
+) -> Optional[tuple[DimPartition, list[int]]]:
     """:func:`find_dim_partition` on a g with edges, forced class count
     k and components ``comps``, with ``spent`` nodes already used: the
     partition and each vertex's incident colors, or None.
@@ -218,28 +220,34 @@ def _search_partition(
     return partition, colors_at
 
 
-def _incident_colors(g: Graph, p: DimPartition) -> Optional[list[set[int]]]:
-    """Each vertex's set C(v) of incident edge colors, or None unless
-    every class of p is a DIM of g; p must color g's edges.
+def _incident_colors(g: Graph, p: DimPartition) -> Optional[list[int]]:
+    """Each vertex's set C(v) of incident edge colors, as a bitmask with
+    bit c set for color c, or None unless every class of p is a DIM of
+    g; p must color g's edges.
 
-    One pass decides all classes at once.  A color repeated at a vertex
-    means its class is not a matching.  Given matchings, an edge uv
-    whose endpoints share a color other than uv's own lies outside that
-    class with both ends covered by it, so every class is induced
-    exactly when |C(u) & C(v)| = 1 on every edge; and color c dominates
-    uv exactly when c is in C(u) | C(v), so every class is dominating
-    exactly when |C(u) | C(v)| = k on every edge.
+    One pass over the vertices and one over the edges decide all classes
+    at once.  A color repeated at a vertex means its class is not a
+    matching; then C(v) has fewer colors than v has edges.  Given
+    matchings, an edge uv whose endpoints share a color other than uv's
+    own lies outside that class with both ends covered by it, so every
+    class is induced exactly when C(u) & C(v) is uv's color alone on
+    every edge; and color c dominates uv exactly when c is in
+    C(u) | C(v), so every class is dominating exactly when C(u) | C(v)
+    holds all k colors on every edge.
     """
-    color_of, k = p.color_of, p.num_classes
+    bit = [1 << c for c in p.color_of]
     colors_at = []
     for inc in g.incident:
-        colors = {color_of[e] for e in inc}
-        if len(colors) != len(inc):
+        colors = 0
+        for e in inc:
+            colors |= bit[e]
+        if colors.bit_count() != len(inc):
             return None
         colors_at.append(colors)
-    for u, v in g.edges:
+    full = (1 << (p.num_classes + 1)) - 2
+    for (u, v), b in zip(g.edges, bit):
         cu, cv = colors_at[u], colors_at[v]
-        if len(cu & cv) != 1 or len(cu | cv) != k:
+        if cu & cv != b or cu | cv != full:
             return None
     return colors_at
 
@@ -270,9 +278,7 @@ def verify_dim_partition(g: Graph, p: DimPartition) -> PartitionCheck:
     count_ok = all(
         p.num_classes == g.degrees[u] + g.degrees[v] - 1 for u, v in g.edges
     )
-    return PartitionCheck(
-        valid=valid, class_count_ok=count_ok, regularity=degree_profile(g).regularity
-    )
+    return PartitionCheck(valid=valid, class_count_ok=count_ok, regularity=_regularity(g)[2])
 
 
 def list_assignment(g: Graph, p: DimPartition) -> ListAssignment:
@@ -285,10 +291,20 @@ def list_assignment(g: Graph, p: DimPartition) -> ListAssignment:
     return _lists(p.num_classes, colors_at)
 
 
-def _lists(k: int, colors_at: list[set[int]]) -> ListAssignment:
-    """The lists of a k-class DIM partition with these incident colors."""
-    universe = frozenset(range(1, k + 1))
-    return ListAssignment(k, tuple(universe - c for c in colors_at))
+def _lists(k: int, colors_at: list[int]) -> ListAssignment:
+    """The lists of a k-class DIM partition with these incident colors,
+    given as :func:`_incident_colors` returns them."""
+    full = (1 << (k + 1)) - 2
+    lists = []
+    for colors in colors_at:
+        missing = full & ~colors
+        lst = []
+        while missing:
+            low = missing & -missing
+            lst.append(low.bit_length() - 1)
+            missing ^= low
+        lists.append(frozenset(lst))
+    return ListAssignment(k, tuple(lists))
 
 
 def verify_list_properties(g: Graph, assignment: ListAssignment) -> ListCheck:
@@ -302,10 +318,10 @@ def verify_list_properties(g: Graph, assignment: ListAssignment) -> ListCheck:
     the regular case, two in the biregular case).  Fiber sizes are
     compared across the whole combined family, not only disjoint pairs.
     """
-    profile = degree_profile(g)
-    if profile.regularity == "neither":
+    lo, hi, regularity = _regularity(g)
+    if regularity == "neither":
         raise ValueError("degree profile is neither regular nor biregular")
-    return _list_properties(g, assignment, profile.min_degree, profile.max_degree)
+    return _list_properties(g, assignment, lo, hi)
 
 
 def _list_properties(g: Graph, assignment: ListAssignment, lo: int, hi: int) -> ListCheck:

@@ -26,8 +26,15 @@ from dimtools.families import (
     petersen,
     star,
 )
-from dimtools.graph import build_graph
-from dimtools.partition import DimPartition, find_dim_partition
+from dimtools.graph import build_graph, degree_profile
+from dimtools.partition import (
+    DimPartition,
+    ListCheck,
+    find_dim_partition,
+    list_assignment,
+    verify_dim_partition,
+    verify_list_properties,
+)
 from dimtools.solver import SearchBudgetExceeded, enumerate_dims, find_dim
 
 
@@ -195,7 +202,7 @@ class TestPartitionRegularity:
         # d(u)+d(v)-1 = 3, not trust the search's class count.
         g = cycle(6)
         wrong = DimPartition(2, (1, 2, 1, 2, 1, 2))
-        colors_at = [{1, 2}] * 6
+        colors_at = [0b110] * 6  # colors 1 and 2 at every vertex
         monkeypatch.setattr(checks, "_search_partition", lambda *args: (wrong, colors_at))
         entry = full_report(g).entry("partition-regularity")
         assert entry.applicable and not entry.passed
@@ -284,18 +291,32 @@ class TestFullReport:
             (graph, "components"),
             (checks, "components"),
             (partition, "components"),
-            (checks, "degree_profile"),
-            (partition, "degree_profile"),
+            (checks, "_regularity"),
+            (partition, "_regularity"),
             (partition, "_incident_colors"),
             (checks, "_dim_search"),
             (partition, "_dim_search"),
             (checks, "check_cycle_intersections"),
         ])
         assert full_report(g).all_passed
-        names = ("degree_profile", "components", "_incident_colors", "_dim_search",
+        names = ("_regularity", "components", "_incident_colors", "_dim_search",
                  "check_cycle_intersections")
         want = {name: expected.get(name, 1) for name in names}
         assert {name: calls.get(name, 0) for name in names} == want
+
+    @pytest.mark.parametrize("g", [petersen(), kneser(7, 3).graph], ids=["Petersen", "KG(7,3)"])
+    def test_no_two_coloring_where_nothing_reads_it(self, monkeypatch, g):
+        # A regular graph is "regular" whether or not it is bipartite, and
+        # these read only the regularity and the extreme degrees.
+        calls = count_calls(monkeypatch, [(graph, "_even_side")])
+        p = find_dim_partition(g)
+        assert verify_dim_partition(g, p).regularity == "regular"
+        assert verify_list_properties(g, list_assignment(g, p)) == ListCheck(True, True, True)
+        assert full_report(g).regularity == "regular"
+        assert calls == {}
+        # The degree profile reports the sides, so it still 2-colors.
+        assert degree_profile(cycle(6)).biregular is not None
+        assert calls == {"_even_side": 1}
 
     def test_facts_computed_only_when_needed(self, monkeypatch):
         # is_connected reaches components through the graph module.
@@ -303,12 +324,12 @@ class TestFullReport:
             (graph, "components"),
             (checks, "components"),
             (partition, "components"),
-            (checks, "degree_profile"),
-            (partition, "degree_profile"),
+            (checks, "_regularity"),
+            (partition, "_regularity"),
         ])
         # No DIM: no check can apply, so connectivity is never asked for.
         assert not full_report(cycle(4)).dim_exists
-        assert calls == {"degree_profile": 1}
+        assert calls == {"_regularity": 1}
         # A DIM, but d(u)+d(v)-1 is 2 on the end edges and 3 in the middle,
         # so the partition search gives up before looking for components.
         # The report finds them once, for its own connectivity test.
@@ -318,7 +339,7 @@ class TestFullReport:
         assert calls == {}
         report = full_report(path)
         assert report.dim_exists and not report.entry("partition-regularity").applicable
-        assert calls == {"components": 1, "degree_profile": 1}
+        assert calls == {"components": 1, "_regularity": 1}
 
     @pytest.mark.parametrize(
         "g,searches",

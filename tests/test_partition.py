@@ -133,7 +133,7 @@ class TestFindPartition:
 
     def test_degree_profile_not_consulted(self, monkeypatch):
         # The constant degree sum stands in for the regular-or-biregular test.
-        monkeypatch.setattr(partition, "degree_profile", None)
+        monkeypatch.setattr(partition, "_regularity", None)
         path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         for g, exists in ((petersen(), True), (star(3), True), (cycle(4), False), (path, False)):
             assert (find_dim_partition(g) is not None) == exists
@@ -542,7 +542,7 @@ class TestKneserIsomorphism:
             (graph, "components"),
             (partition, "components"),
             (graph, "degree_profile"),
-            (partition, "degree_profile"),
+            (partition, "_regularity"),
         ])
         lg, p = kneser_dim_partition(4)
         a = list_assignment(lg.graph, p)
