@@ -34,14 +34,15 @@ from them.  The components are found only when some check can
 apply, that is when a DIM exists or the DIM search ran out of budget.
 One run of the exact-cover engine gives the DIMs: its first solution is
 the DIM :func:`~dimtools.solver.find_dim` returns and all of them are
-the DIM list.  The partition search of a connected graph covers the
-edges by that list.  Every entry then follows one rule.  A check whose
-hypothesis fails is not applicable.  A check that applies while a search it reads
-(the DIM search or the partition search) ran out of budget is an error
-entry; where the DIM search ran out, whether a DIM exists is unknown, so
-every check that needs one applies as far as the rest of its hypothesis
-goes.  Otherwise the check runs, and a budget hit inside it is an error
-entry too.  A budget hit never reads as "no DIM" or "no partition".
+the DIM list.  The partition search of a connected graph draws on that
+run's node counter and covers the edges by that list.  Every entry then
+follows one rule.  A check whose hypothesis fails is not applicable.  A
+check that applies while a search it reads (the DIM search or the
+partition search) ran out of budget is an error entry; where the DIM
+search ran out, whether a DIM exists is unknown, so every check that
+needs one applies as far as the rest of its hypothesis goes.  Otherwise
+the check runs; no check searches.  A budget hit never reads as "no DIM"
+or "no partition".
 Not-applicable entries depend only on the check's name and reason, so
 each is built once per process and shared, immutable, by every report.
 """
@@ -68,6 +69,7 @@ from .solver import (
     EdgeSet,
     SearchBudgetExceeded,
     _dim_search,
+    _Nodes,
     classify_dim,
 )
 
@@ -318,13 +320,9 @@ def _entry(
     ``(passed, details)`` of ``run``."""
     if not applies:
         return _not_applicable(name, na_reason)
-    if search_error is None:
-        try:
-            passed, details = run()
-            return CheckEntry(name, True, passed, details)
-        except SearchBudgetExceeded as exc:
-            search_error = str(exc)
-    return CheckEntry(name, True, False, "budget exhausted", error=search_error)
+    if search_error is not None:
+        return CheckEntry(name, True, False, "budget exhausted", error=search_error)
+    return CheckEntry(name, True, *run())
 
 
 def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
@@ -339,11 +337,11 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     regular = lo == k >= 1
 
     # One engine run gives the DIM and the DIM list.
-    search = _dim_search(g, budgets.search_nodes)
+    nodes = _Nodes(budgets.search_nodes)
     dims: list[list[int]] = []
     search_error: Optional[str] = None
     try:
-        for sol in search.solutions():
+        for sol in _dim_search(g, nodes).solutions():
             dims.append(sorted(sol))
     except SearchBudgetExceeded as exc:
         search_error = str(exc)
@@ -365,15 +363,16 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         cycles = check_cycle_intersections(g, dim, budgets.max_cycle_len)
         classes = _class_count(g)
         # A connected g is the partition search's only component, so it
-        # would enumerate these same DIMs in as many nodes.  After a budget
-        # hit search.nodes is past the budget, so the search enumerates
-        # again and runs out at its first node, as it would have.
-        known = (None if search_error else dims, search.nodes) if connected else ()
+        # would enumerate these same DIMs in as many nodes: it goes on
+        # drawing on their counter.  After a budget hit the counter is past
+        # its limit, so the search enumerates again and runs out at its
+        # first node, as it would have.
+        if not connected:
+            nodes = _Nodes(budgets.search_nodes)
+        known = dims if connected and search_error is None else None
         try:
             # No partition exists without one class count on every edge.
-            found = classes and _search_partition(
-                g, classes, budgets.search_nodes, comps, *known
-            )
+            found = classes and _search_partition(g, classes, nodes, comps, known)
         except SearchBudgetExceeded as exc:
             partition_error = str(exc)
         else:
@@ -391,8 +390,6 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         return res.holds, f"edges {g.m} vs bound {res.bound}"
 
     def invariance():
-        if search_error is not None:
-            raise SearchBudgetExceeded(search_error)
         return check_dim_size_invariance(dims), f"dim count {len(dims)}"
 
     def bounds():
@@ -413,9 +410,7 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
 
     def partition_regularity():
         # The law itself, on the partition found and the regularity.
-        ok = regularity != "neither" and all(
-            p.num_classes == g.degrees[u] + g.degrees[v] - 1 for u, v in g.edges
-        )
+        ok = regularity != "neither" and p.num_classes == classes
         return ok, f"classes {p.num_classes}"
 
     def lists():
@@ -459,8 +454,10 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         ("kneser-extremal-case", extremal_order,
          "vertex count differs from the extremal value", extremal),
     )
+    # A budget hit after the first DIM leaves only the DIM list unknown.
     entries = [
-        _entry(name, maybe_dim and holds, na_reason, dim_error, run)
+        _entry(name, maybe_dim and holds, na_reason,
+               search_error if run is invariance else dim_error, run)
         for name, holds, na_reason, run in dim_checks
     ] + [
         _entry(name, maybe_partition and holds, na_reason, partition_error, run)

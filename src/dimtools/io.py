@@ -205,8 +205,8 @@ def serialize_certificate(g: Graph, edge_ids: Iterable[int]) -> str:
     )
 
 
-def parse_certificate(text: str, g: Optional[Graph] = None) -> tuple[str, EdgeSet]:
-    """Returns (digest, edge ids); verifies the digest when g is given."""
+def parse_certificate(text: str, g: Graph) -> tuple[str, EdgeSet]:
+    """Returns (digest, edge ids), once the digest is checked against g."""
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty certificate")
@@ -214,8 +214,6 @@ def parse_certificate(text: str, g: Optional[Graph] = None) -> tuple[str, EdgeSe
     if len(header) != 3 or header[0] != "dim-certificate" or header[1] != "sha256":
         raise FormatError(f"malformed certificate header: {lines[0]!r}")
     digest = header[2]
-    if g is None:
-        raise FormatError("certificate edges cannot be resolved without a graph")
     if graph_digest(g) != digest:
         raise FormatError("certificate digest does not match the graph")
     return digest, parse_matching("\n".join(lines[1:]), g)

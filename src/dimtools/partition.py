@@ -20,7 +20,8 @@ for :func:`verify_dim_partition`, for :func:`list_assignment` and for
 the search's postcondition; :func:`~dimtools.solver.classify_dim` runs
 per class only to name the failure.  The search returns those sets, so
 :func:`~dimtools.checks.full_report` builds its list assignment from
-them; the report passes its class count, components and DIM list down.
+them; the report passes its class count, components, DIM list and node
+counter down.
 
 The list assignment sends each vertex to the set of class colors
 missing from its incident edges.  A DIM class meets every vertex in
@@ -48,6 +49,7 @@ from .solver import (
     EdgeSet,
     _dim_search,
     _ExactCover,
+    _Nodes,
     _padded,
     brute_force_dims,
     classify_dim,
@@ -115,38 +117,30 @@ def _class_count(g: Graph) -> Optional[int]:
     return counts.pop()
 
 
-def _search_dims(g: Graph, budget: int, spent: int = 0) -> tuple[list[list[int]], int]:
-    """Every DIM of g as a sorted edge list, in the order the exact-cover
-    engine finds them, and the node total after the search."""
-    search = _dim_search(g, budget, spent)
-    return [sorted(sol) for sol in search.solutions()], search.nodes
-
-
 def _cover_by_dims(
-    g: Graph, k: int, budget: int, spent: int, dims: Optional[list[list[int]]]
-) -> tuple[Optional[list[int]], int]:
-    """Colors of a connected graph's edges in k DIM classes (None if
-    there is no such partition), and the nodes spent so far.
+    g: Graph, k: int, budget: _Nodes, dims: Optional[list[list[int]]]
+) -> Optional[list[int]]:
+    """Colors of a connected graph's edges in k DIM classes, or None if
+    there is no such partition.
 
-    Enumerates the DIMs with the exact-cover engine, unless ``dims``
-    already lists them as :func:`_search_dims` does, then runs the same
-    engine on the instance whose rows are those DIMs and whose columns
-    are the edges; the DIMs' edge lists are its row table.  The first
-    cover found is returned, its classes numbered 1..k in order of their
-    smallest edge.  Both searches draw on one node budget, of which
-    ``spent`` nodes are already used.
+    Enumerates the DIMs with the exact-cover engine, each as a sorted
+    edge list in the order found, unless ``dims`` already lists them so,
+    then runs the same engine on the instance whose rows are those DIMs
+    and whose columns are the edges; the DIMs' edge lists are its row
+    table.  The first cover found is returned, its classes numbered 1..k
+    in order of their smallest edge.  Both searches draw on ``budget``.
     """
     if dims is None:
-        dims, spent = _search_dims(g, budget, spent)
+        dims = [sorted(sol) for sol in _dim_search(g, budget).solutions()]
     cols = [0] * g.m
     for i, dim in enumerate(dims):
         for e in dim:
             cols[e] |= 1 << i
     rows = [sum(1 << e for e in dim) for dim in dims]
-    cover_search = _ExactCover(rows, cols, lambda: _padded(dims, g.m), budget, spent)
+    cover_search = _ExactCover(rows, cols, lambda: _padded(dims, g.m), budget)
     cover = next(cover_search.solutions(), None)
     if cover is None:
-        return None, cover_search.nodes
+        return None
     # Each DIM holds exactly one edge of E(u) | E(v) for a fixed edge uv,
     # so every exact cover has d(u) + d(v) - 1 classes.
     if len(cover) != k:
@@ -155,7 +149,7 @@ def _cover_by_dims(
     for color, i in enumerate(sorted(cover, key=lambda i: dims[i][0]), 1):
         for e in dims[i]:
             colors[e] = color
-    return colors, cover_search.nodes
+    return colors
 
 
 def find_dim_partition(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[DimPartition]:
@@ -179,28 +173,27 @@ def find_dim_partition(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[DimPa
     k = _class_count(g)
     if k is None:
         return None
-    found = _search_partition(g, k, budget, components(g))
+    found = _search_partition(g, k, _Nodes(budget), components(g))
     return found[0] if found else None
 
 
 def _search_partition(
-    g: Graph, k: int, budget: int, comps: list[list[int]],
-    dims: Optional[list[list[int]]] = None, spent: int = 0,
+    g: Graph, k: int, budget: _Nodes, comps: list[list[int]],
+    dims: Optional[list[list[int]]] = None,
 ) -> Optional[tuple[DimPartition, list[int]]]:
     """:func:`find_dim_partition` on a g with edges, forced class count
-    k and components ``comps``, with ``spent`` nodes already used: the
-    partition and each vertex's incident colors, or None.
+    k and components ``comps``, drawing on ``budget``: the partition and
+    each vertex's incident colors, or None.
 
-    A caller that has enumerated the DIMs of a connected g under the
-    same budget passes them as ``dims``, as :func:`_search_dims` returns
-    them, and that search's node total as ``spent``; the search covers
-    E(g) by them instead of enumerating again, with the same partition
-    and node count.
+    A caller that has enumerated the DIMs of a connected g on the same
+    counter passes them as ``dims``, as :func:`_cover_by_dims` lists
+    them; the search covers E(g) by them instead of enumerating again,
+    with the same partition and node count.
     """
     color_of = [0] * g.m
     for comp in (c for c in comps if any(g.incident[v] for v in c)):
         sub, old_vertices = induced_subgraph(g, comp)
-        sub_colors, spent = _cover_by_dims(sub, k, budget, spent, dims)
+        sub_colors = _cover_by_dims(sub, k, budget, dims)
         if sub_colors is None:
             return None
         if sub is g:
@@ -275,9 +268,7 @@ def verify_dim_partition(g: Graph, p: DimPartition) -> PartitionCheck:
             f"partition colors {len(p.color_of)} edges, graph has {g.m}"
         )
     valid = _incident_colors(g, p) is not None
-    count_ok = all(
-        p.num_classes == g.degrees[u] + g.degrees[v] - 1 for u, v in g.edges
-    )
+    count_ok = not g.edges or _class_count(g) == p.num_classes
     return PartitionCheck(valid=valid, class_count_ok=count_ok, regularity=_regularity(g)[2])
 
 
@@ -333,12 +324,15 @@ def _list_properties(g: Graph, assignment: ListAssignment, lo: int, hi: int) -> 
         )
     if len(assignment.lists) != g.n:
         raise ValueError("assignment does not cover every vertex")
-    for v in range(g.n):
-        if len(assignment.lists[v]) != k - g.degrees[v]:
+    labels = frozenset(range(1, k + 1))
+    for v, lst in enumerate(assignment.lists):
+        if len(lst) != k - g.degrees[v]:
             raise ValueError(
-                f"vertex {v} has a list of size {len(assignment.lists[v])}, "
+                f"vertex {v} has a list of size {len(lst)}, "
                 f"expected {k - g.degrees[v]}"
             )
+        if not lst <= labels:
+            raise ValueError(f"vertex {v} has a label outside 1..{k}")
 
     disjoint = all(
         not (assignment.lists[u] & assignment.lists[v]) for u, v in g.edges

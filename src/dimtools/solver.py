@@ -29,10 +29,11 @@ the first time the row is chosen, so that set-up grows with the search
 rather than with the instance.
 In the DIM instance the rows are the sets D_e and, because D is
 symmetric (f in D_e iff e in D_f), the columns are the same sets.
-Every row tried is one search node.  Every search has a node budget,
-``DEFAULT_BUDGET`` unless the caller gives one; a search that tries
-more rows than its budget raises :class:`SearchBudgetExceeded` instead
-of answering.
+Every row tried is one search node, drawn from a :class:`_Nodes`
+counter.  Every search has a node budget, ``DEFAULT_BUDGET`` unless the
+caller gives one; a search that tries more rows than its budget raises
+:class:`SearchBudgetExceeded` instead of answering.  Searches that
+share one budget share one counter.
 :func:`brute_force_dims` is the independent oracle that scans all 2^m
 edge subsets against the definitional check instead.
 """
@@ -57,6 +58,17 @@ DEFAULT_BUDGET = 10_000_000
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when a search exceeds its node-expansion budget."""
+
+
+class _Nodes:
+    """A node budget and the nodes drawn on it so far; every search on
+    one budget draws on the same counter."""
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.used = 0
 
 
 class DimClass(enum.Enum):
@@ -204,8 +216,7 @@ class _ExactCover:
     in ascending order.  Choosing row i removes its columns from
     ``uncovered`` and every row sharing a column with it, ``kill[i]``,
     from ``viable``; ``kill[i]`` is built the first time row i is chosen.
-    Every row tried counts as one node against the budget; ``nodes``
-    keeps the running total, starting from ``spent``.
+    Every row tried counts as one node on the ``budget`` counter.
 
     The branching column is the lowest-index uncovered column with at
     most one viable row if there is one, and otherwise the lowest-index
@@ -238,8 +249,7 @@ class _ExactCover:
         rows: list[int],
         cols: list[int],
         row_table: Callable[[], np.ndarray],
-        budget: int,
-        spent: int = 0,
+        budget: _Nodes,
     ) -> None:
         self.rows = rows
         self.cols = cols
@@ -248,7 +258,6 @@ class _ExactCover:
         self.table: Optional[np.ndarray] = None
         self.kill: list[Optional[int]] = [None] * len(rows)
         self.budget = budget
-        self.nodes = spent
 
     def _kill(self, i: int) -> int:
         """Row i and every row sharing a column with it, as a row mask."""
@@ -276,7 +285,8 @@ class _ExactCover:
 
         The yielded list is reused by the search; copy it to keep it.
         """
-        rows, cols, budget = self.rows, self.cols, self.budget
+        rows, cols, nodes = self.rows, self.cols, self.budget
+        limit = nodes.limit
         if not cols:
             yield []
             return
@@ -301,9 +311,9 @@ class _ExactCover:
             low = cand & -cand
             cand ^= low
             stack[-1] = (uncovered, viable, counts, cand)
-            self.nodes += 1
-            if self.nodes > budget:
-                raise SearchBudgetExceeded(f"exceeded search budget of {budget} nodes")
+            nodes.used += 1
+            if nodes.used > limit:
+                raise SearchBudgetExceeded(f"exceeded search budget of {limit} nodes")
             i = low.bit_length() - 1
             chosen.append(i)
             uncovered &= ~rows[i]
@@ -370,14 +380,14 @@ def _counted_branch(counts: np.ndarray) -> int:
     return int((counts <= 1).argmax()) if counts[c] == 0 else c
 
 
-def _dim_search(g: Graph, budget: int, spent: int = 0) -> _ExactCover:
+def _dim_search(g: Graph, budget: _Nodes) -> _ExactCover:
     """The DIM instance: rows and columns are both the sets D_e.
 
     D is symmetric (f in D_e iff e in D_f), so the column masks equal
     the row masks and no transpose is needed.
     """
     masks = _domination_masks(g)
-    return _ExactCover(masks, masks, lambda: _domination_table(g), budget, spent)
+    return _ExactCover(masks, masks, lambda: _domination_table(g), budget)
 
 
 def find_dim(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[EdgeSet]:
@@ -387,7 +397,7 @@ def find_dim(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[EdgeSet]:
     SearchBudgetExceeded once the search expands more than ``budget``
     nodes.
     """
-    for sol in _dim_search(g, budget).solutions():
+    for sol in _dim_search(g, _Nodes(budget)).solutions():
         return frozenset(sol)
     return None
 
@@ -398,7 +408,7 @@ def enumerate_dims(g: Graph, budget: int = DEFAULT_BUDGET) -> list[EdgeSet]:
     Raises SearchBudgetExceeded once the search expands more than
     ``budget`` nodes; results are never silently truncated.
     """
-    sols = [frozenset(sol) for sol in _dim_search(g, budget).solutions()]
+    sols = [frozenset(sol) for sol in _dim_search(g, _Nodes(budget)).solutions()]
     sols.sort(key=lambda s: tuple(sorted(s)))
     return sols
 

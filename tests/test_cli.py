@@ -224,6 +224,20 @@ VERIFY_GOLDENS = {
     "path4": build_graph(4, [(0, 1), (1, 2), (2, 3)]),
     "petersen": petersen(),
 }
+# verify all at budgets that stop a search at four different points, each
+# exit 3: before Petersen's first DIM; during its DIM enumeration; in C9's
+# cover search, after its DIM list is complete; and in the DIM search of
+# two disjoint Petersens, whose partition search has a count of its own
+# and succeeds.
+BUDGET_GOLDENS = {
+    "petersen-budget-1": (petersen(), 1),
+    "petersen-budget-10": (petersen(), 10),
+    "c9-budget-10": (cycle(9), 10),
+    "two-petersens-budget-40": (
+        build_graph(20, [*petersen().edges, *((u + 10, v + 10) for u, v in petersen().edges)]),
+        40,
+    ),
+}
 
 
 class TestVerify:
@@ -235,6 +249,15 @@ class TestVerify:
         code, out, err = invoke(["verify", action, str(path)])
         assert (code, err) == (0, "")
         assert out == (DATA / f"verify-{action}-{name}.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", BUDGET_GOLDENS)
+    def test_budget_hit_matches_golden(self, tmp_path, name):
+        g, budget = BUDGET_GOLDENS[name]
+        path = tmp_path / f"{name}.g"
+        path.write_text(serialize_graph(g), encoding="utf-8")
+        code, out, err = invoke(["verify", "all", str(path), "--budget", str(budget)])
+        assert (code, err) == (3, "")
+        assert out == (DATA / f"verify-all-{name}.txt").read_text(encoding="utf-8")
 
     def test_all_passes_on_petersen(self, petersen_file):
         code, out, _ = invoke(["verify", "all", str(petersen_file)])

@@ -34,7 +34,7 @@ from dimtools.partition import (
     verify_dim_partition,
     verify_list_properties,
 )
-from dimtools.solver import DimClass, DimWitness, SearchBudgetExceeded, classify_dim
+from dimtools.solver import DimClass, DimWitness, SearchBudgetExceeded, _Nodes, classify_dim
 
 from test_checks import count_calls
 from test_cli import subprocess_env
@@ -172,12 +172,20 @@ class TestFindPartition:
     def test_known_dims_stand_in_for_the_enumeration(self):
         g = kneser(7, 3).graph
         k, comps = partition._class_count(g), components(g)
-        dims, spent = partition._search_dims(g, 10_000)
-        p, colors_at = partition._search_partition(g, k, 10_000, comps, dims, spent)
+        nodes = _Nodes(10_000)
+        dims = [sorted(sol) for sol in partition._dim_search(g, nodes).solutions()]
+        used = nodes.used
+        p, colors_at = partition._search_partition(g, k, nodes, comps, dims)
         assert p == find_dim_partition(g, 10_000)
         assert colors_at == partition._incident_colors(g, p)
+        fresh = _Nodes(10_000)
+        partition._search_partition(g, k, fresh, comps)
+        assert fresh.used == nodes.used
+        # A budget equal to the nodes already used runs out at once.
+        used_up = _Nodes(used)
+        used_up.used = used
         with pytest.raises(SearchBudgetExceeded):
-            partition._search_partition(g, k, spent, comps, dims, spent)
+            partition._search_partition(g, k, used_up, comps, dims)
 
     def test_classes_numbered_by_smallest_edge(self):
         p = find_dim_partition(petersen())
@@ -187,15 +195,13 @@ class TestFindPartition:
 class _NonDimSearch:
     """Stands in for the DIM enumeration of C6 and yields non-DIMs."""
 
-    nodes = 0
-
     def solutions(self):
         yield from ([0, 1], [2, 3], [4, 5])
 
 
 class TestPostconditions:
     def test_partition_with_non_dim_class_raises(self, monkeypatch):
-        monkeypatch.setattr(partition, "_dim_search", lambda g, b, s: _NonDimSearch())
+        monkeypatch.setattr(partition, "_dim_search", lambda g, b: _NonDimSearch())
         with pytest.raises(RuntimeError, match="non-DIM class"):
             find_dim_partition(cycle(6))
 
@@ -217,8 +223,6 @@ class TestPostconditions:
                 sys.exit("not running under -O")
 
             class NonDimSearch:
-                nodes = 0
-
                 def solutions(self):
                     yield from ([0, 1], [2, 3], [4, 5])
 
@@ -235,7 +239,7 @@ class TestPostconditions:
             else:
                 sys.exit("list_assignment accepted a non-DIM class")
 
-            partition._dim_search = lambda g, b, s: NonDimSearch()
+            partition._dim_search = lambda g, b: NonDimSearch()
             valid = DimWitness(frozenset(), DimClass.VALID_DIM)
             checks.classify_dim = lambda g, dim: valid
             for call in (
@@ -420,6 +424,13 @@ class TestVerifyListProperties:
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError):
             verify_list_properties(g, ListAssignment(2, (frozenset(),) * 4))
+
+    def test_labels_outside_the_color_universe_rejected(self):
+        # Right sizes, disjoint along every edge, and {1}, {2}, {3} each
+        # taken once: only the labels 97..99, outside {1, 2, 3}, are wrong.
+        lists = tuple(map(frozenset, ({97}, {98}, {99}, {3}, {2}, {1})))
+        with pytest.raises(ValueError, match="vertex 0 has a label outside 1..3"):
+            verify_list_properties(cycle(6), ListAssignment(3, lists))
 
 
 def pairwise_kneser_check(g, assignment):

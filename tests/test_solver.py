@@ -25,6 +25,7 @@ from dimtools.solver import (
     SearchBudgetExceeded,
     _dim_search,
     _ExactCover,
+    _Nodes,
     brute_force_dims,
     classify_dim,
     dim_size,
@@ -223,9 +224,9 @@ class TestEnumerate:
     def test_family_node_counts(self, make, first, nodes):
         # Node counts at the first solution (what find_dim pays) and at
         # the end of the enumeration.
-        search = _dim_search(make(), DEFAULT_BUDGET)
-        at_solution = [search.nodes for _ in search.solutions()]
-        assert (at_solution[0], search.nodes) == (first, nodes)
+        search = _dim_search(make(), _Nodes(DEFAULT_BUDGET))
+        at_solution = [search.budget.used for _ in search.solutions()]
+        assert (at_solution[0], search.budget.used) == (first, nodes)
 
     def test_kg_13_6_closed_form_is_the_only_partition(self):
         # Its 13 DIMs are the 13 classes of the closed-form partition, so
@@ -344,7 +345,7 @@ def assert_same_tree(monkeypatch, search_for):
     for threshold in RULES:
         monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
         search = search_for(DEFAULT_BUDGET)
-        trees.append(([list(sol) for sol in search.solutions()], search.nodes))
+        trees.append(([list(sol) for sol in search.solutions()], search.budget.used))
     (scanned, nodes), counted = trees
     assert counted == (scanned, nodes)
     assert nodes > 0
@@ -356,11 +357,11 @@ def assert_same_tree(monkeypatch, search_for):
             for sol in search.solutions():
                 found.append(list(sol))
         assert found == scanned[: len(found)]
-        assert search.nodes == nodes
+        assert search.budget.used == nodes
 
 
 def dim_instance(g):
-    return lambda budget: _dim_search(g, budget)
+    return lambda budget: _dim_search(g, _Nodes(budget))
 
 
 def prism(k):
@@ -426,7 +427,7 @@ class TestBranchingStrategies:
         # All DIMs of a graph have one size, so no row is padded.
         assert (row_table() < len(cols)).all()
         assert_same_tree(
-            monkeypatch, lambda budget: _ExactCover(rows, cols, row_table, budget)
+            monkeypatch, lambda budget: _ExactCover(rows, cols, row_table, _Nodes(budget))
         )
 
     def test_partition_cover_instance(self, monkeypatch):
@@ -452,14 +453,14 @@ class TestBranchingStrategies:
         # An edgeless graph's instance has no columns: one empty solution,
         # found without trying a row, so even a budget of 0 suffices.
         monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
-        search = _dim_search(build_graph(4, []), 0)
+        search = _dim_search(build_graph(4, []), _Nodes(0))
         assert [list(sol) for sol in search.solutions()] == [[]]
-        assert search.nodes == 0
+        assert search.budget.used == 0
 
     def test_rule_is_picked_by_column_count(self):
         # Only the counting rule builds the row-to-column table.
         for g, counting in ((kneser(7, 3).graph, False), (kneser(9, 4).graph, True)):
-            search = _dim_search(g, DEFAULT_BUDGET)
+            search = _dim_search(g, _Nodes(DEFAULT_BUDGET))
             assert (len(search.cols) >= solver._COUNTING_MIN_COLUMNS) == counting
             assert sum(1 for _ in search.solutions()) == len(enumerate_dims(g))
             assert (search.table is not None) == counting
@@ -467,7 +468,7 @@ class TestBranchingStrategies:
     def test_kill_masks_only_for_rows_tried(self):
         # find_dim on KG(11,5) tries 126 of its 1 386 rows and builds the
         # kill masks of those rows alone.
-        search = _dim_search(kneser(11, 5).graph, DEFAULT_BUDGET)
+        search = _dim_search(kneser(11, 5).graph, _Nodes(DEFAULT_BUDGET))
         next(search.solutions())
-        assert search.nodes == 126
+        assert search.budget.used == 126
         assert 0 < sum(k is not None for k in search.kill) <= 126
