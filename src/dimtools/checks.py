@@ -44,18 +44,23 @@ needs one applies as far as the rest of its hypothesis goes.  Otherwise
 the check runs; no check searches.  A budget hit never reads as "no DIM"
 or "no partition".
 Not-applicable entries depend only on the check's name and reason, so
-each is built once per process and shared, immutable, by every report.
+each is built once per process and shared, immutable, by every report;
+a graph with no DIM, found by a search that did not run out, gets one
+shared tuple of them and nothing else is computed.  The engine's DIM is
+checked with :func:`~dimtools.solver.classify_dim` once per report, and
+the coloring and cycle entries read it through private cores that do
+not check it again.  The cycle laws are counted on the cycle walk of
+:func:`~dimtools.graph.enumerate_cycles`, with no ``Cycle`` built.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cache
-from math import comb
+from math import comb, gcd
 from typing import Callable, Collection, Optional, Sequence
 
-from .graph import EdgeId, Graph, _regularity, components, enumerate_cycles
+from .graph import EdgeId, Graph, _cycle_walk, _regularity, components
 from .partition import (
     DimPartition,
     _class_count,
@@ -81,6 +86,14 @@ class Coloring:
     color_of: tuple[int, ...]
 
 
+def _valid_dim(g: Graph, dim: EdgeSet) -> EdgeSet:
+    """``dim`` as a frozenset, after checking that it is a DIM of g."""
+    witness = classify_dim(g, dim)
+    if not witness.is_valid:
+        raise ValueError(f"not a valid DIM ({witness.classification.value})")
+    return witness.edges
+
+
 def three_coloring_from_dim(g: Graph, dim: EdgeSet) -> Coloring:
     """Proper 3-coloring derived from a DIM.
 
@@ -88,9 +101,12 @@ def three_coloring_from_dim(g: Graph, dim: EdgeSet) -> Coloring:
     color 2, and every unmatched vertex color 3.  Properness is
     checked before returning.
     """
-    witness = classify_dim(g, dim)
-    if not witness.is_valid:
-        raise ValueError(f"not a valid DIM ({witness.classification.value})")
+    return _coloring(g, _valid_dim(g, dim))
+
+
+def _coloring(g: Graph, dim: EdgeSet) -> Coloring:
+    """:func:`three_coloring_from_dim` for a ``dim`` already known to be
+    a DIM of g."""
     colors = [3] * g.n
     for e in dim:
         u, v = g.edges[e]
@@ -114,11 +130,18 @@ def check_edge_bound(g: Graph, dim: Optional[EdgeSet]) -> EdgeBoundCheck:
 
     ``dim`` is a DIM of g, or None when g has none.
     """
-    bound = Fraction(g.n * g.n + g.n, 4)
     has_dim = dim is not None
     return EdgeBoundCheck(
-        applicable=has_dim, bound=bound, holds=has_dim and Fraction(g.m) <= bound
+        applicable=has_dim,
+        bound=Fraction(g.n * g.n + g.n, 4),
+        holds=has_dim and 4 * g.m <= g.n * g.n + g.n,
     )
+
+
+def _quarter(x: int) -> str:
+    """``str(Fraction(x, 4))`` for x >= 0, without building the Fraction."""
+    d = gcd(x, 4)
+    return str(x // d) if d == 4 else f"{x // d}/{4 // d}"
 
 
 def check_dim_size_invariance(dims: Sequence[Collection[EdgeId]]) -> bool:
@@ -183,14 +206,20 @@ def check_cycle_intersections(
     edges with parity r mod 2; lengths 3, 5, 7 force exactly one edge
     and length 4 forces zero.
     """
-    witness = classify_dim(g, dim)
-    if not witness.is_valid:
-        raise ValueError(f"not a valid DIM ({witness.classification.value})")
+    return _cycle_laws(g, _valid_dim(g, dim), max_len)
+
+
+def _cycle_laws(g: Graph, dim: EdgeSet, max_len: int) -> CycleIntersectionCheck:
+    """:func:`check_cycle_intersections` for a ``dim`` already known to be
+    a DIM of g: the DIM edges of each cycle are counted as the walk finds
+    it, with no :class:`~dimtools.graph.Cycle` built."""
     bound_ok = parity_ok = short_ok = True
-    cycles = enumerate_cycles(g, max_len)
-    for cyc in cycles:
-        r = cyc.length
-        hits = len(cyc.edge_ids & dim)
+    checked = 0
+    in_dim = dim.__contains__
+    for path, ids in _cycle_walk(g, max_len):
+        checked += 1
+        r = len(path)
+        hits = sum(map(in_dim, ids))
         if hits > r // 3:
             bound_ok = False
         if hits % 2 != r % 2:
@@ -199,7 +228,7 @@ def check_cycle_intersections(
             short_ok = False
         if r == 4 and hits != 0:
             short_ok = False
-    return CycleIntersectionCheck(bound_ok, parity_ok, short_ok, len(cycles))
+    return CycleIntersectionCheck(bound_ok, parity_ok, short_ok, checked)
 
 
 @dataclass(frozen=True)
@@ -302,27 +331,51 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-@cache
-def _not_applicable(name: str, reason: str) -> CheckEntry:
-    """The one entry, shared by every report, for check ``name`` not
-    applying for ``reason``; a CheckEntry is frozen, so sharing is safe."""
-    return CheckEntry(name, applicable=False, passed=False, details=reason)
+def _not_applicable(*checks: tuple[str, str]) -> tuple[CheckEntry, ...]:
+    """The not-applicable entry of each ``(name, reason)`` check."""
+    return tuple(
+        CheckEntry(name, applicable=False, passed=False, details=reason)
+        for name, reason in checks
+    )
+
+
+# Every check of a report, in report order, as its not-applicable entry.
+# That entry depends only on the check's name and reason, so it is built
+# once per process and shared, immutable, by every report.
+_DIM_CHECKS = _not_applicable(
+    ("three-coloring", "no dim"),
+    ("edge-count-bound", "no dim"),
+    ("dim-size-invariance", "no dim"),
+    ("degree-ratio-bounds", "no dim or min degree below 2"),
+    ("regular-size-formula", "not regular or no dim"),
+    ("regular-divisibility", "not regular or no dim"),
+    ("cycle-intersection-bound", "no dim"),
+    ("cycle-intersection-parity", "no dim"),
+    ("short-cycle-intersections", "no dim"),
+)
+_PARTITION_CHECKS = _not_applicable(
+    ("partition-regularity", "no partition or graph disconnected"),
+    ("list-properties", "no partition or irregular degree profile"),
+    ("vertex-count-divisibility", "no partition or not regular"),
+    ("kneser-extremal-case", "vertex count differs from the extremal value"),
+)
+# The entries of every report on a graph with no DIM and no budget hit.
+_NO_DIM = _DIM_CHECKS + _PARTITION_CHECKS
 
 
 def _entry(
-    name: str,
+    na: CheckEntry,
     applies: bool,
-    na_reason: str,
     search_error: Optional[str],
     run: Callable[[], tuple[bool, str]],
 ) -> CheckEntry:
-    """One report entry: not applicable, a budget error, or the result
-    ``(passed, details)`` of ``run``."""
+    """One report entry: ``na``, the check's not-applicable entry, a budget
+    error, or the result ``(passed, details)`` of ``run``."""
     if not applies:
-        return _not_applicable(name, na_reason)
+        return na
     if search_error is not None:
-        return CheckEntry(name, True, False, "budget exhausted", error=search_error)
-    return CheckEntry(name, True, *run())
+        return CheckEntry(na.name, True, False, "budget exhausted", error=search_error)
+    return CheckEntry(na.name, True, *run())
 
 
 def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
@@ -345,22 +398,27 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
             dims.append(sorted(sol))
     except SearchBudgetExceeded as exc:
         search_error = str(exc)
-    dim = frozenset(dims[0]) if dims else None
+    # The one check that the engine's DIM is a DIM; the checks below that
+    # read it call cores that take it as given.
+    dim = _valid_dim(g, dims[0]) if dims else None
     # A budget hit before the first solution leaves it unknown whether a
     # DIM exists; a hit after it leaves the DIM list incomplete.
     dim_error = None if dims else search_error
-    maybe_dim = dim is not None or dim_error is not None
-    # Only a check that can apply reads the components, and none can
-    # without a DIM.
-    comps = components(g) if maybe_dim else []
-    connected = maybe_dim and len(comps) <= 1
+    if dim is None and dim_error is None:
+        # No check applies, so nothing else is computed, the components
+        # included.
+        return VerificationReport(
+            g.n, g.m, lo, k, regularity, False, None, None, budgets, _NO_DIM
+        )
+    comps = components(g)
+    connected = len(comps) <= 1
 
     cycles: Optional[CycleIntersectionCheck] = None
     p: Optional[DimPartition] = None
     partition_error = dim_error
     assignment = None
     if dim is not None:
-        cycles = check_cycle_intersections(g, dim, budgets.max_cycle_len)
+        cycles = _cycle_laws(g, dim, budgets.max_cycle_len)
         classes = _class_count(g)
         # A connected g is the partition search's only component, so it
         # would enumerate these same DIMs in as many nodes: it goes on
@@ -382,12 +440,12 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     maybe_partition = (p is not None or partition_error is not None) and g.m > 0
 
     def coloring():
-        used = sorted(set(three_coloring_from_dim(g, dim).color_of))
+        used = sorted(set(_coloring(g, dim).color_of))
         return True, "proper coloring with colors " + ",".join(map(str, used))
 
     def edge_bound():
-        res = check_edge_bound(g, dim)
-        return res.holds, f"edges {g.m} vs bound {res.bound}"
+        four_bound = g.n * g.n + g.n
+        return 4 * g.m <= four_bound, f"edges {g.m} vs bound {_quarter(four_bound)}"
 
     def invariance():
         return check_dim_size_invariance(dims), f"dim count {len(dims)}"
@@ -431,37 +489,32 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
         return ok, f"vertices {g.n} = C({2 * k - 1},{k - 1})"
 
     extremal_order = regular and connected and g.n == comb(2 * k - 1, k - 1)
-    # (name, hypothesis beyond the search result, not-applicable reason, run)
-    dim_checks = (
-        ("three-coloring", True, "no dim", coloring),
-        ("edge-count-bound", True, "no dim", edge_bound),
-        ("dim-size-invariance", True, "no dim", invariance),
-        ("degree-ratio-bounds", lo >= 2,
-         "no dim or min degree below 2", bounds),
-        ("regular-size-formula", regular, "not regular or no dim", formula),
-        ("regular-divisibility", regular, "not regular or no dim", divisibility),
-        ("cycle-intersection-bound", True, "no dim", cycle_law("all_bound_ok")),
-        ("cycle-intersection-parity", True, "no dim", cycle_law("all_parity_ok")),
-        ("short-cycle-intersections", True, "no dim", cycle_law("short_cycle_ok")),
+    # (hypothesis beyond the search result, run) of each check, in the
+    # order of _DIM_CHECKS and _PARTITION_CHECKS.
+    dim_runs = (
+        (True, coloring),
+        (True, edge_bound),
+        (True, invariance),
+        (lo >= 2, bounds),
+        (regular, formula),
+        (regular, divisibility),
+        (True, cycle_law("all_bound_ok")),
+        (True, cycle_law("all_parity_ok")),
+        (True, cycle_law("short_cycle_ok")),
     )
-    partition_checks = (
-        ("partition-regularity", connected,
-         "no partition or graph disconnected", partition_regularity),
-        ("list-properties", regularity != "neither",
-         "no partition or irregular degree profile", lists),
-        ("vertex-count-divisibility", regular,
-         "no partition or not regular", vertex_divisibility),
-        ("kneser-extremal-case", extremal_order,
-         "vertex count differs from the extremal value", extremal),
+    partition_runs = (
+        (connected, partition_regularity),
+        (regularity != "neither", lists),
+        (regular, vertex_divisibility),
+        (extremal_order, extremal),
     )
     # A budget hit after the first DIM leaves only the DIM list unknown.
     entries = [
-        _entry(name, maybe_dim and holds, na_reason,
-               search_error if run is invariance else dim_error, run)
-        for name, holds, na_reason, run in dim_checks
+        _entry(na, holds, search_error if run is invariance else dim_error, run)
+        for na, (holds, run) in zip(_DIM_CHECKS, dim_runs, strict=True)
     ] + [
-        _entry(name, maybe_partition and holds, na_reason, partition_error, run)
-        for name, holds, na_reason, run in partition_checks
+        _entry(na, maybe_partition and holds, partition_error, run)
+        for na, (holds, run) in zip(_PARTITION_CHECKS, partition_runs, strict=True)
     ]
 
     return VerificationReport(

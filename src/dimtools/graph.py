@@ -295,6 +295,17 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
     each path edge along with the path: a cycle's ``edge_ids`` are the
     path's ids plus the id of the edge that closes it, with no lookup.
     """
+    return [Cycle(tuple(path), frozenset(ids)) for path, ids in _cycle_walk(g, max_len)]
+
+
+def _cycle_walk(g: Graph, max_len: int) -> Iterator[tuple[list[int], list[EdgeId]]]:
+    """The search of :func:`enumerate_cycles`, yielding each cycle, in the
+    same order, as its vertex path and the ids of its edges.
+
+    Both lists belong to the walk and change once it resumes, so a caller
+    that keeps a cycle copies them.  ``ids[0]`` is the edge that closes the
+    cycle, ``ids[i]`` the edge into ``path[i]``.
+    """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     # Edges are sorted pairs (u, v) with u < v, so the pairs of a vertex x
@@ -304,14 +315,13 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
     for eid, (u, v) in enumerate(g.edges):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
-    out: list[Cycle] = []
     for root in range(g.n):
         nbrs = adj[root]
         if len(nbrs) < 2 or nbrs[-2][0] < root:
             continue
         path = [root]
         # ids[i] is the id of the edge into path[i]; the root's slot holds
-        # the closing edge while a cycle is recorded.
+        # the closing edge while a cycle is yielded.
         ids = [-1]
         on_path = {root}
         stack = [iter(nbrs)]
@@ -325,10 +335,9 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
             nxt, eid = step
             if nxt == root and len(path) >= 3 and path[1] < path[-1]:
                 ids[0] = eid
-                out.append(Cycle(tuple(path), frozenset(ids)))
+                yield path, ids
             elif nxt > root and nxt not in on_path and len(path) < max_len:
                 path.append(nxt)
                 ids.append(eid)
                 on_path.add(nxt)
                 stack.append(iter(adj[nxt]))
-    return out

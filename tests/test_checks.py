@@ -1,6 +1,7 @@
 """Structural law checks and the aggregated verification report."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from dimtools import checks, graph, partition, solver
 from dimtools.checks import (
     Budgets,
+    CheckEntry,
+    CycleIntersectionCheck,
     check_cycle_intersections,
     check_dim_bounds,
     check_dim_size_invariance,
@@ -16,7 +19,7 @@ from dimtools.checks import (
     regular_dim_formula,
     three_coloring_from_dim,
 )
-from dimtools.corpus import sample_connected_graphs
+from dimtools.corpus import connected_graphs, sample_connected_graphs
 from dimtools.families import (
     bipartite_kneser,
     complete,
@@ -26,7 +29,7 @@ from dimtools.families import (
     petersen,
     star,
 )
-from dimtools.graph import build_graph, degree_profile
+from dimtools.graph import Graph, build_graph, degree_profile, enumerate_cycles
 from dimtools.partition import (
     DimPartition,
     ListCheck,
@@ -36,6 +39,7 @@ from dimtools.partition import (
     verify_list_properties,
 )
 from dimtools.solver import SearchBudgetExceeded, enumerate_dims, find_dim
+from test_solver import prism
 
 
 # The Petersen graph moved to vertices 10..19.
@@ -173,6 +177,64 @@ class TestCycleIntersections:
             check_cycle_intersections(cycle(6), {0}, 6)
 
 
+CYCLE_ENTRIES = ("cycle-intersection-bound", "cycle-intersection-parity",
+                 "short-cycle-intersections")
+
+
+def cycle_laws_from_cycles(g, dim, max_len):
+    """The cycle laws read off the Cycle objects of enumerate_cycles."""
+    cycles = enumerate_cycles(g, max_len)
+    hits = [(c.length, len(c.edge_ids & dim)) for c in cycles]
+    return CycleIntersectionCheck(
+        all(h <= r // 3 for r, h in hits),
+        all(h % 2 == r % 2 for r, h in hits),
+        all(h == (0 if r == 4 else 1) for r, h in hits if r in (3, 4, 5, 7)),
+        len(cycles),
+    )
+
+
+class TestReportCycleEntries:
+    """The report counts the cycle laws on its own walk; its three entries
+    must say what the public check and the Cycle objects say."""
+
+    def assert_entries_match(self, g, report):
+        got = [report.entry(name) for name in CYCLE_ENTRIES]
+        if not report.dim_exists:
+            assert got == [CheckEntry(name, False, False, "no dim") for name in CYCLE_ENTRIES]
+            return
+        max_len = report.budgets.max_cycle_len
+        dim = find_dim(g)
+        res = check_cycle_intersections(g, dim, max_len)
+        assert res == cycle_laws_from_cycles(g, dim, max_len)
+        flags = (res.all_bound_ok, res.all_parity_ok, res.short_cycle_ok)
+        details = f"cycles checked {res.cycles_checked}"
+        assert got == [CheckEntry(name, True, ok, details)
+                       for name, ok in zip(CYCLE_ENTRIES, flags)]
+
+    def test_every_small_graph_with_a_dim(self):
+        with_dim = 0
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                report = full_report(g)
+                with_dim += report.dim_exists
+                self.assert_entries_match(g, report)
+        assert with_dim == 7486
+
+    @pytest.mark.parametrize(
+        "make",
+        [petersen, lambda: kneser(7, 3).graph, lambda: cycle(9), lambda: prism(12)],
+        ids=["Petersen", "KG(7,3)", "C9", "prism-C12"],
+    )
+    @pytest.mark.parametrize("max_len", range(3, 11))
+    def test_families(self, make, max_len):
+        # Prism C12 is cubic on 24 vertices and 4k-2 = 10 does not divide
+        # nk = 72, so it has no DIM and the entries do not apply.
+        g = make()
+        report = full_report(g, Budgets(max_cycle_len=max_len))
+        assert report.dim_exists == (find_dim(g) is not None)
+        self.assert_entries_match(g, report)
+
+
 class TestPartitionRegularity:
     """The report's partition-regularity entry."""
 
@@ -280,13 +342,15 @@ class TestFullReport:
             # d(u)+d(v)-1 is 5 on Petersen and 3 on C9: no partition search.
             (build_graph(19, [*petersen().edges, *C9_AFTER_PETERSEN]),
              {"_incident_colors": 0}),
-            (cycle(4), {"components": 0, "check_cycle_intersections": 0,
+            (cycle(4), {"components": 0, "_cycle_walk": 0, "classify_dim": 0,
                         "_incident_colors": 0}),
         ],
         ids=["Petersen", "KG(7,3)", "C9", "BG(2,3)", "star(3)", "two-Petersens",
              "Petersen+C9", "C4-no-dim"],
     )
     def test_each_fact_computed_once(self, monkeypatch, g, expected):
+        # The report checks its DIM once, up front, and counts the cycle
+        # laws on one cycle walk; graph binds the walk for enumerate_cycles.
         calls = count_calls(monkeypatch, [
             (graph, "components"),
             (checks, "components"),
@@ -296,11 +360,14 @@ class TestFullReport:
             (partition, "_incident_colors"),
             (checks, "_dim_search"),
             (partition, "_dim_search"),
-            (checks, "check_cycle_intersections"),
+            (graph, "_cycle_walk"),
+            (checks, "_cycle_walk"),
+            (checks, "classify_dim"),
+            (partition, "classify_dim"),
         ])
         assert full_report(g).all_passed
         names = ("_regularity", "components", "_incident_colors", "_dim_search",
-                 "check_cycle_intersections")
+                 "_cycle_walk", "classify_dim")
         want = {name: expected.get(name, 1) for name in names}
         assert {name: calls.get(name, 0) for name in names} == want
 
@@ -427,6 +494,43 @@ class TestFullReport:
             assert entry.applicable and not entry.passed
             assert "budget" in entry.error
         assert report.entry("three-coloring").passed
+
+    @pytest.mark.parametrize("solution,kind", [([0], "not-dominating"), ([0, 1], "not-matching")])
+    def test_engine_solution_checked_up_front(self, monkeypatch, solution, kind):
+        # The report checks the engine's first solution once and reads it
+        # through cores that do not check it again, so a non-DIM must stop
+        # the report with the public checks' own error.
+        class NonDimSearch:
+            def solutions(self):
+                yield solution
+
+        monkeypatch.setattr(checks, "_dim_search", lambda g, nodes: NonDimSearch())
+        message = f"not a valid DIM ({kind})"
+        for public in (three_coloring_from_dim, lambda g, d: check_cycle_intersections(g, d, 6)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                public(cycle(6), set(solution))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            full_report(cycle(6))
+
+    def test_edge_bound_details(self):
+        # The bound is compared as 4m <= n^2 + n and written as a Fraction.
+        for n in range(41):
+            for g in [Graph(n, ())] + ([star(n - 1)] if n >= 2 else []):
+                entry = full_report(g).entry("edge-count-bound")
+                assert entry.applicable and entry.passed
+                assert entry.details == f"edges {g.m} vs bound {Fraction(n * n + n, 4)}"
+
+    def test_no_dim_reports_share_their_entries(self):
+        # With no DIM and no budget hit no check applies, so every such
+        # report carries the same entries.
+        c4, k33 = full_report(cycle(4)), full_report(complete(3))
+        assert c4.entries is full_report(prism(12)).entries
+        assert [e.name for e in c4.entries] == [e.name for e in k33.entries]
+        assert not any(e.applicable for e in c4.entries)
+        # A budget hit before the first DIM leaves the DIM unknown.
+        hit = full_report(petersen(), Budgets(search_nodes=1))
+        assert not hit.dim_exists and hit.entries is not c4.entries
+        assert all(e.applicable for e in hit.entries)
 
     def test_text_round_stability(self):
         a = full_report(petersen()).to_text()
