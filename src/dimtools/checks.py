@@ -395,7 +395,7 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     search_error: Optional[str] = None
     try:
         for sol in _dim_search(g, nodes).solutions():
-            dims.append(sorted(sol))
+            dims.append(sol)
     except SearchBudgetExceeded as exc:
         search_error = str(exc)
     # The one check that the engine's DIM is a DIM; the checks below that

@@ -131,7 +131,7 @@ def _cover_by_dims(
     in order of their smallest edge.  Both searches draw on ``budget``.
     """
     if dims is None:
-        dims = [sorted(sol) for sol in _dim_search(g, budget).solutions()]
+        dims = list(_dim_search(g, budget).solutions())
     cols = [0] * g.m
     for i, dim in enumerate(dims):
         for e in dim:

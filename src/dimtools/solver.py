@@ -22,9 +22,13 @@ int32 numpy array.  That rule holds the rows also as a padded
 row-to-column index table, and a node updates the counts in a fixed
 number of numpy calls however many rows die: the dead rows are unpacked
 from their bitmask at once, their columns gathered from the table and
-subtracted as one ``np.bincount``.  Both rules pick the same column at
-every node, so the tree, the solutions and their order, and the node
-counts do not depend on which one runs.  A row's kill mask is built
+subtracted as one ``np.bincount``.  Most nodes of the paper's families
+are forced moves, a column with one viable row, and the counting rule
+takes the forced rows of a node in one batch with one recount, each row
+still one node, in the way that keeps the tree of the one-row walk (see
+:class:`_ExactCover`).  Both rules pick the same column at every node,
+so the tree, the solutions and their order, and the node counts do not
+depend on which one runs.  A row's kill mask is built
 the first time the row is chosen, so that set-up grows with the search
 rather than with the instance.
 In the DIM instance the rows are the sets D_e and, because D is
@@ -58,6 +62,10 @@ DEFAULT_BUDGET = 10_000_000
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when a search exceeds its node-expansion budget."""
+
+
+def _over_budget(limit: int) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(f"exceeded search budget of {limit} nodes")
 
 
 class _Nodes:
@@ -175,31 +183,42 @@ def classify_dim(g: Graph, edge_ids: Iterable[EdgeId]) -> DimWitness:
 # Instances with at least this many columns choose the branching column
 # from per-column counts of viable rows (see _ExactCover); smaller ones
 # scan.  The counting rule builds its row table up front and pays a fixed
-# few numpy calls over all rows and columns per node, which the scan's
-# early exit beats on small instances and on short searches.  Measured on
-# Python 3.11 (2-vCPU VM), counting over scanning, each including the
+# few numpy calls over all rows and columns per recount, which the scan's
+# early exit beats on small instances and on short searches; its batch
+# step takes a node's forced rows with one recount.  Measured on Python
+# 3.11 (2-vCPU VM), counting over scanning, each including the
 # instance's set-up, median of 21 (then the median of three such runs):
 #
 #   instance     columns  all DIMs  first DIM (or none)
-#   Petersen          15     5.9x      4.8x
-#   KG(7,3)           70     2.3x      2.1x
-#   prism C30         90     3.4x      3.9x  (8 nodes, no DIM)
-#   BG(3,3)          140     2.0x      1.4x
-#   BG(2,5)          168     1.11x     1.16x
+#   Petersen          15     6.7x      4.8x
+#   KG(7,3)           70     1.9x      1.9x
+#   prism C30         90     3.7x      3.6x  (8 nodes, no DIM)
+#   BG(3,3)          140     1.5x      1.2x
+#   BG(2,5)          168     1.06x     0.84x
 #   prism C60        180     2.8x      2.9x  (8 nodes, no DIM)
-#   BG(2,6)          252     0.72x     0.71x
-#   prism C90        270     2.7x      2.5x  (8 nodes, no DIM)
-#   BG(3,4)          280     0.90x     0.95x
-#   KG(9,4)          315     0.78x     0.68x
-#   prism C120       360     2.4x      2.4x  (8 nodes, no DIM)
-#   KG(11,5)       1 386     0.15x     0.13x
+#   BG(2,6)          252     0.56x     0.64x
+#   prism C90        270     2.7x      2.8x  (8 nodes, no DIM)
+#   BG(3,4)          280     0.89x     0.79x
+#   KG(9,4)          315     0.56x     0.58x
+#   prism C120       360     2.4x      2.5x  (8 nodes, no DIM)
+#   KG(11,5)       1 386     0.13x     0.12x
 #
-# On searches of 20 nodes or more the crossover lies between 168 and 252
-# columns, for enumeration and for a first solution alike; an 8-node
-# search is 0.1-0.4 ms slower counting at every width up to 360.  256
-# sits just above that crossover; a lower threshold would also send the
-# short searches of 200-odd columns to counting.
+# On searches of 20 nodes or more the crossover still lies between 140
+# and 252 columns: BG(2,5) at 168 is a tie on enumeration and a first
+# solution 16% faster counting.  An 8-node search is 2.4-3.7x slower
+# counting at every width up to 360, since it has few forced rows to
+# batch.  256 sits above the crossover; a lower threshold would also
+# send the short searches of 200-odd columns to counting.
 _COUNTING_MIN_COLUMNS = 256
+
+# A search frame: uncovered columns, viable rows, the counting rule's
+# counts (None when scanning), and the rows still to try.
+_Frame = tuple[int, int, Optional[np.ndarray], int]
+# The frame a batch row leaves on the stack: no rows left to try.
+_SPENT: _Frame = (0, 0, None, 0)
+# The counting rule's node to walk a dead chain again from: viable rows,
+# counts and nodes used.
+_Replay = tuple[int, np.ndarray, int]
 
 
 class _ExactCover:
@@ -239,9 +258,42 @@ class _ExactCover:
     Both rules pick the same column at every node: the scan visits
     columns in ascending order, stops at the first count <= 1 and
     otherwise keeps the first column of smallest count, which is how
-    :func:`_counted_branch` reads the counts.  So the tree, the solutions
-    and their order, the node counts and the point of budget exhaustion
-    do not depend on which one runs.
+    :func:`_counted_branch` reads the counts.
+
+    The counting rule takes forced rows in batches (:meth:`_settle`).  A
+    row is forced when it is the one viable row of an uncovered column.
+    After each recount, if the least count is 1 and at least two
+    distinct rows are forced, it takes them all with one recount, each
+    still one node, provided that
+
+    1. no uncovered column has 0 viable rows;
+    2. the forced rows are pairwise disjoint, checked before any kill
+       mask is built;
+    3. the budget has room for all of them;
+    4. after them no uncovered column has 0 viable rows, read off a copy
+       of the counts.
+
+    Otherwise the node branches as it would without batches, which at
+    a forced node is the single step: the lowest forced column's row.
+    It repeats until no batch applies.  The tree stays the one
+    the single steps would grow.  A forced row is in every cover below
+    its node.  Counts only fall, and a column with no viable row can
+    never be covered.  So a chain of forced moves that ends at a
+    solution, or at a node with no column counted <= 1, ends at the same
+    node after the same number of nodes, whatever order it takes its
+    rows in.  A chain that dies is different.  The single steps take the
+    lowest forced column first, so they may take a row from outside the
+    batch, and that row may empty a column before they reach the rest of
+    the batch.  The batch walk then counts rows they never try.  So when
+    a chain that took a batch dies, or runs out of budget, it is walked
+    again from the node before its first batch, one row per recount
+    (:meth:`_single_steps`).  The budget is left at that walk's count.
+    On the paper's families and their relabellings it has not been
+    seen to run; the tests build an instance where it does.
+
+    So the tree, the node counts and the point of budget exhaustion do
+    not depend on which rule runs.  Nor do the solutions and their
+    order, each yielded as an ascending list.
     """
 
     def __init__(
@@ -260,7 +312,12 @@ class _ExactCover:
         self.budget = budget
 
     def _kill(self, i: int) -> int:
-        """Row i and every row sharing a column with it, as a row mask."""
+        """Row i and every row sharing a column with it, as a row mask.
+
+        Masks are built for the rows tried.  Only a batch left because it
+        would empty a column, or taken on a chain that then dies, can
+        build masks of rows that the search never tries after all.
+        """
         k = self.kill[i]
         if k is None:
             cols, k = self.cols, 0
@@ -281,10 +338,7 @@ class _ExactCover:
         return k
 
     def solutions(self) -> Iterator[list[int]]:
-        """Each exact cover as the list of chosen rows, in choice order.
-
-        The yielded list is reused by the search; copy it to keep it.
-        """
+        """Each exact cover as a new ascending list of its rows."""
         rows, cols, nodes = self.rows, self.cols, self.budget
         limit = nodes.limit
         if not cols:
@@ -292,15 +346,25 @@ class _ExactCover:
             return
         uncovered = (1 << len(cols)) - 1
         viable = (1 << len(rows)) - 1
+        chosen: list[int] = []
+        # A frame, once done, pops the row whose choice pushed it; a batch
+        # pushes one spent frame per row it takes.
+        stack: list[_Frame] = []
+        # The counting rule's node before the first batch of the current
+        # forced chain, or None (see _settle).
+        replay = None
         if len(cols) >= _COUNTING_MIN_COLUMNS:
             self.table = self.row_table()
             counts = np.bincount(self.table.ravel(), minlength=len(cols) + 1).astype(np.int32)
-            cand = cols[_counted_branch(counts[:-1])]
+            uncovered, viable, counts, cand, replay = self._settle(
+                uncovered, viable, counts, chosen, stack, None
+            )
+            if not uncovered:
+                yield sorted(chosen)
         else:
             counts = None
             cand = self._branch_rows(uncovered, viable)
-        chosen: list[int] = []
-        stack = [(uncovered, viable, counts, cand)]
+        stack.append((uncovered, viable, counts, cand))
         while stack:
             uncovered, viable, counts, cand = stack[-1]
             if not cand:
@@ -313,12 +377,18 @@ class _ExactCover:
             stack[-1] = (uncovered, viable, counts, cand)
             nodes.used += 1
             if nodes.used > limit:
-                raise SearchBudgetExceeded(f"exceeded search budget of {limit} nodes")
+                if replay is None:
+                    raise _over_budget(limit)
+                # The chain may die within the budget one row at a time.
+                self._single_steps(*replay)
+                replay = None
+                continue
             i = low.bit_length() - 1
             chosen.append(i)
             uncovered &= ~rows[i]
             if not uncovered:
-                yield chosen
+                replay = None
+                yield sorted(chosen)
                 chosen.pop()
                 continue
             dead = viable & self._kill(i)
@@ -327,8 +397,109 @@ class _ExactCover:
                 cand = self._branch_rows(uncovered, viable)
             else:
                 counts = self._recount(counts.copy() if cand else counts, dead, i)
-                cand = cols[_counted_branch(counts[:-1])] & viable
+                uncovered, viable, counts, cand, replay = self._settle(
+                    uncovered, viable, counts, chosen, stack, replay
+                )
+                if not uncovered:
+                    yield sorted(chosen)
             stack.append((uncovered, viable, counts, cand))
+
+    def _settle(
+        self,
+        uncovered: int,
+        viable: int,
+        counts: np.ndarray,
+        chosen: list[int],
+        stack: list[_Frame],
+        replay: Optional[_Replay],
+    ) -> tuple[int, int, np.ndarray, int, Optional[_Replay]]:
+        """The counting rule's work at a node: batch steps while one
+        applies, then the rows of the branching column.
+
+        Each batch row is appended to ``chosen``, pushes a spent frame on
+        ``stack`` and counts one node; ``counts`` itself is not changed.
+        ``replay`` is the node before the first batch of the forced chain
+        this node is on, or None if it has had none.  Returns the node
+        reached, its branching rows (0 at a solution or a dead end) and
+        the chain's ``replay`` onward (None once the chain has ended).
+        A dead end after a batch is first walked again from ``replay``.
+        """
+        nodes = self.budget
+        free = counts[:-1]
+        c, least = _counted_branch(free)
+        # Some uncovered column has one viable row and none has 0.
+        while least == 1:
+            forced = self._forced_rows(free, viable)
+            if forced is None:
+                break
+            batch, cover = forced
+            if nodes.used + len(batch) > nodes.limit:
+                break
+            kill = 0
+            for r in batch:
+                kill |= self._kill(r)
+            dead = viable & kill
+            after = self._recount(counts.copy(), dead, batch)
+            c_after, least_after = _counted_branch(after[:-1])
+            if least_after == 0:
+                break
+            if replay is None:
+                replay = (viable, counts, nodes.used)
+            nodes.used += len(batch)
+            chosen.extend(batch)
+            stack.extend([_SPENT] * len(batch))
+            uncovered &= ~cover
+            viable ^= dead
+            counts, free, c, least = after, after[:-1], c_after, least_after
+        if not uncovered:
+            return uncovered, viable, counts, 0, None
+        cand = self.cols[c] & viable
+        if not cand:
+            if replay is not None:
+                self._single_steps(*replay)
+            return uncovered, viable, counts, cand, None
+        # A node with one row to try goes on with the chain.
+        return uncovered, viable, counts, cand, None if cand & (cand - 1) else replay
+
+    def _forced_rows(self, free: np.ndarray, viable: int) -> Optional[tuple[list[int], int]]:
+        """A batch: the one viable row of each column counted 1 in
+        ``free``, in column order and each row once, with the columns
+        they cover; None unless there are at least two such rows and
+        they are pairwise disjoint."""
+        ones = (free == 1).nonzero()[0]
+        if len(ones) < 2:
+            return None
+        rows, cols = self.rows, self.cols
+        batch: list[int] = []
+        taken = cover = 0
+        for c in ones.tolist():
+            low = cols[c] & viable
+            if taken & low:
+                continue
+            r = low.bit_length() - 1
+            if rows[r] & cover:
+                return None
+            batch.append(r)
+            taken |= low
+            cover |= rows[r]
+        return (batch, cover) if len(batch) > 1 else None
+
+    def _single_steps(self, viable: int, counts: np.ndarray, used: int) -> None:
+        """Walk a dead forced chain again from the node before its first
+        batch, one row per recount as the single steps would, and leave
+        the budget at their node count; raises SearchBudgetExceeded where
+        they would.  ``counts`` is updated in place.
+        """
+        nodes, cols = self.budget, self.cols
+        nodes.used = used
+        while row := cols[_counted_branch(counts[:-1])[0]] & viable:
+            nodes.used += 1
+            if nodes.used > nodes.limit:
+                raise _over_budget(nodes.limit)
+            i = row.bit_length() - 1
+            dead = viable & self._kill(i)
+            viable ^= dead
+            counts = self._recount(counts, dead, i)
 
     def _branch_rows(self, uncovered: int, viable: int) -> int:
         """Viable rows of the uncovered column with the fewest of them."""
@@ -345,13 +516,14 @@ class _ExactCover:
             uncovered ^= low
         return best
 
-    def _recount(self, counts: np.ndarray, dead: int, i: int) -> np.ndarray:
+    def _recount(self, counts: np.ndarray, dead: int, chosen: int | list[int]) -> np.ndarray:
         """counts, updated in place, once the rows of ``dead`` have died
-        because row i (one of them) was chosen.
+        because ``chosen``, a row or a list of rows (all among them), was
+        chosen.
 
         The dead rows are the set bits of ``dead``, unpacked in one go;
-        one ``np.bincount`` of their columns is subtracted, and row i's
-        columns are set to a sentinel above every real count.  The
+        one ``np.bincount`` of their columns is subtracted, and the chosen
+        rows' columns are set to a sentinel above every real count.  The
         padding lands in the spare last slot, which is never read.
         """
         table, n = self.table, len(self.rows)
@@ -364,20 +536,23 @@ class _ExactCover:
         # int64 bincount in place would cast element by element, about
         # twice as slow as one astype.
         counts -= dying.astype(np.int32)
-        counts[table[i]] = n + 1
+        # One row indexes the table as a view, 2 us faster than a list.
+        counts[table[chosen]] = n + 1
         return counts
 
 
-def _counted_branch(counts: np.ndarray) -> int:
-    """The branching column read off the counts: the lowest uncovered
-    column with at most one viable row, else the first of fewest.
+def _counted_branch(counts: np.ndarray) -> tuple[int, int]:
+    """The branching column read off the counts, with the least count:
+    the lowest uncovered column with at most one viable row, else the
+    first of fewest.
 
     ``argmin`` finds the first column of fewest rows, which is also the
     first with at most one unless the fewest is 0: then a column with
     one row may come before it.
     """
     c = int(counts.argmin())
-    return int((counts <= 1).argmax()) if counts[c] == 0 else c
+    least = int(counts[c])
+    return (int((counts <= 1).argmax()) if least == 0 else c), least
 
 
 def _dim_search(g: Graph, budget: _Nodes) -> _ExactCover:
@@ -408,9 +583,7 @@ def enumerate_dims(g: Graph, budget: int = DEFAULT_BUDGET) -> list[EdgeSet]:
     Raises SearchBudgetExceeded once the search expands more than
     ``budget`` nodes; results are never silently truncated.
     """
-    sols = [frozenset(sol) for sol in _dim_search(g, _Nodes(budget)).solutions()]
-    sols.sort(key=lambda s: tuple(sorted(s)))
-    return sols
+    return [frozenset(sol) for sol in sorted(_dim_search(g, _Nodes(budget)).solutions())]
 
 
 def dim_size(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[int]:

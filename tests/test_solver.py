@@ -360,6 +360,68 @@ def assert_same_tree(monkeypatch, search_for):
         assert search.budget.used == nodes
 
 
+def search_outcome(search_for, budget):
+    """The solutions a fresh search yields under ``budget``, the nodes it
+    used and whether it ran out of budget."""
+    search = search_for(budget)
+    found = []
+    try:
+        for sol in search.solutions():
+            found.append(sol)
+    except SearchBudgetExceeded:
+        return found, search.budget.used, True
+    return found, search.budget.used, False
+
+
+def assert_same_budget_hits(monkeypatch, search_for, budgets):
+    """Both branching rules find the same solutions under each budget and
+    run out of it, or not, at the same node."""
+    for budget in budgets:
+        outcomes = []
+        for threshold in RULES:
+            monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
+            outcomes.append(search_outcome(search_for, budget))
+        scanned, counted = outcomes
+        assert counted == scanned, f"budget {budget}"
+
+
+def cover_instance(row_lists, ncols):
+    """``search_for(budget)`` on the exact cover instance over ``ncols``
+    columns whose row i covers the columns ``row_lists[i]``."""
+    rows = [sum(1 << c for c in cs) for cs in row_lists]
+    cols = [
+        sum(1 << i for i, cs in enumerate(row_lists) if c in cs) for c in range(ncols)
+    ]
+    return lambda budget: _ExactCover(
+        rows, cols, lambda: solver._padded(row_lists, ncols), _Nodes(budget)
+    )
+
+
+def counted_walk(monkeypatch, search_for):
+    """The counting rule's walk: the number of rows each recount takes,
+    with "replay" where a dead chain is walked again, then the solutions
+    and the node count."""
+    steps = []
+    recount, single_steps = _ExactCover._recount, _ExactCover._single_steps
+
+    def logged_recount(self, counts, dead, chosen):
+        steps.append(len(chosen) if isinstance(chosen, list) else 1)
+        return recount(self, counts, dead, chosen)
+
+    def logged_single_steps(self, *replay):
+        steps.append("replay")
+        return single_steps(self, *replay)
+
+    monkeypatch.setattr(_ExactCover, "_recount", logged_recount)
+    monkeypatch.setattr(_ExactCover, "_single_steps", logged_single_steps)
+    monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", 0)
+    search = search_for(DEFAULT_BUDGET)
+    sols = list(search.solutions())
+    monkeypatch.setattr(_ExactCover, "_recount", recount)
+    monkeypatch.setattr(_ExactCover, "_single_steps", single_steps)
+    return steps, sols, search.budget.used
+
+
 def dim_instance(g):
     return lambda budget: _dim_search(g, _Nodes(budget))
 
@@ -464,6 +526,96 @@ class TestBranchingStrategies:
             assert (len(search.cols) >= solver._COUNTING_MIN_COLUMNS) == counting
             assert sum(1 for _ in search.solutions()) == len(enumerate_dims(g))
             assert (search.table is not None) == counting
+
+    # One hand-built instance per exit of the counting rule's batch step;
+    # row i covers the columns listed i-th.  The steps list how many rows
+    # each recount takes, a batch more than one, and each replay.
+    @pytest.mark.parametrize(
+        "row_lists,ncols,steps,sols,nodes",
+        [
+            # Columns 0 and 1 force rows 0 and 1, which share column 2:
+            # one step, which kills row 1 and empties column 1.
+            ([[0, 2], [1, 2]], 3, [1], [], 1),
+            # Rows 0 and 1 are forced and disjoint, but together they kill
+            # rows 2 and 3, column 2's only rows: the batch's recount shows
+            # column 2 empty, and the walk takes row 0 alone.
+            ([[0, 3], [1, 4], [2, 3], [2, 4]], 5, [2, 1, 1], [], 2),
+            # Row 0 forces rows 2 and 3, and the batch of both completes
+            # a solution; row 1 then kills column 1's rows.
+            ([[0, 1], [0, 2, 3], [2], [3], [1, 2]], 4, [1, 2, 1], [[0, 2, 3]], 4),
+            # The root batch {0, 1} leaves column 1 with row 2 alone,
+            # which empties column 0: a dead end after 3 nodes.  One row
+            # at a time the walk takes row 0, then row 2 for column 1
+            # ahead of row 1 for column 6, and dies after 2, so the chain
+            # is walked again from the root, one row per recount.
+            ([[2, 5], [6], [1, 3], [1, 2], [0, 3], [0, 3, 4], [4]], 7, [2, 1, "replay", 1, 1], [], 2),
+        ],
+        ids=[
+            "forced-rows-share-a-column",
+            "batch-empties-a-column",
+            "batch-completes-a-solution",
+            "dead-chain-after-a-batch",
+        ],
+    )
+    def test_batch_exits(self, monkeypatch, row_lists, ncols, steps, sols, nodes):
+        search_for = cover_instance(row_lists, ncols)
+        assert counted_walk(monkeypatch, search_for) == (steps, sols, nodes)
+        assert_same_tree(monkeypatch, search_for)
+        assert_same_budget_hits(monkeypatch, search_for, range(nodes + 2))
+
+    def test_batch_at_the_root(self, monkeypatch):
+        # 300 disjoint edges: each dominates itself alone, so all 300
+        # columns, the default threshold or more, force their rows at the
+        # root, and one batch takes them: one recount, 300 nodes.
+        g = build_graph(600, [(2 * i, 2 * i + 1) for i in range(300)])
+        assert g.m >= solver._COUNTING_MIN_COLUMNS
+        search_for = dim_instance(g)
+        search = search_for(DEFAULT_BUDGET)
+        assert list(search.solutions()) == [list(range(300))]
+        assert search.budget.used == 300
+        assert counted_walk(monkeypatch, search_for) == ([300], [list(range(300))], 300)
+        assert_same_tree(monkeypatch, search_for)
+        assert_same_budget_hits(monkeypatch, search_for, (0, 1, 299, 300))
+
+    def test_random_cover_instances(self, monkeypatch):
+        # Seeded small instances, half with a planted exact cover, under
+        # every budget up to one past their node count.
+        rng = random.Random(7)
+        for _ in range(60):
+            ncols = rng.randint(4, 10)
+            row_lists = [
+                rng.sample(range(ncols), rng.randint(1, 3)) for _ in range(rng.randint(4, 14))
+            ]
+            if rng.random() < 0.5:
+                perm = rng.sample(range(ncols), ncols)
+                cuts = [0, *sorted(rng.sample(range(1, ncols), rng.randint(0, ncols - 1))), ncols]
+                row_lists += [perm[a:b] for a, b in zip(cuts, cuts[1:])]
+                rng.shuffle(row_lists)
+            search_for = cover_instance(row_lists, ncols)
+            nodes = search_outcome(search_for, DEFAULT_BUDGET)[1]
+            assert_same_budget_hits(monkeypatch, search_for, range(nodes + 2))
+
+    @pytest.mark.parametrize("seed", (None, 3), ids=["canonical", "relabelled"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: kneser(9, 4).graph, lambda: bipartite_kneser(3, 4).graph],
+        ids=["KG(9,4)", "BG(3,4)"],
+    )
+    def test_family_budget_sweep(self, monkeypatch, make, seed):
+        # Every budget up to 10 past the first solution's node count, and
+        # the last 10 short of the whole enumeration.
+        g = make() if seed is None else relabelled(make(), seed)
+        masks, table = solver._domination_masks(g), solver._domination_table(g)
+
+        def search_for(budget):
+            return _ExactCover(masks, masks, lambda: table, _Nodes(budget))
+
+        search = search_for(DEFAULT_BUDGET)
+        next(search.solutions())
+        first = search.budget.used
+        nodes = search_outcome(search_for, DEFAULT_BUDGET)[1]
+        budgets = [*range(first + 11), *range(nodes - 10, nodes)]
+        assert_same_budget_hits(monkeypatch, search_for, budgets)
 
     def test_kill_masks_only_for_rows_tried(self):
         # find_dim on KG(11,5) tries 126 of its 1 386 rows and builds the
