@@ -9,6 +9,7 @@ them across threads is safe.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -24,11 +25,19 @@ class Graph:
     Construct through :func:`build_graph`, which normalizes arbitrary
     pair lists; the constructor itself assumes edges are already
     canonical (validated in ``__post_init__``).
+
+    ``neighbors[v]`` lists v's neighbors in strictly ascending order and
+    lines up index for index with ``incident[v]``: ``neighbors[v][j]`` is
+    the other end of ``edges[incident[v][j]]``.  Both follow from the
+    edges being sorted canonical pairs: v first meets its smaller
+    neighbors u in pairs (u, v), by ascending u, then its larger ones in
+    pairs (v, w), by ascending w.
     """
 
     n: int
     edges: tuple[VertexPair, ...]
-    neighbors: tuple[frozenset[int], ...] = field(
+    # Ascending, and aligned with ``incident`` (see the class docstring).
+    neighbors: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
     incident: tuple[tuple[EdgeId, ...], ...] = field(
@@ -42,7 +51,7 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         # One pass checks canonical form and builds the adjacency: a
         # failing edge raises before any later edge is looked at.
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[EdgeId]] = [[] for _ in range(n)]
         pu = pv = -1
         for eid, (u, v) in enumerate(self.edges):
@@ -51,11 +60,11 @@ class Graph:
             if u <= pu and (u < pu or v <= pv):
                 raise ValueError("edge list is not strictly increasing")
             pu, pv = u, v
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
             inc[u].append(eid)
             inc[v].append(eid)
-        object.__setattr__(self, "neighbors", tuple(map(frozenset, nbrs)))
+        object.__setattr__(self, "neighbors", tuple(map(tuple, nbrs)))
         object.__setattr__(self, "incident", tuple(map(tuple, inc)))
         object.__setattr__(self, "degrees", tuple(map(len, inc)))
 
@@ -73,7 +82,13 @@ class Graph:
         return eid
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u] if 0 <= u < self.n else False
+        """Whether uv is an edge: a binary search of u's ascending
+        neighbors, O(log d(u)); False if u is not a vertex."""
+        if not 0 <= u < self.n:
+            return False
+        nbrs = self.neighbors[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def _edge_index(self) -> dict[VertexPair, EdgeId]:
         idx = getattr(self, "_edge_index_cache", None)

@@ -334,6 +334,7 @@ class TestSweep:
                 ["--sample", "--n", "7", "--seed", "5", "--count", "200"],
                 "sweep-sample-n7-seed5-count200.txt",
             ),
+            (["--max-n", "6"], "sweep-max-n-6.txt"),
         ],
     )
     def test_output_matches_golden(self, tmp_path, argv, golden):

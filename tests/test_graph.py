@@ -23,6 +23,7 @@ from dimtools.graph import (
     induced_subgraph,
     is_connected,
 )
+from dimtools.io import parse_dimacs, parse_edgelist
 
 
 def graphs_strategy(max_n=8):
@@ -73,6 +74,107 @@ class TestBuildGraph:
         for u, v in g.edges:
             assert v in g.neighbors[u] and u in g.neighbors[v]
             assert g.edge_id(u, v) == g.edge_id(v, u)
+
+
+def _pair_lines(draw_result):
+    """An n and its pairs, each in a random orientation, in random order."""
+    n, mask, seed = draw_result
+    rng = random.Random(seed)
+    slots = list(itertools.combinations(range(n), 2))
+    pairs = [
+        (v, u) if rng.random() < 0.5 else (u, v)
+        for i, (u, v) in enumerate(slots)
+        if mask >> i & 1
+    ]
+    rng.shuffle(pairs)
+    return n, pairs
+
+
+def _parsed_edgelist(draw_result):
+    n, pairs = _pair_lines(draw_result)
+    return parse_edgelist(f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+
+
+def _parsed_dimacs(draw_result):
+    # DIMACS files may repeat an edge; the parser keeps it once.
+    n, pairs = _pair_lines(draw_result)
+    pairs += pairs[: len(pairs) // 2]
+    return parse_dimacs(
+        f"p edge {n} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+    )
+
+
+def _pair_draws(max_n):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1),
+            st.integers(min_value=0, max_value=2**32),
+        )
+    )
+
+
+def _family_graph(choice):
+    kind, a, b = choice
+    if kind == "kneser":
+        return kneser(a + b, b).graph
+    if kind == "bg":
+        return bipartite_kneser(a, b).graph
+    if kind == "cycle":
+        return cycle(a + 2)
+    if kind == "complete":
+        return complete(a)
+    if kind == "star":
+        return star(a)
+    return petersen()
+
+
+def any_source_graphs(max_n=8):
+    """Graphs from build_graph, from both parsers and from the families."""
+    families = st.tuples(
+        st.sampled_from(["kneser", "bg", "cycle", "complete", "star", "petersen"]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+    ).map(_family_graph)
+    return st.one_of(
+        graphs_strategy(max_n),
+        _pair_draws(max_n).map(_parsed_edgelist),
+        _pair_draws(max_n).map(_parsed_dimacs),
+        families,
+    )
+
+
+class TestAdjacency:
+    @given(any_source_graphs())
+    def test_neighbors_ascend_and_align_with_incident(self, g):
+        assert len(g.neighbors) == len(g.incident) == g.n
+        for v in range(g.n):
+            nbrs = g.neighbors[v]
+            assert isinstance(nbrs, tuple)
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+            assert len(nbrs) == len(g.incident[v]) == g.degrees[v]
+            for j, w in enumerate(nbrs):
+                a, b = g.edges[g.incident[v][j]]
+                assert v in (a, b) and w == a + b - v
+
+    def test_has_edge_on_a_big_star(self):
+        g = star(5000)
+        assert g.neighbors[0] == tuple(range(1, 5001))
+        for leaf in (1, 2, 2500, 4999, 5000):
+            assert g.has_edge(0, leaf) and g.has_edge(leaf, 0)
+        assert not g.has_edge(1, 2) and not g.has_edge(4999, 5000)
+        assert not g.has_edge(0, 0) and not g.has_edge(5000, 5000)
+        for u, v in [(0, 5001), (5001, 0), (0, -1), (-1, 0), (-1, -1), (10**9, 1)]:
+            assert not g.has_edge(u, v)
+        assert not g.has_edge(1, -1) and not g.has_edge(1, 5001)
+
+    @given(graphs_strategy(max_n=6))
+    def test_has_edge_matches_edges(self, g):
+        edges = set(g.edges)
+        for u in range(-1, g.n + 1):
+            for v in range(-1, g.n + 1):
+                expected = (min(u, v), max(u, v)) in edges
+                assert g.has_edge(u, v) == expected
 
 
 def brute_force_biregular(g):
