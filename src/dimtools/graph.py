@@ -9,7 +9,6 @@ them across threads is safe.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -36,7 +35,6 @@ class Graph:
 
     n: int
     edges: tuple[VertexPair, ...]
-    # Ascending, and aligned with ``incident`` (see the class docstring).
     neighbors: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -82,13 +80,8 @@ class Graph:
         return eid
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether uv is an edge: a binary search of u's ascending
-        neighbors, O(log d(u)); False if u is not a vertex."""
-        if not 0 <= u < self.n:
-            return False
-        nbrs = self.neighbors[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
+        """Whether uv is an edge; False if u is not a vertex."""
+        return 0 <= u < self.n and v in self.neighbors[u]
 
     def _edge_index(self) -> dict[VertexPair, EdgeId]:
         idx = getattr(self, "_edge_index_cache", None)
