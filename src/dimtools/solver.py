@@ -31,6 +31,15 @@ so the tree, the solutions and their order, and the node counts do not
 depend on which one runs.  A row's kill mask is built
 the first time the row is chosen, so that set-up grows with the search
 rather than with the instance.
+Instances with at least ``_DOMINANCE_MIN_COLUMNS`` columns also apply
+least-count column dominance, a set-partitioning reduction (Balas and
+Padberg, "Set partitioning: a survey", SIAM Review 1976), at every node
+where no uncovered column has fewer than two viable rows: if every
+viable row of a column f with the least count covers a column g with
+more, g's other rows die, since the cover below takes one of f's rows.
+Both rules apply it alike, and deletions cost no nodes.  On the paper's
+families it removes all backtracking: enumerating the DIMs of KG(11,5)
+takes 1 386 nodes, 11 DIMs of 126 edges, instead of 1 889.
 In the DIM instance the rows are the sets D_e and, because D is
 symmetric (f in D_e iff e in D_f), the columns are the same sets.
 Every row tried is one search node, drawn from a :class:`_Nodes`
@@ -46,6 +55,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -129,11 +139,19 @@ def _domination_masks(g: Graph) -> list[int]:
 
 def _padded(lists: Sequence[Sequence[int]], pad: int) -> np.ndarray:
     """The lists as the rows of an int array, each filled out with ``pad``
-    to the length of the longest."""
-    table = np.full((len(lists), max(map(len, lists), default=0)), pad, dtype=np.int32)
-    for i, row in enumerate(lists):
-        table[i, : len(row)] = row
-    return table
+    to the length of the longest.
+
+    ``zip_longest`` pads and transposes in C; numpy reads its columns in
+    one pass and transposes them back, about twice as fast as assigning
+    the rows one at a time.
+    """
+    width = max(map(len, lists), default=0)
+    flat = np.fromiter(
+        chain.from_iterable(zip_longest(*lists, fillvalue=pad)),
+        dtype=np.int32,
+        count=width * len(lists),
+    )
+    return np.ascontiguousarray(flat.reshape(width, len(lists)).T)
 
 
 def _domination_table(g: Graph) -> np.ndarray:
@@ -211,6 +229,43 @@ def classify_dim(g: Graph, edge_ids: Iterable[EdgeId]) -> DimWitness:
 # send the short searches of 200-odd columns to counting.
 _COUNTING_MIN_COLUMNS = 256
 
+# Instances with at least this many columns apply least-count column
+# dominance (see _ExactCover._dominated) at every node whose columns all
+# have two viable rows or more, under either branching rule.  A pass
+# costs a few numpy calls over the columns of least count and their
+# rows, and below the counting threshold it also needs the row table and
+# the counts, which the scan does not keep.  Measured on Python 3.11
+# (2-vCPU VM), search time with the rule over without it, each under the
+# branching rule the engine picks and including the instance's set-up,
+# median of 21 (then the median of three such runs), with the nodes
+# without -> with:
+#
+#   instance     columns  all DIMs (nodes)         first DIM (or none)
+#   Petersen          15   0.42x    15 ->    15     0.16x    3
+#   cubic n=40        60   0.45x    15 ->    10     0.45x   15 -> 10
+#   KG(7,3)           70   0.62x    93 ->    70     0.32x   10
+#   prism C30         90   0.35x     8 ->     8     0.38x    8
+#   BG(3,3)          140   0.80x   185 ->   140     0.62x   20
+#   BG(2,5)          168   1.61x   202 ->   168     0.96x   21
+#   prism C60        180   0.35x     8 ->     8     0.37x    8
+#   cubic n=120      180   1.59x   144 ->    84     1.63x  144 -> 84
+#   BG(2,6)          252   2.09x   299 ->   252     1.22x   28
+#   prism C90        270   0.94x     8 ->     8     0.93x    8
+#   BG(3,4)          280   1.83x   373 ->   280     1.16x   35
+#   KG(9,4)          315   1.70x   402 ->   315     1.00x   35
+#   prism C120       360   0.96x     8 ->     8     0.95x    8
+#   cubic n=400      600  12.2x   6545 ->   280    12.8x  6545 -> 280
+#   KG(11,5)       1 386   1.90x  1889 ->  1386     0.92x  126
+#
+# (The cubic graphs are networkx.random_regular_graph(3, n, seed=1).)
+# From 256 columns, where the counting rule already holds the table and
+# the counts, every enumeration gains 1.7-2.1x and a search of 8 nodes
+# loses about 5%.  Below it the scan pays 2-3x on short searches and
+# first solutions; only the enumerations from about 170 columns gain.
+# Sweep graphs on at most 8 vertices have at most 28 edges, so their
+# searches never apply it.
+_DOMINANCE_MIN_COLUMNS = 256
+
 # A search frame: uncovered columns, viable rows, the counting rule's
 # counts (None when scanning), and the rows still to try.
 _Frame = tuple[int, int, Optional[np.ndarray], int]
@@ -228,9 +283,9 @@ class _ExactCover:
     bitmask of column c; a solution is a set of rows that covers every
     column exactly once.  ``row_table`` builds the same rows as an int
     array: row i's columns, each once, padded with ``len(cols)``; it is
-    called only by the counting rule, once.  A search node holds the
-    uncovered columns and the viable rows (those disjoint from every
-    chosen row) as ints.  It branches on the uncovered column with the
+    called once, by the counting rule or by dominance.  A search node
+    holds the uncovered columns and the viable rows (those disjoint from
+    every chosen row) as ints.  It branches on the uncovered column with the
     fewest viable rows, as in Knuth's Algorithm X, and tries those rows
     in ascending order.  Choosing row i removes its columns from
     ``uncovered`` and every row sharing a column with it, ``kill[i]``,
@@ -291,6 +346,28 @@ class _ExactCover:
     On the paper's families and their relabellings it has not been
     seen to run; the tests build an instance where it does.
 
+    Instances with at least ``_DOMINANCE_MIN_COLUMNS`` columns, a
+    threshold independent of ``_COUNTING_MIN_COLUMNS``, also apply
+    least-count column dominance (:meth:`_dominated`) at every node
+    where no uncovered column has fewer than two viable rows.  Let l be
+    the least count.  For each column f with exactly l viable rows, every
+    uncovered column g with more than l that all of f's viable rows
+    cover loses its viable rows outside f's; the counts are recounted and
+    the pass repeated until nothing dies, and the node then branches as
+    above.  This is sound: every cover below the node takes exactly one
+    of f's rows, which covers g, so any other row of g would cover g
+    twice.  The deletions are not nodes.  The scan applies it after
+    :meth:`_branch_rows` finds no column with at most one row, and scans
+    again if rows died; the counting rule in :meth:`_settle`, once no
+    batch applies and the least count is 2 or more.  Both reach such a
+    node in the same state, since a forced chain that ends at a node
+    with no column counted <= 1 ends there whatever order it takes its
+    rows in, and the pass depends only on that state.  For the same
+    reason a dominance kill ends the forced chain that
+    :meth:`_single_steps` would walk again: the batch walk and the single
+    steps meet at the node where it fires, so a chain that dies after it
+    is walked again from the first batch after it, never from before it.
+
     So the tree, the node counts and the point of budget exhaustion do
     not depend on which rule runs.  Nor do the solutions and their
     order, each yielded as an ascending list.
@@ -306,8 +383,13 @@ class _ExactCover:
         self.rows = rows
         self.cols = cols
         self.row_table = row_table
-        # The counting rule's row_table(), None until it runs.
+        # row_table(), built when the counting rule or dominance runs.
         self.table: Optional[np.ndarray] = None
+        # Column c's rows padded with len(rows), built on first use by
+        # _dominated.
+        self.col_table: Optional[np.ndarray] = None
+        # Whether this search applies dominance, set when it starts.
+        self.dominate = False
         self.kill: list[Optional[int]] = [None] * len(rows)
         self.budget = budget
 
@@ -323,7 +405,8 @@ class _ExactCover:
             cols, k = self.cols, 0
             if self.table is None:
                 # The scan's masks are short; walking their bits inline
-                # beats building a list of them.
+                # beats building a list of them.  The scan on an instance
+                # with dominance has the table and reads it instead.
                 mask = self.rows[i]
                 while mask:
                     low = mask & -mask
@@ -351,10 +434,14 @@ class _ExactCover:
         # pushes one spent frame per row it takes.
         stack: list[_Frame] = []
         # The counting rule's node before the first batch of the current
-        # forced chain, or None (see _settle).
+        # forced chain since its last dominance kill, or None (see
+        # _settle).
         replay = None
-        if len(cols) >= _COUNTING_MIN_COLUMNS:
+        counting = len(cols) >= _COUNTING_MIN_COLUMNS
+        dominate = self.dominate = len(cols) >= _DOMINANCE_MIN_COLUMNS
+        if counting or dominate:
             self.table = self.row_table()
+        if counting:
             counts = np.bincount(self.table.ravel(), minlength=len(cols) + 1).astype(np.int32)
             uncovered, viable, counts, cand, replay = self._settle(
                 uncovered, viable, counts, chosen, stack, None
@@ -364,6 +451,9 @@ class _ExactCover:
         else:
             counts = None
             cand = self._branch_rows(uncovered, viable)
+            if dominate and cand & (cand - 1) and (dead := self._dominated(viable)):
+                viable ^= dead
+                cand = self._branch_rows(uncovered, viable)
         stack.append((uncovered, viable, counts, cand))
         while stack:
             uncovered, viable, counts, cand = stack[-1]
@@ -395,6 +485,9 @@ class _ExactCover:
             viable ^= dead
             if counts is None:
                 cand = self._branch_rows(uncovered, viable)
+                if dominate and cand & (cand - 1) and (dead := self._dominated(viable)):
+                    viable ^= dead
+                    cand = self._branch_rows(uncovered, viable)
             else:
                 counts = self._recount(counts.copy() if cand else counts, dead, i)
                 uncovered, viable, counts, cand, replay = self._settle(
@@ -414,43 +507,55 @@ class _ExactCover:
         replay: Optional[_Replay],
     ) -> tuple[int, int, np.ndarray, int, Optional[_Replay]]:
         """The counting rule's work at a node: batch steps while one
-        applies, then the rows of the branching column.
+        applies, dominance while it kills rows, then the rows of the
+        branching column.
 
         Each batch row is appended to ``chosen``, pushes a spent frame on
-        ``stack`` and counts one node; ``counts`` itself is not changed.
-        ``replay`` is the node before the first batch of the forced chain
-        this node is on, or None if it has had none.  Returns the node
-        reached, its branching rows (0 at a solution or a dead end) and
-        the chain's ``replay`` onward (None once the chain has ended).
-        A dead end after a batch is first walked again from ``replay``.
+        ``stack`` and counts one node; a batch leaves ``counts`` itself
+        unchanged, dominance updates it in place.  ``replay`` is the node
+        before the first batch of the forced chain this node is on since
+        its last dominance kill, or None if there is none.  Returns the
+        node reached, its branching rows (0 at a solution or a dead end)
+        and the chain's ``replay`` onward (None once the chain has
+        ended).  A dead end after a batch is first walked again from
+        ``replay``.
         """
         nodes = self.budget
         free = counts[:-1]
         c, least = _counted_branch(free)
-        # Some uncovered column has one viable row and none has 0.
-        while least == 1:
-            forced = self._forced_rows(free, viable)
-            if forced is None:
+        while True:
+            if least == 1:
+                # Some uncovered column has one viable row and none has 0.
+                forced = self._forced_rows(free, viable)
+                if forced is None:
+                    break
+                batch, cover = forced
+                if nodes.used + len(batch) > nodes.limit:
+                    break
+                kill = 0
+                for r in batch:
+                    kill |= self._kill(r)
+                dead = viable & kill
+                after = self._recount(counts.copy(), dead, batch)
+                c_after, least_after = _counted_branch(after[:-1])
+                if least_after == 0:
+                    break
+                if replay is None:
+                    replay = (viable, counts, nodes.used)
+                nodes.used += len(batch)
+                chosen.extend(batch)
+                stack.extend([_SPENT] * len(batch))
+                uncovered &= ~cover
+                viable ^= dead
+                counts, free, c, least = after, after[:-1], c_after, least_after
+            elif uncovered and least > 1 and self.dominate and (dead := self._dominated(viable, counts)):
+                viable ^= dead
+                # The single steps reach this node in the state the batches
+                # do, so a dead chain is walked again from here on.
+                replay = None
+                c, least = _counted_branch(free)
+            else:
                 break
-            batch, cover = forced
-            if nodes.used + len(batch) > nodes.limit:
-                break
-            kill = 0
-            for r in batch:
-                kill |= self._kill(r)
-            dead = viable & kill
-            after = self._recount(counts.copy(), dead, batch)
-            c_after, least_after = _counted_branch(after[:-1])
-            if least_after == 0:
-                break
-            if replay is None:
-                replay = (viable, counts, nodes.used)
-            nodes.used += len(batch)
-            chosen.extend(batch)
-            stack.extend([_SPENT] * len(batch))
-            uncovered &= ~cover
-            viable ^= dead
-            counts, free, c, least = after, after[:-1], c_after, least_after
         if not uncovered:
             return uncovered, viable, counts, 0, None
         cand = self.cols[c] & viable
@@ -486,9 +591,11 @@ class _ExactCover:
 
     def _single_steps(self, viable: int, counts: np.ndarray, used: int) -> None:
         """Walk a dead forced chain again from the node before its first
-        batch, one row per recount as the single steps would, and leave
-        the budget at their node count; raises SearchBudgetExceeded where
-        they would.  ``counts`` is updated in place.
+        batch since its last dominance kill, one row per recount as the
+        single steps would, and leave the budget at their node count;
+        raises SearchBudgetExceeded where they would.  ``counts`` is
+        updated in place.  No node on the way has every column counted 2
+        or more, so dominance never fires here.
         """
         nodes, cols = self.budget, self.cols
         nodes.used = used
@@ -500,6 +607,75 @@ class _ExactCover:
             dead = viable & self._kill(i)
             viable ^= dead
             counts = self._recount(counts, dead, i)
+
+    def _dominated(self, viable: int, counts: Optional[np.ndarray] = None) -> int:
+        """The rows that least-count column dominance kills at a node
+        whose uncovered columns all have two viable rows or more, as a
+        row mask.
+
+        Let l be the least count.  For each column f with l viable rows,
+        every uncovered column g that has more and is covered by all of
+        f's viable rows loses its viable rows outside f's.  Every cover
+        below the node takes one of f's rows, which covers g, so another
+        row of g would cover g twice.  The counts are recounted and the
+        pass repeated until nothing dies or some column has fewer than
+        two viable rows.  ``counts`` are the counting rule's, updated in
+        place; the scan passes None and they are counted here.
+
+        A pass is a fixed number of numpy calls and l 2-D compares.  f's
+        l rows are read off the column table and their columns off the
+        row table, sorted per f: a column that all of f's rows cover is a
+        run of l equal entries, found by one compare of the sorted
+        entries with themselves shifted by l - 1.  Those counted above l
+        are the columns g, and l compares of each g's rows with f's rows
+        leave the rows that die.
+        """
+        table, n = self.table, len(self.rows)
+        ncols = len(self.cols)
+        if self.col_table is None:
+            self.col_table = _column_table(table, ncols, self.cols is self.rows)
+        col_table = self.col_table
+        packed = np.frombuffer(viable.to_bytes(n // 8 + 1, "little"), dtype=np.uint8)
+        # One bool per row and a last one, False, that the padding reads.
+        live = np.unpackbits(packed, count=n + 1, bitorder="little").view(np.bool_)
+        if counts is None:
+            counts = np.bincount(table[live[:n]].ravel(), minlength=ncols + 1)
+            # No viable row touches a covered column, and every uncovered
+            # one has two viable rows or more: the zeros are the covered
+            # columns, which get the counting rule's sentinel.
+            counts[counts == 0] = n + 1
+        free = counts[:-1]
+        killed = False
+        # Covered columns are counted n + 1, uncovered ones at most n.
+        while 1 < (least := int(free.min())) < int(free[free <= n].max()):
+            fs = (free == least).nonzero()[0]
+            f_rows = np.take(col_table, fs, axis=0)
+            f_rows = f_rows[live[f_rows]].reshape(len(fs), least)
+            f_cols = np.take(table, f_rows, axis=0).reshape(len(fs), -1)
+            f_cols.sort(axis=1)
+            width = f_cols.shape[1] - least + 1
+            run = (f_cols[:, least - 1 :] == f_cols[:, :width]).ravel().nonzero()[0]
+            f_at, at = np.divmod(run, width)
+            g = f_cols[f_at, at]
+            dominated = (g != ncols) & (np.take(counts, g) > least)
+            f_rows = f_rows[f_at[dominated]]
+            g_rows = np.take(col_table, g[dominated], axis=0)
+            outside = live[g_rows]
+            for j in range(least):
+                outside &= g_rows != f_rows[:, j, None]
+            dying = np.zeros_like(live)
+            dying[g_rows[outside]] = True
+            dying = dying.nonzero()[0]
+            if not len(dying):
+                break
+            live[dying] = False
+            killed = True
+            dropped = np.bincount(np.take(table, dying, axis=0).ravel(), minlength=ncols + 1)
+            counts -= dropped.astype(counts.dtype)
+        if not killed:
+            return 0
+        left = np.packbits(live[:n], bitorder="little").tobytes()
+        return viable ^ int.from_bytes(left, "little")
 
     def _branch_rows(self, uncovered: int, viable: int) -> int:
         """Viable rows of the uncovered column with the fewest of them."""
@@ -539,6 +715,27 @@ class _ExactCover:
         # One row indexes the table as a view, 2 us faster than a list.
         counts[table[chosen]] = n + 1
         return counts
+
+
+def _column_table(table: np.ndarray, ncols: int, symmetric: bool) -> np.ndarray:
+    """Column c's rows, each once, as intp, padded with the number of
+    rows: the row table itself for a symmetric instance, whose rows and
+    columns are the same sets, and otherwise its transpose.
+
+    intp indices gather and scatter about 3x faster than int32 ones.
+    """
+    nrows, width = table.shape
+    if symmetric:
+        return table.astype(np.intp)
+    flat = table.ravel()
+    sizes = np.bincount(flat, minlength=ncols + 1)[:ncols]
+    cols = np.full((ncols, sizes.max(initial=0)), nrows, dtype=np.intp)
+    # Sorted by column, the entries of column c start at the sum of the
+    # sizes before it; the padding sorts last and is cut off.
+    order = np.argsort(flat, kind="stable")[: int(sizes.sum())]
+    col = flat[order]
+    cols[col, np.arange(len(order)) - (np.cumsum(sizes) - sizes)[col]] = order // width
+    return cols
 
 
 def _counted_branch(counts: np.ndarray) -> tuple[int, int]:

@@ -456,6 +456,17 @@ def test_engine_output_matches_golden(name, command):
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_hard_cubic_graph_answers_no_within_a_small_budget():
+    # Column dominance proves in 280 nodes that this random cubic graph
+    # has no DIM; Algorithm X alone would need 6 545.
+    code, out, err = invoke(
+        ["dim", "find", "--budget", "1000", str(DATA / "cubic-400-seed1.g")]
+    )
+    assert (code, err) == (1, "")
+    golden = DATA / "cubic-400-seed1.dim-find-budget-1000.txt"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_default_budgets_are_one_constant():
     budget = solver.DEFAULT_BUDGET
     for fn in (solver.find_dim, solver.dim_size, solver.enumerate_dims,

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from dimtools.families import (
     star,
 )
 from dimtools.graph import build_graph
+from dimtools.io import parse_graph
 from dimtools.solver import (
     DEFAULT_BUDGET,
     DimClass,
@@ -35,6 +37,9 @@ from dimtools.solver import (
 )
 
 from test_graph import graphs_strategy
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def pairs_of(g, edge_ids):
@@ -204,29 +209,71 @@ class TestEnumerate:
     )
     def test_family_node_ceilings(self, make, budget, count):
         # Node counts do not depend on the machine, so these ceilings pin
-        # the branching: most-constrained branching needs 402, 1889 and
-        # 373 nodes, lowest-index branching over 10^8 for KG(9,4).
+        # the branching: most-constrained branching needs 315, 1 386 and
+        # 280 nodes with column dominance and 402, 1 889 and 373 without,
+        # lowest-index branching over 10^8 for KG(9,4).
         g = make()
         dims = enumerate_dims(g, budget=budget)
         assert len(dims) == count
         assert all(classify_dim(g, d).is_valid for d in dims)
 
     @pytest.mark.parametrize(
-        "make,first,nodes",
+        "make,first,nodes,undominated",
         [
-            (lambda: kneser(9, 4).graph, 35, 402),
-            (lambda: kneser(11, 5).graph, 126, 1_889),
-            (lambda: bipartite_kneser(3, 4).graph, 35, 373),
-            (lambda: kneser(13, 6).graph, 462, 7_832),
+            (lambda: kneser(9, 4).graph, 35, 315, 402),
+            (lambda: kneser(11, 5).graph, 126, 1_386, 1_889),
+            (lambda: bipartite_kneser(3, 4).graph, 35, 280, 373),
+            (lambda: kneser(13, 6).graph, 462, 6_006, 7_832),
         ],
         ids=["KG(9,4)", "KG(11,5)", "BG(3,4)", "KG(13,6)"],
     )
-    def test_family_node_counts(self, make, first, nodes):
+    def test_family_node_counts(self, monkeypatch, make, first, nodes, undominated):
         # Node counts at the first solution (what find_dim pays) and at
-        # the end of the enumeration.
-        search = _dim_search(make(), _Nodes(DEFAULT_BUDGET))
-        at_solution = [search.budget.used for _ in search.solutions()]
-        assert (at_solution[0], search.budget.used) == (first, nodes)
+        # the end of the enumeration.  With column dominance the
+        # enumeration is DIM count x DIM size, so it never backtracks;
+        # with the gate forced off it is the plain Algorithm X tree.
+        g = make()
+
+        def tree():
+            search = _dim_search(g, _Nodes(DEFAULT_BUDGET))
+            at_solution = [search.budget.used for _ in search.solutions()]
+            return at_solution[0], search.budget.used
+
+        assert tree() == (first, nodes)
+        dims = enumerate_dims(g)
+        assert nodes == len(dims) * len(dims[0])
+        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", sys.maxsize)
+        assert tree() == (first, undominated)
+
+    @pytest.mark.parametrize("seed", (None, 1, 2), ids=["canonical", "relabelled-1", "relabelled-2"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: kneser(9, 4).graph, lambda: bipartite_kneser(3, 4).graph],
+        ids=["KG(9,4)", "BG(3,4)"],
+    )
+    def test_dominance_keeps_the_answers(self, monkeypatch, make, seed):
+        # The first DIM, the DIM list and the partition are those of the
+        # plain search.
+        g = make() if seed is None else relabelled(make(), seed)
+        answers = []
+        for gate in (solver._DOMINANCE_MIN_COLUMNS, sys.maxsize):
+            monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", gate)
+            answers.append((find_dim(g), enumerate_dims(g), partition.find_dim_partition(g)))
+        assert answers[0] == answers[1]
+
+    def test_cubic_400_needs_dominance(self, monkeypatch):
+        # networkx.random_regular_graph(3, 400, seed=1), checked in once:
+        # dominance proves it has no DIM in 280 nodes, Algorithm X alone
+        # takes 6 545.
+        g = parse_graph((DATA / "cubic-400-seed1.g").read_text(encoding="utf-8"))
+        assert (g.n, g.m, set(g.degrees)) == (400, 600, {3})
+        assert find_dim(g, budget=1_000) is None
+        search = _dim_search(g, _Nodes(DEFAULT_BUDGET))
+        assert list(search.solutions()) == []
+        assert search.budget.used == 280
+        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", sys.maxsize)
+        with pytest.raises(SearchBudgetExceeded):
+            find_dim(g, budget=1_000)
 
     def test_kg_13_6_closed_form_is_the_only_partition(self):
         # Its 13 DIMs are the 13 classes of the closed-form partition, so
@@ -284,6 +331,23 @@ class TestDominationSets:
                 cols = [c for c in row if c != g.m]
                 assert len(cols) == len(set(cols))
                 assert set(cols) == dominated_set(g, e)
+
+    def test_column_tables(self):
+        # The DIM instance's column table is its row table; a cover
+        # instance's lists, for each column, the rows that cover it.
+        for g in domination_instances():
+            table = solver._domination_table(g)
+            assert (solver._column_table(table, g.m, True) == table).all()
+        rng = random.Random(3)
+        for _ in range(20):
+            ncols = rng.randint(1, 9)
+            row_lists = [rng.sample(range(ncols), rng.randint(0, ncols)) for _ in range(rng.randint(0, 9))]
+            cols = solver._column_table(solver._padded(row_lists, ncols), ncols, False)
+            assert cols.shape[0] == ncols
+            for c, row in enumerate(cols.tolist()):
+                assert [i for i in row if i != len(row_lists)] == [
+                    i for i, cs in enumerate(row_lists) if c in cs
+                ]
 
 
 class TestBruteForce:
@@ -399,10 +463,12 @@ def cover_instance(row_lists, ncols):
 
 def counted_walk(monkeypatch, search_for):
     """The counting rule's walk: the number of rows each recount takes,
-    with "replay" where a dead chain is walked again, then the solutions
-    and the node count."""
+    with "replay" where a dead chain is walked again and "dominance"
+    where column dominance kills rows, then the solutions and the node
+    count."""
     steps = []
     recount, single_steps = _ExactCover._recount, _ExactCover._single_steps
+    dominated = _ExactCover._dominated
 
     def logged_recount(self, counts, dead, chosen):
         steps.append(len(chosen) if isinstance(chosen, list) else 1)
@@ -412,13 +478,21 @@ def counted_walk(monkeypatch, search_for):
         steps.append("replay")
         return single_steps(self, *replay)
 
+    def logged_dominated(self, viable, counts=None):
+        dead = dominated(self, viable, counts)
+        if dead:
+            steps.append("dominance")
+        return dead
+
     monkeypatch.setattr(_ExactCover, "_recount", logged_recount)
     monkeypatch.setattr(_ExactCover, "_single_steps", logged_single_steps)
+    monkeypatch.setattr(_ExactCover, "_dominated", logged_dominated)
     monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", 0)
     search = search_for(DEFAULT_BUDGET)
     sols = list(search.solutions())
     monkeypatch.setattr(_ExactCover, "_recount", recount)
     monkeypatch.setattr(_ExactCover, "_single_steps", single_steps)
+    monkeypatch.setattr(_ExactCover, "_dominated", dominated)
     return steps, sols, search.budget.used
 
 
@@ -562,6 +636,44 @@ class TestBranchingStrategies:
         assert counted_walk(monkeypatch, search_for) == (steps, sols, nodes)
         assert_same_tree(monkeypatch, search_for)
         assert_same_budget_hits(monkeypatch, search_for, range(nodes + 2))
+
+    def test_dominance_inside_a_dead_chain(self, monkeypatch):
+        # Rows 0 and 1 are forced at the root, a batch.  Then every column
+        # has two rows or more, and column 7's rows 10 and 11 both cover
+        # column 0, so dominance kills column 0's rows 6, 7 and 9.  That
+        # forces rows 3, 4 and 8, a second batch, which leaves columns 0
+        # and 2 to rows 10 and 2, which share column 5: row 10 empties
+        # column 2 after 6 nodes.  One row at a time the walk takes row 4,
+        # which forces row 10 ahead of rows 3 and 8, and dies after 4.
+        # The batch walk and the single steps meet at the node where
+        # dominance fires, so the chain is walked again from there, not
+        # from the root: from the root, the single steps would need
+        # dominance too.
+        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", 0)
+        row_lists = [
+            [8], [9], [2, 5], [6], [1, 3], [1, 2], [0, 3], [0, 3, 4], [4], [0, 6], [0, 5, 7], [0, 1, 7],
+        ]
+        search_for = cover_instance(row_lists, 10)
+        steps = [2, "dominance", 3, 1, "replay", 1, 1]
+        assert counted_walk(monkeypatch, search_for) == (steps, [], 4)
+        assert_same_tree(monkeypatch, search_for)
+        assert_same_budget_hits(monkeypatch, search_for, range(6))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_dominance_everywhere(self, monkeypatch, n):
+        # With the gate forced to 0, both rules apply dominance on every
+        # instance: on every connected graph up to 5 vertices and a
+        # seeded sample of 6 and 7, they grow one tree and find exactly
+        # the DIMs that the subset scan finds.  Dominance at the root can
+        # empty a column, so some searches try no row at all.
+        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", 0)
+        graphs = connected_graphs(n) if n <= 5 else sample_connected_graphs(n, 150, seed=n)
+        for g in graphs:
+            search_for = dim_instance(g)
+            nodes = search_outcome(search_for, DEFAULT_BUDGET)[1]
+            assert_same_budget_hits(monkeypatch, search_for, {max(nodes - 1, 0), DEFAULT_BUDGET})
+            if g.m <= 20:
+                assert set(enumerate_dims(g)) == set(brute_force_dims(g))
 
     def test_batch_at_the_root(self, monkeypatch):
         # 300 disjoint edges: each dominates itself alone, so all 300
