@@ -707,6 +707,29 @@ class TestBranchingStrategies:
             nodes = search_outcome(search_for, DEFAULT_BUDGET)[1]
             assert_same_budget_hits(monkeypatch, search_for, range(nodes + 2))
 
+    def test_random_cover_instances_with_dominance(self, monkeypatch):
+        # The same kind of instances with the gate forced to 0: both rules
+        # alike under every budget, and the covers those of the plain
+        # search.
+        rng = random.Random(11)
+        for _ in range(60):
+            ncols = rng.randint(4, 10)
+            row_lists = [
+                rng.sample(range(ncols), rng.randint(1, 3)) for _ in range(rng.randint(4, 14))
+            ]
+            if rng.random() < 0.5:
+                perm = rng.sample(range(ncols), ncols)
+                cuts = [0, *sorted(rng.sample(range(1, ncols), rng.randint(0, ncols - 1))), ncols]
+                row_lists += [perm[a:b] for a, b in zip(cuts, cuts[1:])]
+                rng.shuffle(row_lists)
+            search_for = cover_instance(row_lists, ncols)
+            plain = search_outcome(search_for, DEFAULT_BUDGET)[0]
+            monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", 0)
+            found, nodes, _ = search_outcome(search_for, DEFAULT_BUDGET)
+            assert sorted(found) == sorted(plain)
+            assert_same_budget_hits(monkeypatch, search_for, range(nodes + 2))
+            monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", sys.maxsize)
+
     @pytest.mark.parametrize("seed", (None, 3), ids=["canonical", "relabelled"])
     @pytest.mark.parametrize(
         "make",
