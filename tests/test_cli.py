@@ -24,7 +24,7 @@ from dimtools.io import (
     parse_partition,
     serialize_graph,
 )
-from dimtools.families import cycle, kneser, petersen
+from dimtools.families import bipartite_kneser, cycle, kneser, petersen
 
 # Golden stdout (sweeps, verify reports, engine output) that a change must
 # reproduce byte for byte.
@@ -216,13 +216,23 @@ class TestPartitionCmd:
         assert code == 2
 
 
+TWO_PETERSENS = build_graph(
+    20, [*petersen().edges, *((u + 10, v + 10) for u, v in petersen().edges)]
+)
 # Graphs whose verify reports are kept as goldens: C4 has no DIM, so no
 # entry applies; the path 0-1-2-3 has a DIM but no partition; every entry
-# applies on the Petersen graph.
+# applies on the Petersen graph.  BG(2,3) has a biregular partition, so
+# the list properties apply and vertex-count divisibility does not; C6 has
+# a regular partition off the extremal case, and 3 divides its 6 vertices;
+# two disjoint Petersens have a partition but are disconnected, so
+# partition regularity does not apply while the list properties do.
 VERIFY_GOLDENS = {
     "c4": cycle(4),
     "path4": build_graph(4, [(0, 1), (1, 2), (2, 3)]),
     "petersen": petersen(),
+    "bg-2-3": bipartite_kneser(2, 3).graph,
+    "c6": cycle(6),
+    "two-petersens": TWO_PETERSENS,
 }
 # verify all at budgets that stop a search at four different points, each
 # exit 3: before Petersen's first DIM; during its DIM enumeration; in C9's
@@ -233,10 +243,7 @@ BUDGET_GOLDENS = {
     "petersen-budget-1": (petersen(), 1),
     "petersen-budget-10": (petersen(), 10),
     "c9-budget-10": (cycle(9), 10),
-    "two-petersens-budget-40": (
-        build_graph(20, [*petersen().edges, *((u + 10, v + 10) for u, v in petersen().edges)]),
-        40,
-    ),
+    "two-petersens-budget-40": (TWO_PETERSENS, 40),
 }
 
 
