@@ -25,32 +25,30 @@ The laws covered:
   by C(2r-1, r-1), with equality exactly for the subset-disjointness
   graph.
 
-:func:`full_report` runs all of them on one graph.  It computes each
-fact the checks share once, up front, and passes it down: the extreme
-degrees and the regularity, read off the degrees with no 2-coloring,
-the DIMs, the components, the cycle-law result for one DIM, the DIM
-partition with its incident-color sets and the list assignment built
-from them.  The components are found only when some check can
-apply, that is when a DIM exists or the DIM search ran out of budget.
-One run of the exact-cover engine gives the DIMs: its first solution is
-the DIM :func:`~dimtools.solver.find_dim` returns and all of them are
-the DIM list.  The partition search of a connected graph draws on that
-run's node counter and covers the edges by that list.  Every entry then
-follows one rule.  A check whose hypothesis fails is not applicable.  A
-check that applies while a search it reads (the DIM search or the
-partition search) ran out of budget is an error entry; where the DIM
-search ran out, whether a DIM exists is unknown, so every check that
-needs one applies as far as the rest of its hypothesis goes.  Otherwise
-the check runs; no check searches.  A budget hit never reads as "no DIM"
-or "no partition".
-Not-applicable entries depend only on the check's name and reason, so
-each is built once per process and shared, immutable, by every report;
-a graph with no DIM, found by a search that did not run out, gets one
-shared tuple of them and nothing else is computed.  The engine's DIM is
-checked with :func:`~dimtools.solver.classify_dim` once per report, and
-the coloring and cycle entries read it through private cores that do
-not check it again.  The cycle laws are counted on the cycle walk of
-:func:`~dimtools.graph.enumerate_cycles`, with no ``Cycle`` built.
+:func:`full_report` runs all of them on one graph from one table,
+``_CHECKS``, with a row per report entry in report order.  A row declares
+its check once: the name, the not-applicable reason, the search whose
+budget error it reads (the DIM search up to its first DIM, the whole DIM
+list, or the partition search), its hypothesis and its run.  The
+hypothesis and the run read one per-report :class:`_Facts`, which holds
+each fact the checks share, computed once: the extreme degrees and the
+regularity, the DIMs, the components, the cycle-law result for one DIM,
+and the DIM partition with its list assignment.  One run of the
+exact-cover engine gives the DIMs: its first solution is the DIM
+:func:`~dimtools.solver.find_dim` returns and all of them are the DIM
+list.  The partition search of a connected graph draws on that run's
+node counter and covers the edges by that list.
+
+Every row follows one rule.  A check whose hypothesis fails is not
+applicable ("na").  A check that applies while its search ran out of
+budget is an "error" entry; where the DIM search ran out before a DIM,
+whether one exists is unknown, so every check that needs one applies as
+far as the rest of its hypothesis goes.  Otherwise the run says "pass"
+or "fail"; no run searches.  A budget hit never reads as "no DIM" or "no
+partition".  A row's not-applicable entry is built once per process and
+shared, immutable, by every report.  A graph with no DIM, found by a
+search that did not run out, gets the tuple of them all, ``_NO_DIM``,
+and nothing else is computed, the components included.
 """
 
 from __future__ import annotations
@@ -58,11 +56,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb, gcd
-from typing import Callable, Collection, Optional, Sequence
+from typing import Callable, Literal, Optional
 
-from .graph import EdgeId, Graph, _cycle_walk, _regularity, components
+from .graph import Graph, _cycle_walk, _regularity, components
 from .partition import (
     DimPartition,
+    ListAssignment,
     _class_count,
     _list_properties,
     _lists,
@@ -142,12 +141,6 @@ def _quarter(x: int) -> str:
     """``str(Fraction(x, 4))`` for x >= 0, without building the Fraction."""
     d = gcd(x, 4)
     return str(x // d) if d == 4 else f"{x // d}/{4 // d}"
-
-
-def check_dim_size_invariance(dims: Sequence[Collection[EdgeId]]) -> bool:
-    """All DIMs of a graph, listed in any order, share one cardinality
-    (vacuously true below two DIMs)."""
-    return len({len(d) for d in dims}) <= 1
 
 
 def regular_dim_formula(n: int, k: int) -> Optional[int]:
@@ -247,16 +240,34 @@ class Budgets:
             raise ValueError(f"need max_cycle_len >= 3 and search_nodes >= 0, got {self}")
 
 
+
+
+
+Outcome = Literal["pass", "fail", "na", "error"]
+
+
 @dataclass(frozen=True)
 class CheckEntry:
+    """One report entry.  ``outcome`` is "pass" or "fail" when the check
+    ran, "na" when its hypothesis fails, and "error" when a search it
+    reads ran out of budget; ``error`` then says how."""
+
     name: str
-    applicable: bool
-    passed: bool
+    outcome: Outcome
     details: str
     error: Optional[str] = None
 
+    @property
+    def applicable(self) -> bool:
+        return self.outcome != "na"
+
+    @property
+    def passed(self) -> bool:
+        return self.outcome == "pass"
+
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"name": self.name, "applicable": self.applicable, "passed": self.passed,
+                "details": self.details, "error": self.error}
 
 
 @dataclass(frozen=True)
@@ -280,7 +291,7 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(e.passed or not e.applicable for e in self.entries)
+        return all(e.outcome in ("pass", "na") for e in self.entries)
 
     def as_dict(self) -> dict:
         return {
@@ -331,51 +342,135 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _not_applicable(*checks: tuple[str, str]) -> tuple[CheckEntry, ...]:
-    """The not-applicable entry of each ``(name, reason)`` check."""
-    return tuple(
-        CheckEntry(name, applicable=False, passed=False, details=reason)
-        for name, reason in checks
+
+@dataclass
+class _Facts:
+    """What one report knows of its graph.  Every row of ``_CHECKS``
+    reads its hypothesis and its run off it; a run reads only the facts
+    that its hypothesis and a search without budget error guarantee."""
+
+    g: Graph
+    lo: int
+    k: int  # the largest degree
+    regularity: str
+    regular: bool
+    connected: bool
+    # The budget error, or None, of each search a row can read: "dim" up
+    # to the first DIM, "dims" the whole DIM list, "partition".
+    errors: dict[str, Optional[str]]
+    dims: list[list[int]]
+    dim: Optional[EdgeSet]
+    cycles: Optional[CycleIntersectionCheck]
+    # The partition search found a partition or ran out of budget.
+    maybe_partition: bool
+    classes: Optional[int]
+    p: Optional[DimPartition]
+    assignment: Optional[ListAssignment]
+
+
+class _Check:
+    """One row of the report table, declaring one check: its name and its
+    not-applicable reason (kept as its shared not-applicable entry
+    ``na``), the search whose budget error it reads (a key of
+    ``_Facts.errors``), its hypothesis beyond that search's result, and
+    its run, which maps the facts to ``(passed, details)``."""
+
+    def __init__(
+        self, name: str, reason: str, search: str,
+        applies: Callable[[_Facts], bool], run: Callable[[_Facts], tuple[bool, str]],
+    ) -> None:
+        self.na = CheckEntry(name, "na", reason)
+        self.search, self.applies, self.run = search, applies, run
+
+    def entry(self, f: _Facts) -> CheckEntry:
+        if not self.applies(f):
+            return self.na
+        error = f.errors[self.search]
+        if error is not None:
+            return CheckEntry(self.na.name, "error", "budget exhausted", error)
+        passed, details = self.run(f)
+        return CheckEntry(self.na.name, "pass" if passed else "fail", details)
+
+
+def _always(f: _Facts) -> bool:
+    return True
+
+
+def _run_coloring(f: _Facts) -> tuple[bool, str]:
+    used = sorted(set(_coloring(f.g, f.dim).color_of))
+    return True, "proper coloring with colors " + ",".join(map(str, used))
+
+
+def _run_edge_bound(f: _Facts) -> tuple[bool, str]:
+    four_bound = f.g.n * f.g.n + f.g.n
+    return 4 * f.g.m <= four_bound, f"edges {f.g.m} vs bound {_quarter(four_bound)}"
+
+
+def _run_bounds(f: _Facts) -> tuple[bool, str]:
+    res = check_dim_bounds(f.g, f.dim)
+    return res.lower_ok and res.upper_ok, f"lower {res.lower_ok} upper {res.upper_ok}"
+
+
+def _run_formula(f: _Facts) -> tuple[bool, str]:
+    expected = regular_dim_formula(f.g.n, f.k)
+    return expected == len(f.dim), f"formula {expected} actual {len(f.dim)}"
+
+
+def _run_divisibility(f: _Facts) -> tuple[bool, str]:
+    ok = (f.g.n * f.k) % (4 * f.k - 2) == 0
+    return ok, f"{4 * f.k - 2} divides {f.g.n * f.k}: {ok}"
+
+
+def _run_lists(f: _Facts) -> tuple[bool, str]:
+    res = _list_properties(f.g, f.assignment, f.lo, f.k)
+    return res.disjointness and res.surjective and res.equal_fibers, (
+        f"disjoint {res.disjointness} surjective {res.surjective} "
+        f"equal-fibers {res.equal_fibers}"
     )
 
 
-# Every check of a report, in report order, as its not-applicable entry.
-# That entry depends only on the check's name and reason, so it is built
-# once per process and shared, immutable, by every report.
-_DIM_CHECKS = _not_applicable(
-    ("three-coloring", "no dim"),
-    ("edge-count-bound", "no dim"),
-    ("dim-size-invariance", "no dim"),
-    ("degree-ratio-bounds", "no dim or min degree below 2"),
-    ("regular-size-formula", "not regular or no dim"),
-    ("regular-divisibility", "not regular or no dim"),
-    ("cycle-intersection-bound", "no dim"),
-    ("cycle-intersection-parity", "no dim"),
-    ("short-cycle-intersections", "no dim"),
-)
-_PARTITION_CHECKS = _not_applicable(
-    ("partition-regularity", "no partition or graph disconnected"),
-    ("list-properties", "no partition or irregular degree profile"),
-    ("vertex-count-divisibility", "no partition or not regular"),
-    ("kneser-extremal-case", "vertex count differs from the extremal value"),
+def _run_vertex_divisibility(f: _Facts) -> tuple[bool, str]:
+    binom = comb(2 * f.k - 1, f.k - 1)
+    ok = f.g.n % binom == 0
+    return ok, f"{binom} divides {f.g.n}: {ok}"
+
+
+# Every check of a report, in report order: name, not-applicable reason,
+# search, hypothesis and run.
+_CHECKS = (
+    _Check("three-coloring", "no dim", "dim", _always, _run_coloring),
+    _Check("edge-count-bound", "no dim", "dim", _always, _run_edge_bound),
+    _Check("dim-size-invariance", "no dim", "dims", _always,
+           lambda f: (len({len(d) for d in f.dims}) <= 1, f"dim count {len(f.dims)}")),
+    _Check("degree-ratio-bounds", "no dim or min degree below 2", "dim",
+           lambda f: f.lo >= 2, _run_bounds),
+    _Check("regular-size-formula", "not regular or no dim", "dim",
+           lambda f: f.regular, _run_formula),
+    _Check("regular-divisibility", "not regular or no dim", "dim",
+           lambda f: f.regular, _run_divisibility),
+    _Check("cycle-intersection-bound", "no dim", "dim", _always,
+           lambda f: (f.cycles.all_bound_ok, f"cycles checked {f.cycles.cycles_checked}")),
+    _Check("cycle-intersection-parity", "no dim", "dim", _always,
+           lambda f: (f.cycles.all_parity_ok, f"cycles checked {f.cycles.cycles_checked}")),
+    _Check("short-cycle-intersections", "no dim", "dim", _always,
+           lambda f: (f.cycles.short_cycle_ok, f"cycles checked {f.cycles.cycles_checked}")),
+    # The law itself, on the partition found and the regularity.
+    _Check("partition-regularity", "no partition or graph disconnected", "partition",
+           lambda f: f.maybe_partition and f.connected,
+           lambda f: (f.regularity != "neither" and f.p.num_classes == f.classes,
+                      f"classes {f.p.num_classes}")),
+    _Check("list-properties", "no partition or irregular degree profile", "partition",
+           lambda f: f.maybe_partition and f.regularity != "neither", _run_lists),
+    _Check("vertex-count-divisibility", "no partition or not regular", "partition",
+           lambda f: f.maybe_partition and f.regular, _run_vertex_divisibility),
+    _Check("kneser-extremal-case", "vertex count differs from the extremal value", "partition",
+           lambda f: (f.maybe_partition and f.regular and f.connected
+                      and f.g.n == comb(2 * f.k - 1, f.k - 1)),
+           lambda f: (check_kneser_isomorphism(f.g, f.assignment),
+                      f"vertices {f.g.n} = C({2 * f.k - 1},{f.k - 1})")),
 )
 # The entries of every report on a graph with no DIM and no budget hit.
-_NO_DIM = _DIM_CHECKS + _PARTITION_CHECKS
-
-
-def _entry(
-    na: CheckEntry,
-    applies: bool,
-    search_error: Optional[str],
-    run: Callable[[], tuple[bool, str]],
-) -> CheckEntry:
-    """One report entry: ``na``, the check's not-applicable entry, a budget
-    error, or the result ``(passed, details)`` of ``run``."""
-    if not applies:
-        return na
-    if search_error is not None:
-        return CheckEntry(na.name, True, False, "budget exhausted", error=search_error)
-    return CheckEntry(na.name, True, *run())
+_NO_DIM = tuple(row.na for row in _CHECKS)
 
 
 def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
@@ -387,7 +482,6 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     Output is deterministic for fixed inputs and budgets.
     """
     lo, k, regularity = _regularity(g)
-    regular = lo == k >= 1
 
     # One engine run gives the DIM and the DIM list.
     nodes = _Nodes(budgets.search_nodes)
@@ -398,25 +492,21 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
             dims.append(sol)
     except SearchBudgetExceeded as exc:
         search_error = str(exc)
-    # The one check that the engine's DIM is a DIM; the checks below that
-    # read it call cores that take it as given.
+    # The one check that the engine's DIM is a DIM; the runs that read it
+    # call cores that take it as given.
     dim = _valid_dim(g, dims[0]) if dims else None
     # A budget hit before the first solution leaves it unknown whether a
     # DIM exists; a hit after it leaves the DIM list incomplete.
     dim_error = None if dims else search_error
     if dim is None and dim_error is None:
-        # No check applies, so nothing else is computed, the components
-        # included.
         return VerificationReport(
             g.n, g.m, lo, k, regularity, False, None, None, budgets, _NO_DIM
         )
     comps = components(g)
     connected = len(comps) <= 1
 
-    cycles: Optional[CycleIntersectionCheck] = None
-    p: Optional[DimPartition] = None
+    cycles = classes = p = assignment = None
     partition_error = dim_error
-    assignment = None
     if dim is not None:
         cycles = _cycle_laws(g, dim, budgets.max_cycle_len)
         classes = _class_count(g)
@@ -437,95 +527,16 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
             if found:
                 p, colors_at = found
                 assignment = _lists(classes, colors_at)
-    maybe_partition = (p is not None or partition_error is not None) and g.m > 0
 
-    def coloring():
-        used = sorted(set(_coloring(g, dim).color_of))
-        return True, "proper coloring with colors " + ",".join(map(str, used))
-
-    def edge_bound():
-        four_bound = g.n * g.n + g.n
-        return 4 * g.m <= four_bound, f"edges {g.m} vs bound {_quarter(four_bound)}"
-
-    def invariance():
-        return check_dim_size_invariance(dims), f"dim count {len(dims)}"
-
-    def bounds():
-        res = check_dim_bounds(g, dim)
-        ok = res.lower_ok and res.upper_ok
-        return ok, f"lower {res.lower_ok} upper {res.upper_ok}"
-
-    def formula():
-        expected = regular_dim_formula(g.n, k)
-        return expected == len(dim), f"formula {expected} actual {len(dim)}"
-
-    def divisibility():
-        ok = (g.n * k) % (4 * k - 2) == 0
-        return ok, f"{4 * k - 2} divides {g.n * k}: {ok}"
-
-    def cycle_law(law: str):
-        return lambda: (getattr(cycles, law), f"cycles checked {cycles.cycles_checked}")
-
-    def partition_regularity():
-        # The law itself, on the partition found and the regularity.
-        ok = regularity != "neither" and p.num_classes == classes
-        return ok, f"classes {p.num_classes}"
-
-    def lists():
-        res = _list_properties(g, assignment, lo, k)
-        ok = res.disjointness and res.surjective and res.equal_fibers
-        return ok, (
-            f"disjoint {res.disjointness} surjective {res.surjective} "
-            f"equal-fibers {res.equal_fibers}"
-        )
-
-    def vertex_divisibility():
-        binom = comb(2 * k - 1, k - 1)
-        ok = g.n % binom == 0
-        return ok, f"{binom} divides {g.n}: {ok}"
-
-    def extremal():
-        ok = check_kneser_isomorphism(g, assignment)
-        return ok, f"vertices {g.n} = C({2 * k - 1},{k - 1})"
-
-    extremal_order = regular and connected and g.n == comb(2 * k - 1, k - 1)
-    # (hypothesis beyond the search result, run) of each check, in the
-    # order of _DIM_CHECKS and _PARTITION_CHECKS.
-    dim_runs = (
-        (True, coloring),
-        (True, edge_bound),
-        (True, invariance),
-        (lo >= 2, bounds),
-        (regular, formula),
-        (regular, divisibility),
-        (True, cycle_law("all_bound_ok")),
-        (True, cycle_law("all_parity_ok")),
-        (True, cycle_law("short_cycle_ok")),
+    facts = _Facts(
+        g, lo, k, regularity, lo == k >= 1, connected,
+        {"dim": dim_error, "dims": search_error, "partition": partition_error},
+        dims, dim, cycles,
+        (p is not None or partition_error is not None) and g.m > 0,
+        classes, p, assignment,
     )
-    partition_runs = (
-        (connected, partition_regularity),
-        (regularity != "neither", lists),
-        (regular, vertex_divisibility),
-        (extremal_order, extremal),
-    )
-    # A budget hit after the first DIM leaves only the DIM list unknown.
-    entries = [
-        _entry(na, holds, search_error if run is invariance else dim_error, run)
-        for na, (holds, run) in zip(_DIM_CHECKS, dim_runs, strict=True)
-    ] + [
-        _entry(na, maybe_partition and holds, partition_error, run)
-        for na, (holds, run) in zip(_PARTITION_CHECKS, partition_runs, strict=True)
-    ]
-
     return VerificationReport(
-        vertices=g.n,
-        edges=g.m,
-        min_degree=lo,
-        max_degree=k,
-        regularity=regularity,
-        dim_exists=dim is not None,
-        dim_size=len(dim) if dim is not None else None,
-        dim_search_error=dim_error,
-        budgets=budgets,
-        entries=tuple(entries),
+        g.n, g.m, lo, k, regularity, dim_exists=dim is not None,
+        dim_size=len(dim) if dim is not None else None, dim_search_error=dim_error,
+        budgets=budgets, entries=tuple(row.entry(facts) for row in _CHECKS),
     )

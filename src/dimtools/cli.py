@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, TextIO
@@ -271,7 +272,9 @@ def _cmd_partition(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _has_budget_error(report: VerificationReport) -> bool:
-    return report.dim_search_error is not None or any(e.error for e in report.entries)
+    return report.dim_search_error is not None or any(
+        e.outcome == "error" for e in report.entries
+    )
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
@@ -293,10 +296,8 @@ class _SweepTally:
     with_dim: int = 0
     without_dim: int = 0
     budget_errors: bool = False
-    check_pass: dict = field(default_factory=dict)
-    check_fail: dict = field(default_factory=dict)
-    check_na: dict = field(default_factory=dict)
-    check_error: dict = field(default_factory=dict)
+    # Entries per (check name, outcome).
+    outcomes: Counter = field(default_factory=Counter)
     counterexamples: list = field(default_factory=list)
 
     def add(self, g: Graph, report: VerificationReport) -> None:
@@ -306,20 +307,8 @@ class _SweepTally:
         elif report.dim_search_error is None:
             self.without_dim += 1
         self.budget_errors |= _has_budget_error(report)
-        bad = False
-        for e in report.entries:
-            for bucket in (self.check_pass, self.check_fail, self.check_na, self.check_error):
-                bucket.setdefault(e.name, 0)
-            if e.error is not None:
-                self.check_error[e.name] += 1
-            elif not e.applicable:
-                self.check_na[e.name] += 1
-            elif e.passed:
-                self.check_pass[e.name] += 1
-            else:
-                self.check_fail[e.name] += 1
-                bad = True
-        if bad:
+        self.outcomes.update((e.name, e.outcome) for e in report.entries)
+        if any(e.outcome == "fail" for e in report.entries):
             self.counterexamples.append(g)
 
 
@@ -356,11 +345,11 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     out.write(f"graphs {tally.graphs}\n")
     out.write(f"graphs-with-dim {tally.with_dim}\n")
     out.write(f"graphs-without-dim {tally.without_dim}\n")
-    for name in sorted(tally.check_pass):
+    counts = tally.outcomes
+    for name in sorted({name for name, _ in counts}):
         out.write(
-            f"check {name} pass={tally.check_pass[name]} "
-            f"fail={tally.check_fail[name]} na={tally.check_na[name]} "
-            f"error={tally.check_error[name]}\n"
+            f"check {name} pass={counts[name, 'pass']} fail={counts[name, 'fail']} "
+            f"na={counts[name, 'na']} error={counts[name, 'error']}\n"
         )
     out.write(f"counterexamples {len(tally.counterexamples)}\n")
     for i, g in enumerate(tally.counterexamples):

@@ -1,4 +1,4 @@
-"""Bit-exact text formats for graphs, matchings, partitions, and lists.
+"""Bit-exact text formats for graphs, matchings, partitions, and labels.
 
 Graph formats:
   edge-list  -- first line "n m", then m lines "u v" with 0-based
@@ -23,8 +23,8 @@ serialize(parse(text)) is the canonical form of text.
 Matchings serialize as one "u-v" pair per line in canonical edge
 order.  A certificate prefixes that with a sha256 digest of the
 graph's canonical edge-list serialization.  Partition files carry a
-"classes k" header and one "u v c" line per edge; list assignments and
-label sidecars use "v : {a,b,...}" lines with ascending labels.
+"classes k" header and one "u v c" line per edge; subset-label
+sidecars use "v : {a,b,...}" lines with ascending labels.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import itertools
 from typing import Iterable, Optional
 
 from .graph import Graph
-from .partition import DimPartition, ListAssignment
+from .partition import DimPartition
 from .solver import EdgeSet
 
 GRAPH_FORMATS = ("edgelist", "dimacs")
@@ -279,16 +279,15 @@ def _parse_label_set(token: str) -> frozenset[int]:
         raise FormatError(f"malformed label set: {token!r}") from None
 
 
-def serialize_list_assignment(assignment: ListAssignment) -> str:
-    return serialize_labels(assignment.lists)
+def serialize_labels(labels: Iterable[frozenset[int]]) -> str:
+    return "".join(
+        f"{v} : {_format_label_set(lab)}\n" for v, lab in enumerate(labels)
+    )
 
 
-def parse_list_assignment(text: str, num_labels: Optional[int] = None) -> ListAssignment:
-    """Parse "v : {a,b,...}" lines.
-
-    The label universe size is taken from ``num_labels`` when given and
-    otherwise inferred as the largest label present.
-    """
+def parse_labels(text: str) -> tuple[frozenset[int], ...]:
+    """Parse "v : {a,b,...}" lines, one per vertex 0..n-1, into each
+    vertex's label set."""
     entries: dict[int, frozenset[int]] = {}
     for line in _significant_lines(text, ("#",)):
         head, sep, tail = line.partition(":")
@@ -303,18 +302,4 @@ def parse_list_assignment(text: str, num_labels: Optional[int] = None) -> ListAs
         entries[v] = _parse_label_set(tail)
     if sorted(entries) != list(range(len(entries))):
         raise FormatError("assignment lines must cover vertices 0..n-1")
-    lists = tuple(entries[v] for v in range(len(entries)))
-    if num_labels is None:
-        num_labels = max((max(lst) for lst in lists if lst), default=0)
-    return ListAssignment(num_labels, lists)
-
-
-def serialize_labels(labels: Iterable[frozenset[int]]) -> str:
-    return "".join(
-        f"{v} : {_format_label_set(lab)}\n" for v, lab in enumerate(labels)
-    )
-
-
-def parse_labels(text: str) -> tuple[frozenset[int], ...]:
-    assignment = parse_list_assignment(text)
-    return assignment.lists
+    return tuple(entries[v] for v in range(len(entries)))

@@ -783,13 +783,6 @@ def enumerate_dims(g: Graph, budget: int = DEFAULT_BUDGET) -> list[EdgeSet]:
     return [frozenset(sol) for sol in sorted(_dim_search(g, _Nodes(budget)).solutions())]
 
 
-def dim_size(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[int]:
-    """The common size of g's DIMs (all DIMs of a graph have equal size),
-    or None if g has no DIM."""
-    sol = find_dim(g, budget)
-    return None if sol is None else len(sol)
-
-
 def brute_force_dims(g: Graph) -> list[EdgeSet]:
     """Oracle: scan all 2^m edge subsets with the definitional check.
 

@@ -13,7 +13,6 @@ from dimtools.checks import (
     CycleIntersectionCheck,
     check_cycle_intersections,
     check_dim_bounds,
-    check_dim_size_invariance,
     check_edge_bound,
     full_report,
     regular_dim_formula,
@@ -111,7 +110,9 @@ class TestEdgeBound:
 class TestSizeInvariance:
     @pytest.mark.parametrize("g", [cycle(6), complete(3), petersen()])
     def test_true_on_examples(self, g):
-        assert check_dim_size_invariance(enumerate_dims(g))
+        entry = full_report(g).entry("dim-size-invariance")
+        assert entry.outcome == "pass"
+        assert entry.details == f"dim count {len(enumerate_dims(g))}"
 
 
 class TestRegularFormula:
@@ -200,7 +201,7 @@ class TestReportCycleEntries:
     def assert_entries_match(self, g, report):
         got = [report.entry(name) for name in CYCLE_ENTRIES]
         if not report.dim_exists:
-            assert got == [CheckEntry(name, False, False, "no dim") for name in CYCLE_ENTRIES]
+            assert got == [CheckEntry(name, "na", "no dim") for name in CYCLE_ENTRIES]
             return
         max_len = report.budgets.max_cycle_len
         dim = find_dim(g)
@@ -208,7 +209,7 @@ class TestReportCycleEntries:
         assert res == cycle_laws_from_cycles(g, dim, max_len)
         flags = (res.all_bound_ok, res.all_parity_ok, res.short_cycle_ok)
         details = f"cycles checked {res.cycles_checked}"
-        assert got == [CheckEntry(name, True, ok, details)
+        assert got == [CheckEntry(name, "pass" if ok else "fail", details)
                        for name, ok in zip(CYCLE_ENTRIES, flags)]
 
     def test_every_small_graph_with_a_dim(self):
@@ -233,6 +234,14 @@ class TestReportCycleEntries:
         report = full_report(g, Budgets(max_cycle_len=max_len))
         assert report.dim_exists == (find_dim(g) is not None)
         self.assert_entries_match(g, report)
+
+
+def wrong_c6_partition(monkeypatch):
+    """Make the report's partition search on C6 return two perfect
+    matchings, so partition-regularity fails."""
+    wrong = DimPartition(2, (1, 2, 1, 2, 1, 2))
+    colors_at = [0b110] * 6  # colors 1 and 2 at every vertex
+    monkeypatch.setattr(checks, "_search_partition", lambda *args: (wrong, colors_at))
 
 
 class TestPartitionRegularity:
@@ -262,13 +271,59 @@ class TestPartitionRegularity:
         # C6 with its edges split into two perfect matchings: the entry
         # must compare the partition's own class count, 2, with
         # d(u)+d(v)-1 = 3, not trust the search's class count.
-        g = cycle(6)
-        wrong = DimPartition(2, (1, 2, 1, 2, 1, 2))
-        colors_at = [0b110] * 6  # colors 1 and 2 at every vertex
-        monkeypatch.setattr(checks, "_search_partition", lambda *args: (wrong, colors_at))
-        entry = full_report(g).entry("partition-regularity")
+        wrong_c6_partition(monkeypatch)
+        entry = full_report(cycle(6)).entry("partition-regularity")
         assert entry.applicable and not entry.passed
         assert entry.details == "classes 2"
+
+
+class TestReportTable:
+    """The one table of checks behind full_report, and the one outcome of
+    each entry."""
+
+    def test_names_are_unique(self):
+        names = [row.na.name for row in checks._CHECKS]
+        assert len(names) == len(set(names)) == 13
+
+    def test_no_dim_is_the_tables_na_entries_in_report_order(self):
+        assert checks._NO_DIM == tuple(row.na for row in checks._CHECKS)
+        assert all(e.outcome == "na" for e in checks._NO_DIM)
+        assert full_report(cycle(4)).entries is checks._NO_DIM
+        names = [e.name for e in full_report(petersen()).entries]
+        assert names == [e.name for e in checks._NO_DIM]
+
+    def test_table_path_shares_the_na_entries(self):
+        report = full_report(bipartite_kneser(2, 3).graph)
+        entry = report.entry("vertex-count-divisibility")
+        assert entry.outcome == "na"
+        assert any(entry is na for na in checks._NO_DIM)
+
+    @pytest.mark.parametrize(
+        "outcome,applicable,passed",
+        [("pass", True, True), ("fail", True, False), ("na", False, False),
+         ("error", True, False)],
+    )
+    def test_outcome_gives_the_flags(self, monkeypatch, outcome, applicable, passed):
+        if outcome == "fail":
+            wrong_c6_partition(monkeypatch)
+        g, budgets, name = {
+            "pass": (petersen(), Budgets(), "kneser-extremal-case"),
+            "fail": (cycle(6), Budgets(), "partition-regularity"),
+            "na": (cycle(4), Budgets(), "three-coloring"),
+            "error": (petersen(), Budgets(search_nodes=1), "three-coloring"),
+        }[outcome]
+        report = full_report(g, budgets)
+        entry = report.entry(name)
+        assert entry.outcome == outcome
+        assert (entry.applicable, entry.passed) == (applicable, passed)
+        assert (entry.error is not None) == (outcome == "error")
+        assert entry.as_dict() == {
+            "name": name, "applicable": applicable, "passed": passed,
+            "details": entry.details, "error": entry.error,
+        }
+        # No entry of these reports has an outcome other than this one
+        # and "pass" or "na", so all_passed turns on it alone.
+        assert report.all_passed == (outcome in ("pass", "na"))
 
 
 class TestBudgets:

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism, round trips."""
 
+import dataclasses
 import inspect
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import dimtools
 from dimtools import cli, partition, solver
-from dimtools.checks import Budgets
+from dimtools.checks import Budgets, CheckEntry, full_report
 from dimtools.cli import run
 from dimtools.graph import build_graph
 from dimtools.io import (
@@ -322,6 +323,27 @@ class TestSweep:
         assert "graphs-with-dim 40" in out
         assert "counterexamples 0" in out
 
+    def test_failed_entry_is_counted_and_dumped(self, tmp_path, monkeypatch):
+        # A report on the triangle whose three-coloring entry fails.
+        def with_a_failure(g, budgets):
+            report = full_report(g, budgets)
+            if g != cycle(3):
+                return report
+            entries = tuple(
+                CheckEntry(e.name, "fail", e.details) if e.name == "three-coloring" else e
+                for e in report.entries
+            )
+            return dataclasses.replace(report, entries=entries)
+
+        monkeypatch.setattr(cli, "full_report", with_a_failure)
+        code, out, _ = invoke(["sweep", "--max-n", "3", "--dump-dir", str(tmp_path)])
+        assert code == 1
+        assert "check three-coloring pass=5 fail=1 na=0 error=0\n" in out
+        assert "check edge-count-bound pass=6 fail=0 na=0 error=0\n" in out
+        assert "counterexamples 1\n" in out
+        dumped = (tmp_path / "counterexample-000.g").read_text(encoding="utf-8")
+        assert parse_graph(dumped) == cycle(3)
+
     def test_budget_exhaustion_exit_three(self, tmp_path):
         code, out, _ = invoke(
             ["sweep", "--max-n", "4", "--budget", "1", "--dump-dir", str(tmp_path)]
@@ -476,8 +498,7 @@ def test_hard_cubic_graph_answers_no_within_a_small_budget():
 
 def test_default_budgets_are_one_constant():
     budget = solver.DEFAULT_BUDGET
-    for fn in (solver.find_dim, solver.dim_size, solver.enumerate_dims,
-               partition.find_dim_partition):
+    for fn in (solver.find_dim, solver.enumerate_dims, partition.find_dim_partition):
         assert inspect.signature(fn).parameters["budget"].default == budget, fn
     assert Budgets().search_nodes == budget
     parser = cli._build_parser()

@@ -14,17 +14,15 @@ from dimtools.io import (
     parse_certificate,
     parse_graph,
     parse_labels,
-    parse_list_assignment,
     parse_matching,
     parse_partition,
     serialize_certificate,
     serialize_graph,
     serialize_labels,
-    serialize_list_assignment,
     serialize_matching,
     serialize_partition,
 )
-from dimtools.partition import ListAssignment, find_dim_partition
+from dimtools.partition import find_dim_partition
 from dimtools.solver import find_dim
 
 from test_graph import graphs_strategy
@@ -183,14 +181,10 @@ class TestPartitionFormat:
 
 class TestListAssignmentFormat:
     def test_roundtrip(self):
-        a = ListAssignment(3, (frozenset({1, 2}), frozenset(), frozenset({3})))
-        text = serialize_list_assignment(a)
+        labels = (frozenset({1, 2}), frozenset(), frozenset({3}))
+        text = serialize_labels(labels)
         assert text == "0 : {1,2}\n1 : {}\n2 : {3}\n"
-        assert parse_list_assignment(text, num_labels=3) == a
-
-    def test_universe_inferred(self):
-        a = parse_list_assignment("0 : {2}\n1 : {1}\n")
-        assert a.num_labels == 2
+        assert parse_labels(text) == labels
 
     def test_labels_sidecar_roundtrip(self):
         lg, _ = kneser_dim_partition(3)
@@ -199,4 +193,4 @@ class TestListAssignmentFormat:
 
     def test_vertices_must_be_dense(self):
         with pytest.raises(FormatError):
-            parse_list_assignment("0 : {1}\n2 : {2}\n")
+            parse_labels("0 : {1}\n2 : {2}\n")

@@ -30,7 +30,6 @@ from dimtools.solver import (
     _Nodes,
     brute_force_dims,
     classify_dim,
-    dim_size,
     dominated_set,
     enumerate_dims,
     find_dim,
@@ -162,7 +161,7 @@ class TestFindDim:
 
     def test_long_cycle_needs_no_recursion(self):
         # 1100 chosen edges deep, past the interpreter's recursion limit.
-        assert dim_size(cycle(3300)) == 1100
+        assert len(find_dim(cycle(3300))) == 1100
 
     def test_found_dims_are_valid(self):
         for g in sample_connected_graphs(7, 100, seed=3):
@@ -292,11 +291,13 @@ class TestEnumerate:
 
 
 class TestDimSize:
+    """``dim size`` prints the size of the DIM ``find_dim`` returns."""
+
     def test_examples(self):
-        assert dim_size(petersen()) == 3
-        assert dim_size(cycle(9)) == 3
-        assert dim_size(build_graph(2, [(0, 1)])) == 1
-        assert dim_size(cycle(4)) is None
+        assert len(find_dim(petersen())) == 3
+        assert len(find_dim(cycle(9))) == 3
+        assert len(find_dim(build_graph(2, [(0, 1)]))) == 1
+        assert find_dim(cycle(4)) is None
 
     def test_all_dims_same_size_small_corpus(self):
         for n in range(2, 6):
