@@ -20,17 +20,23 @@ column by scanning the uncovered columns; instances with at least
 rows up to date instead, as Dancing Links keeps its column sizes, in an
 int32 numpy array.  That rule holds the rows also as a padded
 row-to-column index table, and a node updates the counts in a fixed
-number of numpy calls however many rows die: the dead rows are unpacked
-from their bitmask at once, their columns gathered from the table and
-subtracted as one ``np.bincount``.  Most nodes of the paper's families
-are forced moves, a column with one viable row, and the counting rule
-takes the forced rows of a node in one batch with one recount, each row
-still one node, in the way that keeps the tree of the one-row walk (see
-:class:`_ExactCover`).  Both rules pick the same column at every node,
-so the tree, the solutions and their order, and the node counts do not
-depend on which one runs.  A row's kill mask is built
-the first time the row is chosen, so that set-up grows with the search
-rather than with the instance.
+number of numpy calls however many rows die: the dead rows, unpacked
+from their bitmask at once or read off the tables, have their columns
+gathered from the table and subtracted as one ``np.bincount``.  Most
+nodes of the paper's families are forced moves, a column with one
+viable row, and the counting rule takes the forced rows of a node in
+one batch with one recount, each row still one node, in the way that
+keeps the tree of the one-row walk (see :class:`_ExactCover`).  A batch
+is found on the index tables, as Dancing Links walks its column and row
+lists, in a fixed number of numpy calls: the forced rows from the
+column table, their columns from the row table, and the rows that die
+from the column table again.  Both rules pick the same column at every
+node, so the tree, the solutions and their order, and the node counts
+do not depend on which one runs.
+A row's kill mask, every row sharing a column with it, is built the
+first time the row is chosen on its own, as a branch row or by the
+single steps, so that set-up grows with the branching rather than with
+the instance: 11 masks for all DIMs of KG(11,5).
 Instances with at least ``_DOMINANCE_MIN_COLUMNS`` columns also apply
 least-count column dominance, a set-partitioning reduction (Balas and
 Padberg, "Set partitioning: a survey", SIAM Review 1976), at every node
@@ -289,8 +295,9 @@ class _ExactCover:
     fewest viable rows, as in Knuth's Algorithm X, and tries those rows
     in ascending order.  Choosing row i removes its columns from
     ``uncovered`` and every row sharing a column with it, ``kill[i]``,
-    from ``viable``; ``kill[i]`` is built the first time row i is chosen.
-    Every row tried counts as one node on the ``budget`` counter.
+    from ``viable``; ``kill[i]`` is built the first time row i is chosen
+    on its own, never for the rows of a batch (below).  Every row tried
+    counts as one node on the ``budget`` counter.
 
     The branching column is the lowest-index uncovered column with at
     most one viable row if there is one, and otherwise the lowest-index
@@ -322,11 +329,17 @@ class _ExactCover:
     still one node, provided that
 
     1. no uncovered column has 0 viable rows;
-    2. the forced rows are pairwise disjoint, checked before any kill
-       mask is built;
+    2. the forced rows are pairwise disjoint: one ``np.bincount`` of
+       their columns in the row table hits no column twice;
     3. the budget has room for all of them;
     4. after them no uncovered column has 0 viable rows, read off a copy
        of the counts.
+
+    The batch is found on the tables (:meth:`_forced_rows`): the forced
+    rows are the viable entries of the columns' rows in ``col_table``,
+    and the rows that die are the viable entries of the covered columns'
+    rows there, the union of the batch rows' kill masks without building
+    one.
 
     Otherwise the node branches as it would without batches, which at
     a forced node is the single step: the lowest forced column's row.
@@ -385,8 +398,7 @@ class _ExactCover:
         self.row_table = row_table
         # row_table(), built when the counting rule or dominance runs.
         self.table: Optional[np.ndarray] = None
-        # Column c's rows padded with len(rows), built on first use by
-        # _dominated.
+        # Column c's rows padded with len(rows), built by _columns.
         self.col_table: Optional[np.ndarray] = None
         # Whether this search applies dominance, set when it starts.
         self.dominate = False
@@ -396,9 +408,9 @@ class _ExactCover:
     def _kill(self, i: int) -> int:
         """Row i and every row sharing a column with it, as a row mask.
 
-        Masks are built for the rows tried.  Only a batch left because it
-        would empty a column, or taken on a chain that then dies, can
-        build masks of rows that the search never tries after all.
+        Masks are built for the rows chosen on their own: the branch rows
+        and the rows that :meth:`_single_steps` takes.  A batch reads the
+        index tables instead.
         """
         k = self.kill[i]
         if k is None:
@@ -451,8 +463,8 @@ class _ExactCover:
         else:
             counts = None
             cand = self._branch_rows(uncovered, viable)
-            if dominate and cand & (cand - 1) and (dead := self._dominated(viable)):
-                viable ^= dead
+            if dominate and cand & (cand - 1) and self._dominated(live := self._unpacked(viable)):
+                viable = _packed(live)
                 cand = self._branch_rows(uncovered, viable)
         stack.append((uncovered, viable, counts, cand))
         while stack:
@@ -485,11 +497,12 @@ class _ExactCover:
             viable ^= dead
             if counts is None:
                 cand = self._branch_rows(uncovered, viable)
-                if dominate and cand & (cand - 1) and (dead := self._dominated(viable)):
-                    viable ^= dead
+                if dominate and cand & (cand - 1) and self._dominated(live := self._unpacked(viable)):
+                    viable = _packed(live)
                     cand = self._branch_rows(uncovered, viable)
             else:
-                counts = self._recount(counts.copy() if cand else counts, dead, i)
+                dying = self._unpacked(dead).nonzero()[0]
+                counts = self._recount(counts.copy() if cand else counts, dying, i)
                 uncovered, viable, counts, cand, replay = self._settle(
                     uncovered, viable, counts, chosen, stack, replay
                 )
@@ -523,19 +536,20 @@ class _ExactCover:
         nodes = self.budget
         free = counts[:-1]
         c, least = _counted_branch(free)
+        # The viable rows as bools, unpacked once the node needs them and
+        # kept in step with ``viable`` by the batches and dominance.
+        live = None
         while True:
             if least == 1:
                 # Some uncovered column has one viable row and none has 0.
-                forced = self._forced_rows(free, viable)
+                if live is None:
+                    live = self._unpacked(viable)
+                forced = self._forced_rows(free, live)
                 if forced is None:
                     break
-                batch, cover = forced
+                batch, cover, dead = forced
                 if nodes.used + len(batch) > nodes.limit:
                     break
-                kill = 0
-                for r in batch:
-                    kill |= self._kill(r)
-                dead = viable & kill
                 after = self._recount(counts.copy(), dead, batch)
                 c_after, least_after = _counted_branch(after[:-1])
                 if least_after == 0:
@@ -546,10 +560,15 @@ class _ExactCover:
                 chosen.extend(batch)
                 stack.extend([_SPENT] * len(batch))
                 uncovered &= ~cover
-                viable ^= dead
+                live[dead] = False
+                viable = _packed(live)
                 counts, free, c, least = after, after[:-1], c_after, least_after
-            elif uncovered and least > 1 and self.dominate and (dead := self._dominated(viable, counts)):
-                viable ^= dead
+            elif uncovered and least > 1 and self.dominate:
+                if live is None:
+                    live = self._unpacked(viable)
+                if not self._dominated(live, counts):
+                    break
+                viable = _packed(live)
                 # The single steps reach this node in the state the batches
                 # do, so a dead chain is walked again from here on.
                 replay = None
@@ -566,28 +585,42 @@ class _ExactCover:
         # A node with one row to try goes on with the chain.
         return uncovered, viable, counts, cand, None if cand & (cand - 1) else replay
 
-    def _forced_rows(self, free: np.ndarray, viable: int) -> Optional[tuple[list[int], int]]:
+    def _forced_rows(
+        self, free: np.ndarray, live: np.ndarray
+    ) -> Optional[tuple[list[int], int, np.ndarray]]:
         """A batch: the one viable row of each column counted 1 in
-        ``free``, in column order and each row once, with the columns
-        they cover; None unless there are at least two such rows and
-        they are pairwise disjoint."""
+        ``free``, each row once and in ascending order, with the columns
+        they cover as a mask and the viable rows that share a column with
+        them, themselves included, as row indices; None unless there are
+        at least two such rows and they are pairwise disjoint.
+
+        ``live`` holds one bool per row and a last one, False, that the
+        column table's padding reads.  A fixed number of numpy calls on
+        the index tables: the forced rows are the live entries of the
+        columns' table rows, their repeats merged by one bool scatter;
+        one ``np.bincount`` of their columns shows them disjoint when no
+        column is hit twice, and the live rows of the covered columns
+        are the rows that die.
+        """
         ones = (free == 1).nonzero()[0]
         if len(ones) < 2:
             return None
-        rows, cols = self.rows, self.cols
-        batch: list[int] = []
-        taken = cover = 0
-        for c in ones.tolist():
-            low = cols[c] & viable
-            if taken & low:
-                continue
-            r = low.bit_length() - 1
-            if rows[r] & cover:
-                return None
-            batch.append(r)
-            taken |= low
-            cover |= rows[r]
-        return (batch, cover) if len(batch) > 1 else None
+        table, col_table = self.table, self._columns()
+        ncols = len(free)
+        entries = np.take(col_table, ones, axis=0)
+        picked = np.zeros_like(live)
+        picked[entries[live[entries]]] = True
+        batch = picked.nonzero()[0]
+        if len(batch) < 2:
+            return None
+        hits = np.bincount(np.take(table, batch, axis=0).ravel(), minlength=ncols + 1)[:ncols]
+        if hits.max() > 1:
+            return None
+        covered = hits.astype(np.bool_)
+        dying = np.zeros_like(live)
+        dying[np.take(col_table, covered.nonzero()[0], axis=0)] = True
+        dying &= live
+        return batch.tolist(), _packed(covered), dying.nonzero()[0]
 
     def _single_steps(self, viable: int, counts: np.ndarray, used: int) -> None:
         """Walk a dead forced chain again from the node before its first
@@ -606,38 +639,37 @@ class _ExactCover:
             i = row.bit_length() - 1
             dead = viable & self._kill(i)
             viable ^= dead
-            counts = self._recount(counts, dead, i)
+            counts = self._recount(counts, self._unpacked(dead).nonzero()[0], i)
 
-    def _dominated(self, viable: int, counts: Optional[np.ndarray] = None) -> int:
-        """The rows that least-count column dominance kills at a node
-        whose uncovered columns all have two viable rows or more, as a
-        row mask.
+    def _dominated(self, live: np.ndarray, counts: Optional[np.ndarray] = None) -> bool:
+        """Least-count column dominance at a node whose uncovered columns
+        all have two viable rows or more: whether it killed rows.
 
-        Let l be the least count.  For each column f with l viable rows,
-        every uncovered column g that has more and is covered by all of
-        f's viable rows loses its viable rows outside f's.  Every cover
-        below the node takes one of f's rows, which covers g, so another
-        row of g would cover g twice.  The counts are recounted and the
-        pass repeated until nothing dies or some column has fewer than
-        two viable rows.  ``counts`` are the counting rule's, updated in
-        place; the scan passes None and they are counted here.
+        ``live`` holds the node's viable rows as one bool per row and a
+        last one, False, that the padding reads; the rows that die are
+        cleared in place.  Let l be the least count.  For each column f
+        with l viable rows, every uncovered column g that has more and is
+        covered by all of f's viable rows loses its viable rows outside
+        f's.  Every cover below the node takes one of f's rows, which
+        covers g, so another row of g would cover g twice.  The counts
+        are recounted and the pass repeated until nothing dies or some
+        column has fewer than two viable rows.  ``counts`` are the
+        counting rule's, updated in place; the scan passes None and they
+        are counted here.
 
-        A pass is a fixed number of numpy calls and l 2-D compares.  f's
-        l rows are read off the column table and their columns off the
-        row table, sorted per f: a column that all of f's rows cover is a
-        run of l equal entries, found by one compare of the sorted
-        entries with themselves shifted by l - 1.  Those counted above l
-        are the columns g, and l compares of each g's rows with f's rows
-        leave the rows that die.
+        A pass is a fixed number of numpy calls.  f's l rows are read off
+        the column table and their columns off the row table, sorted per
+        f: a column that all of f's rows cover is a run of l equal
+        entries, found by one compare of the sorted entries with
+        themselves shifted by l - 1.  Those counted above l are the
+        columns g.  f's rows are among g's, so a live row dies exactly
+        when more of the pairs (f, g) have it among g's rows than among
+        f's: one ``np.bincount`` over the pairs' g rows and one over
+        their f rows, compared.
         """
         table, n = self.table, len(self.rows)
         ncols = len(self.cols)
-        if self.col_table is None:
-            self.col_table = _column_table(table, ncols, self.cols is self.rows)
-        col_table = self.col_table
-        packed = np.frombuffer(viable.to_bytes(n // 8 + 1, "little"), dtype=np.uint8)
-        # One bool per row and a last one, False, that the padding reads.
-        live = np.unpackbits(packed, count=n + 1, bitorder="little").view(np.bool_)
+        col_table = self._columns()
         if counts is None:
             counts = np.bincount(table[live[:n]].ravel(), minlength=ncols + 1)
             # No viable row touches a covered column, and every uncovered
@@ -658,24 +690,16 @@ class _ExactCover:
             f_at, at = np.divmod(run, width)
             g = f_cols[f_at, at]
             dominated = (g != ncols) & (np.take(counts, g) > least)
-            f_rows = f_rows[f_at[dominated]]
-            g_rows = np.take(col_table, g[dominated], axis=0)
-            outside = live[g_rows]
-            for j in range(least):
-                outside &= g_rows != f_rows[:, j, None]
-            dying = np.zeros_like(live)
-            dying[g_rows[outside]] = True
-            dying = dying.nonzero()[0]
+            in_g = np.bincount(np.take(col_table, g[dominated], axis=0).ravel(), minlength=n + 1)
+            in_f = np.bincount(f_rows[f_at[dominated]].ravel(), minlength=n + 1)
+            dying = ((in_g > in_f) & live).nonzero()[0]
             if not len(dying):
                 break
             live[dying] = False
             killed = True
             dropped = np.bincount(np.take(table, dying, axis=0).ravel(), minlength=ncols + 1)
             counts -= dropped.astype(counts.dtype)
-        if not killed:
-            return 0
-        left = np.packbits(live[:n], bitorder="little").tobytes()
-        return viable ^ int.from_bytes(left, "little")
+        return killed
 
     def _branch_rows(self, uncovered: int, viable: int) -> int:
         """Viable rows of the uncovered column with the fewest of them."""
@@ -692,29 +716,47 @@ class _ExactCover:
             uncovered ^= low
         return best
 
-    def _recount(self, counts: np.ndarray, dead: int, chosen: int | list[int]) -> np.ndarray:
-        """counts, updated in place, once the rows of ``dead`` have died
-        because ``chosen``, a row or a list of rows (all among them), was
-        chosen.
+    def _recount(self, counts: np.ndarray, dead: np.ndarray, chosen: int | list[int]) -> np.ndarray:
+        """counts, updated in place, once the rows ``dead``, an array of
+        row indices, have died because ``chosen``, a row or a list of
+        rows (all among them), was chosen.
 
-        The dead rows are the set bits of ``dead``, unpacked in one go;
-        one ``np.bincount`` of their columns is subtracted, and the chosen
-        rows' columns are set to a sentinel above every real count.  The
-        padding lands in the spare last slot, which is never read.
+        One ``np.bincount`` of the dead rows' columns is subtracted, and
+        the chosen rows' columns are set to a sentinel above every real
+        count.  The padding lands in the spare last slot, which is never
+        read.
         """
-        table, n = self.table, len(self.rows)
-        packed = np.frombuffer(dead.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-        # Viewed as bools, the bits take nonzero()'s fast path, 4x faster
-        # than as uint8 at 25 740 rows.
-        is_dead = np.unpackbits(packed, count=n, bitorder="little").view(np.bool_)
-        dying = np.bincount(table[is_dead.nonzero()[0]].ravel(), minlength=len(counts))
+        table = self.table
+        dying = np.bincount(table[dead].ravel(), minlength=len(counts))
         # int32 counts halve the copies the stack holds; subtracting the
         # int64 bincount in place would cast element by element, about
         # twice as slow as one astype.
         counts -= dying.astype(np.int32)
         # One row indexes the table as a view, 2 us faster than a list.
-        counts[table[chosen]] = n + 1
+        counts[table[chosen]] = len(self.rows) + 1
         return counts
+
+    def _unpacked(self, mask: int) -> np.ndarray:
+        """The row mask as one bool per row, and a last one, False, for
+        the padding of the column table to read.
+
+        Viewed as bools, the bits take nonzero()'s fast path, 4x faster
+        than as uint8 at 25 740 rows.
+        """
+        n = len(self.rows)
+        packed = np.frombuffer(mask.to_bytes(n // 8 + 1, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=n + 1, bitorder="little").view(np.bool_)
+
+    def _columns(self) -> np.ndarray:
+        """The column table, built on first use by a batch or dominance."""
+        if self.col_table is None:
+            self.col_table = _column_table(self.table, len(self.cols), self.cols is self.rows)
+        return self.col_table
+
+
+def _packed(bits: np.ndarray) -> int:
+    """The bools as an int mask, bit i set iff ``bits[i]``."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _column_table(table: np.ndarray, ncols: int, symmetric: bool) -> np.ndarray:

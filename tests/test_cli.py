@@ -459,10 +459,15 @@ class TestBudgetFlag:
 
 
 # Seeded relabellings whose engine output is pinned byte for byte: the
-# first under the scan rule (70 columns), the second under the counting
-# rule (315 columns).  The DIM certificate and the partition are the
-# engine's first solutions, so these files pin its solution order.
-ENGINE_GOLDENS = {"kneser-7-3-seed5": (7, 3), "kneser-9-4-seed5": (9, 4)}
+# first under the scan rule (70 columns), the others under the counting
+# rule (315 and 1 386 columns; KG(11,5) takes its forced rows in batches
+# of 100).  The DIM certificate and the partition are the engine's first
+# solutions, so these files pin its solution order.
+ENGINE_GOLDENS = {
+    "kneser-7-3-seed5": (7, 3),
+    "kneser-9-4-seed5": (9, 4),
+    "kneser-11-5-seed5": (11, 5),
+}
 
 
 def test_engine_goldens_are_seeded_relabellings_on_both_rules():

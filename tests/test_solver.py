@@ -501,6 +501,102 @@ def dim_instance(g):
     return lambda budget: _dim_search(g, _Nodes(budget))
 
 
+def random_cover_rows(rng):
+    """A seeded small instance, half the time with a planted exact cover:
+    its row lists and its number of columns."""
+    ncols = rng.randint(4, 10)
+    row_lists = [rng.sample(range(ncols), rng.randint(1, 3)) for _ in range(rng.randint(4, 14))]
+    if rng.random() < 0.5:
+        perm = rng.sample(range(ncols), ncols)
+        cuts = [0, *sorted(rng.sample(range(1, ncols), rng.randint(0, ncols - 1))), ncols]
+        row_lists += [perm[a:b] for a, b in zip(cuts, cuts[1:])]
+        rng.shuffle(row_lists)
+    return row_lists, ncols
+
+
+# One hand-built instance per exit of the counting rule's batch step; row
+# i covers the columns listed i-th.  The steps list how many rows each
+# recount takes, a batch more than one, and each replay.
+BATCH_EXITS = [
+    # Columns 0 and 1 force rows 0 and 1, which share column 2: one step,
+    # which kills row 1 and empties column 1.
+    pytest.param([[0, 2], [1, 2]], 3, [1], [], 1, id="forced-rows-share-a-column"),
+    # Rows 0 and 1 are forced and disjoint, but together they kill rows 2
+    # and 3, column 2's only rows: the batch's recount shows column 2
+    # empty, and the walk takes row 0 alone.
+    pytest.param(
+        [[0, 3], [1, 4], [2, 3], [2, 4]], 5, [2, 1, 1], [], 2, id="batch-empties-a-column"
+    ),
+    # Row 0 forces rows 2 and 3, and the batch of both completes a
+    # solution; row 1 then kills column 1's rows.
+    pytest.param(
+        [[0, 1], [0, 2, 3], [2], [3], [1, 2]], 4, [1, 2, 1], [[0, 2, 3]], 4,
+        id="batch-completes-a-solution",
+    ),
+    # The root batch {0, 1} leaves column 1 with row 2 alone, which
+    # empties column 0: a dead end after 3 nodes.  One row at a time the
+    # walk takes row 0, then row 2 for column 1 ahead of row 1 for column
+    # 6, and dies after 2, so the chain is walked again from the root, one
+    # row per recount.
+    pytest.param(
+        [[2, 5], [6], [1, 3], [1, 2], [0, 3], [0, 3, 4], [4]], 7, [2, 1, "replay", 1, 1], [], 2,
+        id="dead-chain-after-a-batch",
+    ),
+]
+
+
+def reference_batch(search, free, viable):
+    """The batch step on the bitmasks, one column at a time: the forced
+    rows, each once, with the columns they cover and the viable rows of
+    the OR of their kill masks; None if two of them share a column or
+    there are fewer than two."""
+    batch, cover = [], 0
+    for c, count in enumerate(free.tolist()):
+        if count != 1:
+            continue
+        i = (search.cols[c] & viable).bit_length() - 1
+        if i in batch:
+            continue
+        if search.rows[i] & cover:
+            return None
+        batch.append(i)
+        cover |= search.rows[i]
+    if len(batch) < 2:
+        return None
+    kill = 0
+    for i in batch:
+        kill |= search._kill(i)
+    return sorted(batch), cover, viable & kill
+
+
+def checked_batches(monkeypatch, search_for):
+    """Enumerate under the counting rule, checking every call of the batch
+    step against :func:`reference_batch`; for each call, whether it took
+    a batch."""
+    forced_rows = _ExactCover._forced_rows
+    taken = []
+
+    def checked(self, free, live):
+        viable = sum(1 << i for i, alive in enumerate(live.tolist()) if alive)
+        forced = forced_rows(self, free, live)
+        expected = reference_batch(self, free, viable)
+        if forced is None:
+            assert expected is None
+        else:
+            batch, cover, dead = forced
+            dead_mask = sum(1 << i for i in dead.tolist())
+            assert dead.tolist() == sorted(set(dead.tolist()))
+            assert (batch, cover, dead_mask) == expected
+        taken.append(forced is not None)
+        return forced
+
+    monkeypatch.setattr(_ExactCover, "_forced_rows", checked)
+    monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", 0)
+    list(search_for(DEFAULT_BUDGET).solutions())
+    monkeypatch.setattr(_ExactCover, "_forced_rows", forced_rows)
+    return taken
+
+
 def prism(k):
     """C_k x K2: outer cycle 0..k-1, inner cycle k..2k-1, spokes i -- k+i."""
     pairs = [(i, (i + 1) % k) for i in range(k)]
@@ -602,36 +698,7 @@ class TestBranchingStrategies:
             assert sum(1 for _ in search.solutions()) == len(enumerate_dims(g))
             assert (search.table is not None) == counting
 
-    # One hand-built instance per exit of the counting rule's batch step;
-    # row i covers the columns listed i-th.  The steps list how many rows
-    # each recount takes, a batch more than one, and each replay.
-    @pytest.mark.parametrize(
-        "row_lists,ncols,steps,sols,nodes",
-        [
-            # Columns 0 and 1 force rows 0 and 1, which share column 2:
-            # one step, which kills row 1 and empties column 1.
-            ([[0, 2], [1, 2]], 3, [1], [], 1),
-            # Rows 0 and 1 are forced and disjoint, but together they kill
-            # rows 2 and 3, column 2's only rows: the batch's recount shows
-            # column 2 empty, and the walk takes row 0 alone.
-            ([[0, 3], [1, 4], [2, 3], [2, 4]], 5, [2, 1, 1], [], 2),
-            # Row 0 forces rows 2 and 3, and the batch of both completes
-            # a solution; row 1 then kills column 1's rows.
-            ([[0, 1], [0, 2, 3], [2], [3], [1, 2]], 4, [1, 2, 1], [[0, 2, 3]], 4),
-            # The root batch {0, 1} leaves column 1 with row 2 alone,
-            # which empties column 0: a dead end after 3 nodes.  One row
-            # at a time the walk takes row 0, then row 2 for column 1
-            # ahead of row 1 for column 6, and dies after 2, so the chain
-            # is walked again from the root, one row per recount.
-            ([[2, 5], [6], [1, 3], [1, 2], [0, 3], [0, 3, 4], [4]], 7, [2, 1, "replay", 1, 1], [], 2),
-        ],
-        ids=[
-            "forced-rows-share-a-column",
-            "batch-empties-a-column",
-            "batch-completes-a-solution",
-            "dead-chain-after-a-batch",
-        ],
-    )
+    @pytest.mark.parametrize("row_lists,ncols,steps,sols,nodes", BATCH_EXITS)
     def test_batch_exits(self, monkeypatch, row_lists, ncols, steps, sols, nodes):
         search_for = cover_instance(row_lists, ncols)
         assert counted_walk(monkeypatch, search_for) == (steps, sols, nodes)
@@ -695,16 +762,7 @@ class TestBranchingStrategies:
         # every budget up to one past their node count.
         rng = random.Random(7)
         for _ in range(60):
-            ncols = rng.randint(4, 10)
-            row_lists = [
-                rng.sample(range(ncols), rng.randint(1, 3)) for _ in range(rng.randint(4, 14))
-            ]
-            if rng.random() < 0.5:
-                perm = rng.sample(range(ncols), ncols)
-                cuts = [0, *sorted(rng.sample(range(1, ncols), rng.randint(0, ncols - 1))), ncols]
-                row_lists += [perm[a:b] for a, b in zip(cuts, cuts[1:])]
-                rng.shuffle(row_lists)
-            search_for = cover_instance(row_lists, ncols)
+            search_for = cover_instance(*random_cover_rows(rng))
             nodes = search_outcome(search_for, DEFAULT_BUDGET)[1]
             assert_same_budget_hits(monkeypatch, search_for, range(nodes + 2))
 
@@ -714,16 +772,7 @@ class TestBranchingStrategies:
         # search.
         rng = random.Random(11)
         for _ in range(60):
-            ncols = rng.randint(4, 10)
-            row_lists = [
-                rng.sample(range(ncols), rng.randint(1, 3)) for _ in range(rng.randint(4, 14))
-            ]
-            if rng.random() < 0.5:
-                perm = rng.sample(range(ncols), ncols)
-                cuts = [0, *sorted(rng.sample(range(1, ncols), rng.randint(0, ncols - 1))), ncols]
-                row_lists += [perm[a:b] for a, b in zip(cuts, cuts[1:])]
-                rng.shuffle(row_lists)
-            search_for = cover_instance(row_lists, ncols)
+            search_for = cover_instance(*random_cover_rows(rng))
             plain = search_outcome(search_for, DEFAULT_BUDGET)[0]
             monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", 0)
             found, nodes, _ = search_outcome(search_for, DEFAULT_BUDGET)
@@ -754,9 +803,45 @@ class TestBranchingStrategies:
         assert_same_budget_hits(monkeypatch, search_for, budgets)
 
     def test_kill_masks_only_for_rows_tried(self):
-        # find_dim on KG(11,5) tries 126 of its 1 386 rows and builds the
-        # kill masks of those rows alone.
+        # find_dim on KG(11,5) tries 126 of its 1 386 rows: one branch
+        # row, then two batches of 25 and 100 forced rows, which read the
+        # index tables and build no kill mask.  Each of its 11 DIMs
+        # starts with one branch row.
         search = _dim_search(kneser(11, 5).graph, _Nodes(DEFAULT_BUDGET))
         next(search.solutions())
         assert search.budget.used == 126
-        assert 0 < sum(k is not None for k in search.kill) <= 126
+        assert sum(k is not None for k in search.kill) == 1
+        search = _dim_search(kneser(11, 5).graph, _Nodes(DEFAULT_BUDGET))
+        assert len(list(search.solutions())) == 11
+        assert search.budget.used == 1_386
+        assert sum(k is not None for k in search.kill) == 11
+
+
+class TestForcedBatch:
+    """The batch step on the index tables takes the rows, covers the
+    columns and kills the rows that the kill masks of its rows do."""
+
+    @pytest.mark.parametrize("row_lists,ncols,steps,sols,nodes", BATCH_EXITS)
+    def test_batch_exits(self, monkeypatch, row_lists, ncols, steps, sols, nodes):
+        taken = checked_batches(monkeypatch, cover_instance(row_lists, ncols))
+        assert any(taken) == any(isinstance(s, int) and s > 1 for s in steps)
+
+    @pytest.mark.parametrize("gate", (sys.maxsize, 0), ids=["plain", "dominance"])
+    def test_random_cover_instances(self, monkeypatch, gate):
+        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", gate)
+        rng = random.Random(13)
+        taken = []
+        for _ in range(60):
+            taken += checked_batches(monkeypatch, cover_instance(*random_cover_rows(rng)))
+        assert any(taken) and not all(taken)
+
+    @pytest.mark.parametrize(
+        "make,calls",
+        [(lambda: kneser(9, 4).graph, 9), (lambda: bipartite_kneser(3, 4).graph, 16)],
+        ids=["KG(9,4)", "BG(3,4)"],
+    )
+    def test_family_graphs(self, monkeypatch, make, calls):
+        # With dominance every call of the batch step takes a batch, on
+        # the canonical labels and on a relabelling alike.
+        for g in (make(), relabelled(make(), 1)):
+            assert checked_batches(monkeypatch, dim_instance(g)) == [True] * calls
