@@ -42,11 +42,14 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
+import numpy as np
+
 from .graph import Graph, _regularity, components, induced_subgraph
 from .solver import (
     DEFAULT_BUDGET,
     DimClass,
     EdgeSet,
+    _column_table,
     _dim_search,
     _ExactCover,
     _Nodes,
@@ -127,17 +130,25 @@ def _cover_by_dims(
     edge list in the order found, unless ``dims`` already lists them so,
     then runs the same engine on the instance whose rows are those DIMs
     and whose columns are the edges; the DIMs' edge lists are its row
-    table.  The first cover found is returned, its classes numbered 1..k
-    in order of their smallest edge.  Both searches draw on ``budget``.
+    table, and the engine builds the form its branching rule needs.  The
+    first cover found is returned, its classes numbered 1..k in order of
+    their smallest edge.  Both searches draw on ``budget``.
     """
     if dims is None:
         dims = list(_dim_search(g, budget).solutions())
-    cols = [0] * g.m
-    for i, dim in enumerate(dims):
-        for e in dim:
-            cols[e] |= 1 << i
-    rows = [sum(1 << e for e in dim) for dim in dims]
-    cover_search = _ExactCover(rows, cols, lambda: _padded(dims, g.m), budget)
+
+    def masks() -> tuple[list[int], list[int]]:
+        cols = [0] * g.m
+        for i, dim in enumerate(dims):
+            for e in dim:
+                cols[e] |= 1 << i
+        return [sum(1 << e for e in dim) for dim in dims], cols
+
+    def tables() -> tuple[np.ndarray, np.ndarray]:
+        table = _padded(dims, g.m)
+        return table, _column_table(table, g.m)
+
+    cover_search = _ExactCover(len(dims), g.m, masks, tables, budget)
     cover = next(cover_search.solutions(), None)
     if cover is None:
         return None

@@ -490,6 +490,16 @@ def test_engine_output_matches_golden(name, command):
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_kg_15_7_dim_matches_golden(tmp_path):
+    # The first size at which the dense bitmasks would cost more than the
+    # search: the counting rule builds only its index tables.
+    path = tmp_path / "kg15.g"
+    assert invoke(["gen", "kneser-family", "--r", "8", "-o", str(path)])[0] == 0
+    code, out, err = invoke(["dim", "find", str(path)])
+    assert (code, err) == (0, "")
+    assert out == (DATA / "kneser-15-7.dim-find.txt").read_text(encoding="utf-8")
+
+
 def test_hard_cubic_graph_answers_no_within_a_small_budget():
     # Column dominance proves in 280 nodes that this random cubic graph
     # has no DIM; Algorithm X alone would need 6 545.

@@ -4,6 +4,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,7 +231,7 @@ class TestEnumerate:
         # Node counts at the first solution (what find_dim pays) and at
         # the end of the enumeration.  With column dominance the
         # enumeration is DIM count x DIM size, so it never backtracks;
-        # with the gate forced off it is the plain Algorithm X tree.
+        # with dominance patched off it is the plain Algorithm X tree.
         g = make()
 
         def tree():
@@ -241,7 +242,7 @@ class TestEnumerate:
         assert tree() == (first, nodes)
         dims = enumerate_dims(g)
         assert nodes == len(dims) * len(dims[0])
-        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", sys.maxsize)
+        monkeypatch.setattr(_ExactCover, "_dominated", no_dominance)
         assert tree() == (first, undominated)
 
     @pytest.mark.parametrize("seed", (None, 1, 2), ids=["canonical", "relabelled-1", "relabelled-2"])
@@ -255,8 +256,8 @@ class TestEnumerate:
         # plain search.
         g = make() if seed is None else relabelled(make(), seed)
         answers = []
-        for gate in (solver._DOMINANCE_MIN_COLUMNS, sys.maxsize):
-            monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", gate)
+        for dominated in (_ExactCover._dominated, no_dominance):
+            monkeypatch.setattr(_ExactCover, "_dominated", dominated)
             answers.append((find_dim(g), enumerate_dims(g), partition.find_dim_partition(g)))
         assert answers[0] == answers[1]
 
@@ -270,7 +271,7 @@ class TestEnumerate:
         search = _dim_search(g, _Nodes(DEFAULT_BUDGET))
         assert list(search.solutions()) == []
         assert search.budget.used == 280
-        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", sys.maxsize)
+        monkeypatch.setattr(_ExactCover, "_dominated", no_dominance)
         with pytest.raises(SearchBudgetExceeded):
             find_dim(g, budget=1_000)
 
@@ -280,6 +281,19 @@ class TestEnumerate:
         labeled, closed_form = kneser_dim_partition(7)
         dims = enumerate_dims(labeled.graph, budget=10_000)
         assert dims == sorted(closed_form.classes, key=lambda d: tuple(sorted(d)))
+
+    def test_kg_15_7_in_one_walk(self):
+        # The first DIM at 1 716 nodes and all 15 at 25 740, DIM count x
+        # DIM size, with no backtracking; they are the 15 classes of the
+        # closed-form partition.
+        labeled, closed_form = kneser_dim_partition(8)
+        search = _dim_search(labeled.graph, _Nodes(DEFAULT_BUDGET))
+        at_solution, dims = [], []
+        for sol in search.solutions():
+            at_solution.append(search.budget.used)
+            dims.append(frozenset(sol))
+        assert (at_solution[0], search.budget.used) == (1_716, 25_740)
+        assert sorted(dims, key=sorted) == sorted(closed_form.classes, key=sorted)
 
     def test_membership_exactness(self):
         # every edge is dominated by exactly one member of any valid DIM
@@ -334,16 +348,16 @@ class TestDominationSets:
                 assert set(cols) == dominated_set(g, e)
 
     def test_column_tables(self):
-        # The DIM instance's column table is its row table; a cover
-        # instance's lists, for each column, the rows that cover it.
+        # The DIM instance's column table is its row table, as intp; a
+        # cover instance's lists, for each column, the rows that cover it.
         for g in domination_instances():
-            table = solver._domination_table(g)
-            assert (solver._column_table(table, g.m, True) == table).all()
+            table, col_table = _dim_search(g, _Nodes(0)).tables()
+            assert col_table.dtype == np.intp and (col_table == table).all()
         rng = random.Random(3)
         for _ in range(20):
             ncols = rng.randint(1, 9)
             row_lists = [rng.sample(range(ncols), rng.randint(0, ncols)) for _ in range(rng.randint(0, 9))]
-            cols = solver._column_table(solver._padded(row_lists, ncols), ncols, False)
+            cols = solver._column_table(solver._padded(row_lists, ncols), ncols)
             assert cols.shape[0] == ncols
             for c, row in enumerate(cols.tolist()):
                 assert [i for i in row if i != len(row_lists)] == [
@@ -395,59 +409,78 @@ class TestBruteForce:
                 assert set(enumerate_dims(g)) == set(brute_force_dims(g))
 
 
-# _COUNTING_MIN_COLUMNS values that force one branching rule on every
-# instance: the scan, then the per-column counts.
-RULES = (sys.maxsize, 0)
+def no_dominance(self, live, counts):
+    """``_ExactCover._dominated`` that never kills a row."""
+    return False
 
 
-def assert_same_tree(monkeypatch, search_for):
-    """Both branching rules give the same solutions in the same order with
-    the same node count, and run out of a budget one node short alike.
+# Ways to walk an instance, each set up on a monkeypatch.
+def scan(mp):
+    """The scan, whatever the instance's size."""
+    mp.setattr(solver, "_COUNTING_MIN_COLUMNS", sys.maxsize)
+
+
+def counting(mp):
+    """The counting rule, with its batches and dominance."""
+    mp.setattr(solver, "_COUNTING_MIN_COLUMNS", 0)
+
+
+def counting_without_dominance(mp):
+    counting(mp)
+    mp.setattr(_ExactCover, "_dominated", no_dominance)
+
+
+def one_row_per_node(mp):
+    """The counting rule with no batch: one recount per row tried."""
+    counting(mp)
+    mp.setattr(_ExactCover, "_forced_rows", lambda self, free, live: None)
+
+
+# Walks that grow one tree: the two branching rules, which choose the same
+# column at every node once dominance, which only the counting rule
+# applies, is off; and the counting rule with and without its batches.
+RULES = (scan, counting_without_dominance)
+BATCHES = (counting, one_row_per_node)
+
+
+def search_outcome(search_for, budget, walk=None):
+    """The solutions a fresh search yields under ``budget``, the nodes it
+    used and whether it ran out of budget, on ``walk`` if given."""
+    with pytest.MonkeyPatch.context() as mp:
+        if walk is not None:
+            walk(mp)
+        search = search_for(budget)
+        found = []
+        try:
+            for sol in search.solutions():
+                found.append(sol)
+        except SearchBudgetExceeded:
+            return found, search.budget.used, True
+        return found, search.budget.used, False
+
+
+def assert_same_tree(search_for, walks=RULES):
+    """Both walks give the same solutions in the same order with the same
+    node count, and run out of a budget one node short alike.
 
     ``search_for(budget)`` builds a fresh engine on the instance.
     """
-    trees = []
-    for threshold in RULES:
-        monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
-        search = search_for(DEFAULT_BUDGET)
-        trees.append(([list(sol) for sol in search.solutions()], search.budget.used))
-    (scanned, nodes), counted = trees
-    assert counted == (scanned, nodes)
+    trees = [search_outcome(search_for, DEFAULT_BUDGET, walk) for walk in walks]
+    (found, nodes, exceeded), other = trees
+    assert other == (found, nodes, exceeded) and not exceeded
     assert nodes > 0
-    for threshold in RULES:
-        monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
-        search = search_for(nodes - 1)
-        found = []
-        with pytest.raises(SearchBudgetExceeded):
-            for sol in search.solutions():
-                found.append(list(sol))
-        assert found == scanned[: len(found)]
-        assert search.budget.used == nodes
+    for walk in walks:
+        short, used, exceeded = search_outcome(search_for, nodes - 1, walk)
+        assert exceeded and short == found[: len(short)]
+        assert used == nodes
 
 
-def search_outcome(search_for, budget):
-    """The solutions a fresh search yields under ``budget``, the nodes it
-    used and whether it ran out of budget."""
-    search = search_for(budget)
-    found = []
-    try:
-        for sol in search.solutions():
-            found.append(sol)
-    except SearchBudgetExceeded:
-        return found, search.budget.used, True
-    return found, search.budget.used, False
-
-
-def assert_same_budget_hits(monkeypatch, search_for, budgets):
-    """Both branching rules find the same solutions under each budget and
-    run out of it, or not, at the same node."""
+def assert_same_budget_hits(search_for, budgets, walks=RULES):
+    """Both walks find the same solutions under each budget and run out
+    of it, or not, at the same node."""
     for budget in budgets:
-        outcomes = []
-        for threshold in RULES:
-            monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
-            outcomes.append(search_outcome(search_for, budget))
-        scanned, counted = outcomes
-        assert counted == scanned, f"budget {budget}"
+        first, other = (search_outcome(search_for, budget, walk) for walk in walks)
+        assert other == first, f"budget {budget}"
 
 
 def cover_instance(row_lists, ncols):
@@ -457,8 +490,10 @@ def cover_instance(row_lists, ncols):
     cols = [
         sum(1 << i for i, cs in enumerate(row_lists) if c in cs) for c in range(ncols)
     ]
+    table = solver._padded(row_lists, ncols)
+    col_table = solver._column_table(table, ncols)
     return lambda budget: _ExactCover(
-        rows, cols, lambda: solver._padded(row_lists, ncols), _Nodes(budget)
+        len(rows), ncols, lambda: (rows, cols), lambda: (table, col_table), _Nodes(budget)
     )
 
 
@@ -479,8 +514,8 @@ def counted_walk(monkeypatch, search_for):
         steps.append("replay")
         return single_steps(self, *replay)
 
-    def logged_dominated(self, viable, counts=None):
-        dead = dominated(self, viable, counts)
+    def logged_dominated(self, live, counts):
+        dead = dominated(self, live, counts)
         if dead:
             steps.append("dominance")
         return dead
@@ -545,48 +580,44 @@ BATCH_EXITS = [
 ]
 
 
-def reference_batch(search, free, viable):
-    """The batch step on the bitmasks, one column at a time: the forced
-    rows, each once, with the columns they cover and the viable rows of
-    the OR of their kill masks; None if two of them share a column or
-    there are fewer than two."""
-    batch, cover = [], 0
-    for c, count in enumerate(free.tolist()):
+def reference_batch(row_lists, free, live):
+    """The batch step in plain Python on the row lists, one column at a
+    time: the forced rows, each once and ascending, and the live rows
+    that share a column with one of them, themselves included; None if
+    two of them share a column or there are fewer than two."""
+    row_sets = [set(cs) for cs in row_lists]
+    live_rows = [i for i in range(len(row_lists)) if live[i]]
+    batch, cover = set(), set()
+    for c, count in enumerate(free):
         if count != 1:
             continue
-        i = (search.cols[c] & viable).bit_length() - 1
+        [i] = [i for i in live_rows if c in row_sets[i]]
         if i in batch:
             continue
-        if search.rows[i] & cover:
+        if row_sets[i] & cover:
             return None
-        batch.append(i)
-        cover |= search.rows[i]
+        batch.add(i)
+        cover |= row_sets[i]
     if len(batch) < 2:
         return None
-    kill = 0
-    for i in batch:
-        kill |= search._kill(i)
-    return sorted(batch), cover, viable & kill
+    return sorted(batch), [i for i in live_rows if row_sets[i] & cover]
 
 
-def checked_batches(monkeypatch, search_for):
+def checked_batches(monkeypatch, search_for, row_lists):
     """Enumerate under the counting rule, checking every call of the batch
-    step against :func:`reference_batch`; for each call, whether it took
-    a batch."""
+    step against :func:`reference_batch` on the instance's row lists; for
+    each call, whether it took a batch."""
     forced_rows = _ExactCover._forced_rows
     taken = []
 
     def checked(self, free, live):
-        viable = sum(1 << i for i, alive in enumerate(live.tolist()) if alive)
         forced = forced_rows(self, free, live)
-        expected = reference_batch(self, free, viable)
+        expected = reference_batch(row_lists, free.tolist(), live.tolist())
         if forced is None:
             assert expected is None
         else:
-            batch, cover, dead = forced
-            dead_mask = sum(1 << i for i in dead.tolist())
-            assert dead.tolist() == sorted(set(dead.tolist()))
-            assert (batch, cover, dead_mask) == expected
+            batch, dead = forced
+            assert (batch, dead.tolist()) == expected
         taken.append(forced is not None)
         return forced
 
@@ -595,6 +626,24 @@ def checked_batches(monkeypatch, search_for):
     list(search_for(DEFAULT_BUDGET).solutions())
     monkeypatch.setattr(_ExactCover, "_forced_rows", forced_rows)
     return taken
+
+
+def recording(built):
+    """An ``_ExactCover`` that appends "masks" or "tables" to ``built``
+    each time a search builds that form of its instance."""
+
+    def logged(name, build):
+        def call():
+            built.append(name)
+            return build()
+
+        return call
+
+    class Recording(_ExactCover):
+        def __init__(self, nrows, ncols, masks, tables, budget):
+            super().__init__(nrows, ncols, logged("masks", masks), logged("tables", tables), budget)
+
+    return Recording
 
 
 def prism(k):
@@ -620,27 +669,29 @@ def family_instances():
 
 
 class TestBranchingStrategies:
-    """The scan and the per-column counts choose the same column.
+    """The scan and the per-column counts choose the same column, and the
+    counting rule's batches keep the tree of one row per node.
 
-    ``_ExactCover.solutions`` picks one of them by instance size, so each
-    is forced here through ``_COUNTING_MIN_COLUMNS`` on instances of both
-    sizes.
+    ``_ExactCover.solutions`` picks a rule by instance size, so each is
+    forced here through ``_COUNTING_MIN_COLUMNS`` on instances of both
+    sizes; the rules are compared with dominance off (``RULES``), the
+    batches with it on (``BATCHES``).
     """
 
     @pytest.mark.parametrize("n", range(2, 6))
-    def test_connected_graphs(self, monkeypatch, n):
+    def test_connected_graphs(self, n):
         for g in connected_graphs(n):
-            assert_same_tree(monkeypatch, dim_instance(g))
+            assert_same_tree(dim_instance(g))
 
     @pytest.mark.parametrize("g", family_instances())
-    def test_family_graphs(self, monkeypatch, g):
-        assert_same_tree(monkeypatch, dim_instance(g))
+    def test_family_graphs(self, g):
+        assert_same_tree(dim_instance(g))
 
     @pytest.mark.parametrize("k", (30, 60, 90, 120))
-    def test_wide_short_prisms(self, monkeypatch, k):
+    def test_wide_short_prisms(self, k):
         # 90 to 360 columns, no DIM, and a search of only 8 nodes: the
         # counting rule's set-up is most of its work here.
-        assert_same_tree(monkeypatch, dim_instance(prism(k)))
+        assert_same_tree(dim_instance(prism(k)))
 
     @staticmethod
     def assert_cover_instance_same_tree(monkeypatch, g, shape):
@@ -649,61 +700,82 @@ class TestBranchingStrategies:
         built = []
 
         class Recording(_ExactCover):
-            def __init__(self, rows, cols, row_table, *args):
-                built.append((rows, cols, row_table))
-                super().__init__(rows, cols, row_table, *args)
+            def __init__(self, *args):
+                built.append(args[:4])
+                super().__init__(*args)
 
         monkeypatch.setattr(partition, "_ExactCover", Recording)
         assert partition.find_dim_partition(g) is not None
-        [(rows, cols, row_table)] = built
-        assert (len(rows), len(cols)) == shape
+        [(nrows, ncols, masks, tables)] = built
+        assert (nrows, ncols) == shape
         # All DIMs of a graph have one size, so no row is padded.
-        assert (row_table() < len(cols)).all()
-        assert_same_tree(
-            monkeypatch, lambda budget: _ExactCover(rows, cols, row_table, _Nodes(budget))
-        )
+        assert (tables()[0] < ncols).all()
+        assert_same_tree(lambda budget: _ExactCover(nrows, ncols, masks, tables, _Nodes(budget)))
 
     def test_partition_cover_instance(self, monkeypatch):
-        # find_dim_partition covers KG(9,4)'s 315 edges by its 9 DIMs;
-        # 9 rows end the dead-row bitmask in a partial byte.
+        # find_dim_partition covers KG(9,4)'s 315 edges by its 9 DIMs.
         self.assert_cover_instance_same_tree(monkeypatch, kneser(9, 4).graph, (9, 315))
 
     def test_partition_cover_instance_bg_3_4(self, monkeypatch):
-        # BG(3,4)'s 280 edges by its 8 DIMs, which fill whole bytes.
+        # BG(3,4)'s 280 edges by its 8 DIMs.
         self.assert_cover_instance_same_tree(
             monkeypatch, bipartite_kneser(3, 4).graph, (8, 280)
         )
 
-    @pytest.mark.parametrize("threshold", RULES, ids=["scan", "counting"])
-    def test_cover_instance_without_rows(self, monkeypatch, threshold):
+    @pytest.mark.parametrize("walk", RULES, ids=["scan", "counting"])
+    def test_cover_instance_without_rows(self, monkeypatch, walk):
         # A prism has no DIM, so its cover instance has 90 columns and no
         # rows, and its row table is empty.
-        monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
+        walk(monkeypatch)
         assert partition.find_dim_partition(prism(30)) is None
 
-    @pytest.mark.parametrize("threshold", RULES, ids=["scan", "counting"])
-    def test_no_columns(self, monkeypatch, threshold):
+    @pytest.mark.parametrize("walk", RULES, ids=["scan", "counting"])
+    def test_no_columns(self, monkeypatch, walk):
         # An edgeless graph's instance has no columns: one empty solution,
         # found without trying a row, so even a budget of 0 suffices.
-        monkeypatch.setattr(solver, "_COUNTING_MIN_COLUMNS", threshold)
+        walk(monkeypatch)
         search = _dim_search(build_graph(4, []), _Nodes(0))
         assert [list(sol) for sol in search.solutions()] == [[]]
         assert search.budget.used == 0
 
-    def test_rule_is_picked_by_column_count(self):
-        # Only the counting rule builds the row-to-column table.
+    def test_rule_is_picked_by_column_count(self, monkeypatch):
+        # KG(7,3) has 70 columns and scans; KG(9,4) has 315 and counts.
+        built = []
+        monkeypatch.setattr(solver, "_ExactCover", recording(built))
         for g, counting in ((kneser(7, 3).graph, False), (kneser(9, 4).graph, True)):
             search = _dim_search(g, _Nodes(DEFAULT_BUDGET))
-            assert (len(search.cols) >= solver._COUNTING_MIN_COLUMNS) == counting
-            assert sum(1 for _ in search.solutions()) == len(enumerate_dims(g))
-            assert (search.table is not None) == counting
+            assert (search.ncols >= solver._COUNTING_MIN_COLUMNS) == counting
+            built.clear()
+            found = sum(1 for _ in search.solutions())
+            assert built == ["tables" if counting else "masks"]
+            assert found == len(enumerate_dims(g))
+
+    @pytest.mark.parametrize(
+        "make,built",
+        [
+            (lambda: kneser(9, 4).graph, ["tables", "tables"]),
+            (petersen, ["masks", "masks"]),
+            (lambda: prism(30), ["masks", "masks"]),
+        ],
+        ids=["KG(9,4)", "Petersen", "prism C30"],
+    )
+    def test_each_rule_builds_only_its_own_state(self, monkeypatch, make, built):
+        # find_dim_partition runs the DIM instance and then the cover
+        # instance: KG(9,4)'s have 315 columns and count, never building
+        # the bitmasks; Petersen's have 15 and prism C30's 90, and scan,
+        # never building the index tables.
+        calls = []
+        monkeypatch.setattr(solver, "_ExactCover", recording(calls))
+        monkeypatch.setattr(partition, "_ExactCover", solver._ExactCover)
+        partition.find_dim_partition(make())
+        assert calls == built
 
     @pytest.mark.parametrize("row_lists,ncols,steps,sols,nodes", BATCH_EXITS)
     def test_batch_exits(self, monkeypatch, row_lists, ncols, steps, sols, nodes):
         search_for = cover_instance(row_lists, ncols)
         assert counted_walk(monkeypatch, search_for) == (steps, sols, nodes)
-        assert_same_tree(monkeypatch, search_for)
-        assert_same_budget_hits(monkeypatch, search_for, range(nodes + 2))
+        assert_same_tree(search_for)
+        assert_same_budget_hits(search_for, range(nodes + 2))
 
     def test_dominance_inside_a_dead_chain(self, monkeypatch):
         # Rows 0 and 1 are forced at the root, a batch.  Then every column
@@ -717,31 +789,29 @@ class TestBranchingStrategies:
         # dominance fires, so the chain is walked again from there, not
         # from the root: from the root, the single steps would need
         # dominance too.
-        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", 0)
         row_lists = [
             [8], [9], [2, 5], [6], [1, 3], [1, 2], [0, 3], [0, 3, 4], [4], [0, 6], [0, 5, 7], [0, 1, 7],
         ]
         search_for = cover_instance(row_lists, 10)
         steps = [2, "dominance", 3, 1, "replay", 1, 1]
         assert counted_walk(monkeypatch, search_for) == (steps, [], 4)
-        assert_same_tree(monkeypatch, search_for)
-        assert_same_budget_hits(monkeypatch, search_for, range(6))
+        assert_same_tree(search_for, BATCHES)
+        assert_same_budget_hits(search_for, range(6), BATCHES)
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_dominance_everywhere(self, monkeypatch, n):
-        # With the gate forced to 0, both rules apply dominance on every
-        # instance: on every connected graph up to 5 vertices and a
-        # seeded sample of 6 and 7, they grow one tree and find exactly
-        # the DIMs that the subset scan finds.  Dominance at the root can
-        # empty a column, so some searches try no row at all.
-        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", 0)
+    def test_dominance_everywhere(self, n):
+        # The counting rule applies dominance on every instance it runs:
+        # on every connected graph up to 5 vertices and a seeded sample of
+        # 6 and 7, its batches keep the tree of one row per node, and it
+        # finds exactly the DIMs that the subset scan finds.  Dominance at
+        # the root can empty a column, so some searches try no row at all.
         graphs = connected_graphs(n) if n <= 5 else sample_connected_graphs(n, 150, seed=n)
         for g in graphs:
             search_for = dim_instance(g)
-            nodes = search_outcome(search_for, DEFAULT_BUDGET)[1]
-            assert_same_budget_hits(monkeypatch, search_for, {max(nodes - 1, 0), DEFAULT_BUDGET})
+            found, nodes, _ = search_outcome(search_for, DEFAULT_BUDGET, counting)
+            assert_same_budget_hits(search_for, {max(nodes - 1, 0), DEFAULT_BUDGET}, BATCHES)
             if g.m <= 20:
-                assert set(enumerate_dims(g)) == set(brute_force_dims(g))
+                assert set(map(frozenset, found)) == set(brute_force_dims(g))
 
     def test_batch_at_the_root(self, monkeypatch):
         # 300 disjoint edges: each dominates itself alone, so all 300
@@ -754,31 +824,29 @@ class TestBranchingStrategies:
         assert list(search.solutions()) == [list(range(300))]
         assert search.budget.used == 300
         assert counted_walk(monkeypatch, search_for) == ([300], [list(range(300))], 300)
-        assert_same_tree(monkeypatch, search_for)
-        assert_same_budget_hits(monkeypatch, search_for, (0, 1, 299, 300))
+        assert_same_tree(search_for)
+        assert_same_budget_hits(search_for, (0, 1, 299, 300))
 
-    def test_random_cover_instances(self, monkeypatch):
+    def test_random_cover_instances(self):
         # Seeded small instances, half with a planted exact cover, under
         # every budget up to one past their node count.
         rng = random.Random(7)
         for _ in range(60):
             search_for = cover_instance(*random_cover_rows(rng))
             nodes = search_outcome(search_for, DEFAULT_BUDGET)[1]
-            assert_same_budget_hits(monkeypatch, search_for, range(nodes + 2))
+            assert_same_budget_hits(search_for, range(nodes + 2))
 
-    def test_random_cover_instances_with_dominance(self, monkeypatch):
-        # The same kind of instances with the gate forced to 0: both rules
-        # alike under every budget, and the covers those of the plain
-        # search.
+    def test_random_cover_instances_with_dominance(self):
+        # The same kind of instances under the counting rule: its batches
+        # keep the one-row tree under every budget, and the covers are
+        # those of the scan, which applies no dominance.
         rng = random.Random(11)
         for _ in range(60):
             search_for = cover_instance(*random_cover_rows(rng))
-            plain = search_outcome(search_for, DEFAULT_BUDGET)[0]
-            monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", 0)
-            found, nodes, _ = search_outcome(search_for, DEFAULT_BUDGET)
+            plain = search_outcome(search_for, DEFAULT_BUDGET, scan)[0]
+            found, nodes, _ = search_outcome(search_for, DEFAULT_BUDGET, counting)
             assert sorted(found) == sorted(plain)
-            assert_same_budget_hits(monkeypatch, search_for, range(nodes + 2))
-            monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", sys.maxsize)
+            assert_same_budget_hits(search_for, range(nodes + 2), BATCHES)
 
     @pytest.mark.parametrize("seed", (None, 3), ids=["canonical", "relabelled"])
     @pytest.mark.parametrize(
@@ -786,53 +854,48 @@ class TestBranchingStrategies:
         [lambda: kneser(9, 4).graph, lambda: bipartite_kneser(3, 4).graph],
         ids=["KG(9,4)", "BG(3,4)"],
     )
-    def test_family_budget_sweep(self, monkeypatch, make, seed):
+    def test_family_budget_sweep(self, make, seed):
         # Every budget up to 10 past the first solution's node count, and
-        # the last 10 short of the whole enumeration.
+        # the last 10 short of the whole enumeration, for the two rules
+        # and for the batches.
         g = make() if seed is None else relabelled(make(), seed)
         masks, table = solver._domination_masks(g), solver._domination_table(g)
+        col_table = table.astype(np.intp)
 
         def search_for(budget):
-            return _ExactCover(masks, masks, lambda: table, _Nodes(budget))
+            return _ExactCover(
+                g.m, g.m, lambda: (masks, masks), lambda: (table, col_table), _Nodes(budget)
+            )
 
-        search = search_for(DEFAULT_BUDGET)
-        next(search.solutions())
-        first = search.budget.used
-        nodes = search_outcome(search_for, DEFAULT_BUDGET)[1]
-        budgets = [*range(first + 11), *range(nodes - 10, nodes)]
-        assert_same_budget_hits(monkeypatch, search_for, budgets)
-
-    def test_kill_masks_only_for_rows_tried(self):
-        # find_dim on KG(11,5) tries 126 of its 1 386 rows: one branch
-        # row, then two batches of 25 and 100 forced rows, which read the
-        # index tables and build no kill mask.  Each of its 11 DIMs
-        # starts with one branch row.
-        search = _dim_search(kneser(11, 5).graph, _Nodes(DEFAULT_BUDGET))
-        next(search.solutions())
-        assert search.budget.used == 126
-        assert sum(k is not None for k in search.kill) == 1
-        search = _dim_search(kneser(11, 5).graph, _Nodes(DEFAULT_BUDGET))
-        assert len(list(search.solutions())) == 11
-        assert search.budget.used == 1_386
-        assert sum(k is not None for k in search.kill) == 11
+        for walks in (RULES, BATCHES):
+            with pytest.MonkeyPatch.context() as mp:
+                walks[0](mp)
+                search = search_for(DEFAULT_BUDGET)
+                next(search.solutions())
+                first = search.budget.used
+            nodes = search_outcome(search_for, DEFAULT_BUDGET, walks[0])[1]
+            budgets = [*range(first + 11), *range(nodes - 10, nodes)]
+            assert_same_budget_hits(search_for, budgets, walks)
 
 
 class TestForcedBatch:
-    """The batch step on the index tables takes the rows, covers the
-    columns and kills the rows that the kill masks of its rows do."""
+    """The batch step on the index tables takes the forced rows and kills
+    the rows that a plain scan of the row lists finds."""
 
     @pytest.mark.parametrize("row_lists,ncols,steps,sols,nodes", BATCH_EXITS)
     def test_batch_exits(self, monkeypatch, row_lists, ncols, steps, sols, nodes):
-        taken = checked_batches(monkeypatch, cover_instance(row_lists, ncols))
+        taken = checked_batches(monkeypatch, cover_instance(row_lists, ncols), row_lists)
         assert any(taken) == any(isinstance(s, int) and s > 1 for s in steps)
 
-    @pytest.mark.parametrize("gate", (sys.maxsize, 0), ids=["plain", "dominance"])
-    def test_random_cover_instances(self, monkeypatch, gate):
-        monkeypatch.setattr(solver, "_DOMINANCE_MIN_COLUMNS", gate)
+    @pytest.mark.parametrize("dominance", (False, True), ids=["plain", "dominance"])
+    def test_random_cover_instances(self, monkeypatch, dominance):
+        if not dominance:
+            monkeypatch.setattr(_ExactCover, "_dominated", no_dominance)
         rng = random.Random(13)
         taken = []
         for _ in range(60):
-            taken += checked_batches(monkeypatch, cover_instance(*random_cover_rows(rng)))
+            row_lists, ncols = random_cover_rows(rng)
+            taken += checked_batches(monkeypatch, cover_instance(row_lists, ncols), row_lists)
         assert any(taken) and not all(taken)
 
     @pytest.mark.parametrize(
@@ -844,4 +907,5 @@ class TestForcedBatch:
         # With dominance every call of the batch step takes a batch, on
         # the canonical labels and on a relabelling alike.
         for g in (make(), relabelled(make(), 1)):
-            assert checked_batches(monkeypatch, dim_instance(g)) == [True] * calls
+            row_lists = [sorted(dominated_set(g, e)) for e in range(g.m)]
+            assert checked_batches(monkeypatch, dim_instance(g), row_lists) == [True] * calls
