@@ -6,7 +6,8 @@ Exit codes:
 * 1 answered no: no DIM, no partition, a failed check, or a sweep
   counterexample;
 * 2 usage or input errors, including a graph file whose header declares
-  more than ``io.MAX_VERTICES`` vertices and a sweep over no graphs;
+  more than ``io.MAX_VERTICES`` vertices, a ``gen`` family with more
+  vertices than that, and a sweep over no graphs;
 * 3 a search ran out of budget: for ``verify`` and ``sweep``, the DIM
   search or any check of any report (this takes precedence over 1);
 * 4 internal error: any other exception, reported on one stderr line.
@@ -18,15 +19,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Callable, NamedTuple, Optional, TextIO
 
 from .checks import Budgets, VerificationReport, full_report
 from .corpus import connected_graphs, sample_connected_graphs
 from .families import (
+    LabeledGraph,
     bg_dim_partition,
     bipartite_kneser,
     complete,
@@ -38,8 +41,8 @@ from .families import (
 )
 from .graph import Graph
 from .io import (
-    FormatError,
     GRAPH_FORMATS,
+    MAX_VERTICES,
     parse_graph,
     parse_partition,
     serialize_certificate,
@@ -57,21 +60,55 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
-        super().__init__(message)
-        self.code = code
+def _comb(n: int, k: int) -> int:
+    # Out-of-range parameters count as small, so the family reports them.
+    return math.comb(max(n, 0), max(k, 0))
 
 
-def _read_graph(path: str, fmt: str) -> Graph:
+class _Family(NamedTuple):
+    help: str
+    params: tuple[str, ...]
+    # The vertex count in closed form, checked before anything is built.
+    vertices: Callable[..., int]
+    # A Graph, or a LabeledGraph whose labels --with-labels writes.
+    make: Callable
+    # The graph with its closed-form DIM partition, if the family has one.
+    partition: Optional[Callable] = None
+
+
+_FAMILIES = {
+    "kneser": _Family("disjointness graph of k-subsets", ("n", "k"), _comb, kneser),
+    "kneser-family": _Family(
+        "KG(2r-1, r-1), optionally with its DIM partition",
+        ("r",),
+        lambda r: _comb(2 * r - 1, r - 1),
+        lambda r: kneser(2 * r - 1, r - 1),
+        kneser_dim_partition,
+    ),
+    "bg": _Family(
+        "BG(r-1, s-1), optionally with its DIM partition",
+        ("r", "s"),
+        lambda r, s: _comb(r + s - 1, r - 1) + _comb(r + s - 1, s - 1),
+        lambda r, s: bipartite_kneser(r - 1, s - 1),
+        bg_dim_partition,
+    ),
+    "cycle": _Family("cycle graph", ("n",), lambda n: n, cycle),
+    "complete": _Family("complete graph", ("n",), lambda n: n, complete),
+    "star": _Family("star graph with k leaves", ("k",), lambda k: k + 1, star),
+    "petersen": _Family("the Petersen graph", (), lambda: 10, petersen),
+}
+
+
+def _read(path: str, parse: Callable, *args):
+    """``parse`` of a file's text, each error naming the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_graph(text, fmt)
-    except (FormatError, ValueError) as exc:
-        raise _CliError(f"{path}: {exc}") from exc
+        return parse(text, *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _budget(text: str) -> int:
@@ -93,9 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate family graphs")
+    gen.set_defaults(run=_cmd_gen)
     gen_sub = gen.add_subparsers(dest="family", required=True)
-
-    def add_gen_common(p: argparse.ArgumentParser, partition: bool) -> None:
+    for name, family in _FAMILIES.items():
+        p = gen_sub.add_parser(name, help=family.help)
+        for param in family.params:
+            p.add_argument(f"--{param}", type=int, required=True)
         p.add_argument("-o", "--output", help="output graph file (default stdout)")
         p.add_argument(
             "--format", choices=GRAPH_FORMATS, default="edgelist",
@@ -105,52 +145,21 @@ def _build_parser() -> argparse.ArgumentParser:
             "--with-labels", action="store_true",
             help="also write the subset-label sidecar (requires -o)",
         )
-        if partition:
+        if family.partition:
             p.add_argument(
                 "--with-partition", action="store_true",
                 help="also write the closed-form DIM partition (requires -o)",
             )
 
-    p = gen_sub.add_parser("kneser", help="disjointness graph of k-subsets")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_gen_common(p, partition=False)
-
-    p = gen_sub.add_parser(
-        "kneser-family", help="KG(2r-1, r-1), optionally with its DIM partition"
-    )
-    p.add_argument("--r", type=int, required=True)
-    add_gen_common(p, partition=True)
-
-    p = gen_sub.add_parser(
-        "bg", help="BG(r-1, s-1), optionally with its DIM partition"
-    )
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    add_gen_common(p, partition=True)
-
-    p = gen_sub.add_parser("cycle", help="cycle graph")
-    p.add_argument("--n", type=int, required=True)
-    add_gen_common(p, partition=False)
-
-    p = gen_sub.add_parser("complete", help="complete graph")
-    p.add_argument("--n", type=int, required=True)
-    add_gen_common(p, partition=False)
-
-    p = gen_sub.add_parser("star", help="star graph with k leaves")
-    p.add_argument("--k", type=int, required=True)
-    add_gen_common(p, partition=False)
-
-    p = gen_sub.add_parser("petersen", help="the Petersen graph")
-    add_gen_common(p, partition=False)
-
     dim = sub.add_parser("dim", help="find, enumerate, or size DIMs")
+    dim.set_defaults(run=_cmd_dim)
     dim.add_argument("action", choices=("find", "enum", "size"))
     dim.add_argument("graphfile")
     dim.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     dim.add_argument("--format", choices=GRAPH_FORMATS, default="edgelist")
 
     part = sub.add_parser("partition", help="find or verify DIM partitions")
+    part.set_defaults(run=_cmd_partition)
     part.add_argument("action", choices=("find", "verify"))
     part.add_argument("graphfile")
     part.add_argument("--partition", help="partition file (verify only)")
@@ -158,6 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--format", choices=GRAPH_FORMATS, default="edgelist")
 
     ver = sub.add_parser("verify", help="run the verification report")
+    ver.set_defaults(run=_cmd_verify)
     ver.add_argument("action", choices=("all", "report"))
     ver.add_argument("graphfile")
     ver.add_argument("--max-cycle", type=int, default=Budgets.max_cycle_len)
@@ -165,6 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=GRAPH_FORMATS, default="edgelist")
 
     sweep = sub.add_parser("sweep", help="verify every small-graph law on a corpus")
+    sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("--max-n", type=int, help="exhaustive corpus bound (<= 7)")
     sweep.add_argument("--sample", action="store_true", help="sample mode")
     sweep.add_argument("--n", type=int, help="vertex count in sample mode")
@@ -177,37 +188,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
-    labeled = None
+    family = _FAMILIES[args.family]
+    params = [getattr(args, param) for param in family.params]
+    n = family.vertices(*params)
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"{args.family}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
     partition = None
-    if args.family == "kneser":
-        labeled = kneser(args.n, args.k)
-        g = labeled.graph
-    elif args.family == "kneser-family":
-        if getattr(args, "with_partition", False):
-            labeled, partition = kneser_dim_partition(args.r)
-        else:
-            labeled = kneser(2 * args.r - 1, args.r - 1)
-        g = labeled.graph
-    elif args.family == "bg":
-        if getattr(args, "with_partition", False):
-            labeled, partition = bg_dim_partition(args.r, args.s)
-        else:
-            labeled = bipartite_kneser(args.r - 1, args.s - 1)
-        g = labeled.graph
-    elif args.family == "cycle":
-        g = cycle(args.n)
-    elif args.family == "complete":
-        g = complete(args.n)
-    elif args.family == "star":
-        g = star(args.k)
+    if getattr(args, "with_partition", False):
+        made, partition = family.partition(*params)
     else:
-        g = petersen()
+        made = family.make(*params)
+    labeled = isinstance(made, LabeledGraph)
+    g = made.graph if labeled else made
 
-    wants_sidecar = getattr(args, "with_partition", False) or args.with_labels
-    if wants_sidecar and not args.output:
-        raise _CliError("--with-partition/--with-labels require -o")
-    if args.with_labels and labeled is None:
-        raise _CliError(f"{args.family} has no subset labels")
+    if (partition is not None or args.with_labels) and not args.output:
+        raise ValueError("--with-partition/--with-labels require -o")
+    if args.with_labels and not labeled:
+        raise ValueError(f"{args.family} has no subset labels")
 
     text = serialize_graph(g, args.format)
     if args.output:
@@ -218,7 +217,7 @@ def _cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
             )
         if args.with_labels:
             Path(args.output + ".labels").write_text(
-                serialize_labels(labeled.labels), encoding="utf-8"
+                serialize_labels(made.labels), encoding="utf-8"
             )
     else:
         out.write(text)
@@ -226,7 +225,7 @@ def _cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_dim(args: argparse.Namespace, out: TextIO) -> int:
-    g = _read_graph(args.graphfile, args.format)
+    g = _read(args.graphfile, parse_graph, args.format)
     if args.action == "enum":
         dims = enumerate_dims(g, args.budget)
         out.write(f"dims {len(dims)}\n")
@@ -246,7 +245,7 @@ def _cmd_dim(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace, out: TextIO) -> int:
-    g = _read_graph(args.graphfile, args.format)
+    g = _read(args.graphfile, parse_graph, args.format)
     if args.action == "find":
         p = find_dim_partition(g, args.budget)
         if p is None:
@@ -255,15 +254,8 @@ def _cmd_partition(args: argparse.Namespace, out: TextIO) -> int:
         out.write(serialize_partition(g, p))
         return EXIT_OK
     if not args.partition:
-        raise _CliError("partition verify requires --partition")
-    try:
-        text = Path(args.partition).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(f"cannot read {args.partition}: {exc}") from exc
-    try:
-        p = parse_partition(text, g)
-    except FormatError as exc:
-        raise _CliError(f"{args.partition}: {exc}") from exc
+        raise ValueError("partition verify requires --partition")
+    p = _read(args.partition, parse_partition, g)
     report = verify_dim_partition(g, p)
     out.write(f"valid = {'true' if report.valid else 'false'}\n")
     out.write(f"class-count-ok = {'true' if report.class_count_ok else 'false'}\n")
@@ -278,7 +270,7 @@ def _has_budget_error(report: VerificationReport) -> bool:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    g = _read_graph(args.graphfile, args.format)
+    g = _read(args.graphfile, parse_graph, args.format)
     budgets = Budgets(max_cycle_len=args.max_cycle, search_nodes=args.budget)
     report = full_report(g, budgets)
     if args.action == "all":
@@ -316,18 +308,18 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     budgets = Budgets(max_cycle_len=args.max_cycle, search_nodes=args.budget)
     if args.sample:
         if args.n is None:
-            raise _CliError("sample mode requires --n")
+            raise ValueError("sample mode requires --n")
         if args.count < 1:
-            raise _CliError("--count must be at least 1")
+            raise ValueError("--count must be at least 1")
         graphs = sample_connected_graphs(args.n, args.count, args.seed)
         header = f"sweep mode=sample n={args.n} seed={args.seed} count={args.count}"
     else:
         if args.max_n is None:
-            raise _CliError("exhaustive mode requires --max-n")
+            raise ValueError("exhaustive mode requires --max-n")
         if args.max_n > 7:
-            raise _CliError("exhaustive sweeps are limited to --max-n 7")
+            raise ValueError("exhaustive sweeps are limited to --max-n 7")
         if args.max_n < 1:
-            raise _CliError("--max-n must be at least 1")
+            raise ValueError("--max-n must be at least 1")
         graphs = (
             g for n in range(1, args.max_n + 1) for g in connected_graphs(n)
         )
@@ -374,18 +366,7 @@ def run(
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "gen":
-            return _cmd_gen(args, out)
-        if args.command == "dim":
-            return _cmd_dim(args, out)
-        if args.command == "partition":
-            return _cmd_partition(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        return _cmd_sweep(args, out)
-    except _CliError as exc:
-        err.write(f"error: {exc}\n")
-        return exc.code
+        return args.run(args, out)
     except SearchBudgetExceeded as exc:
         err.write(f"error: {exc}\n")
         return EXIT_BUDGET

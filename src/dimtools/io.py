@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .graph import Graph
 from .partition import DimPartition
 from .solver import EdgeSet
-
-GRAPH_FORMATS = ("edgelist", "dimacs")
 
 # Largest vertex count a graph file may declare.  A Graph allocates
 # storage for every vertex, so the header alone would otherwise decide
@@ -157,20 +155,26 @@ def serialize_dimacs(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each graph format's parser and serializer, by name.
+_GRAPH_CODECS = {
+    "edgelist": (parse_edgelist, serialize_edgelist),
+    "dimacs": (parse_dimacs, serialize_dimacs),
+}
+GRAPH_FORMATS = tuple(_GRAPH_CODECS)
+
+
+def _codec(fmt: str) -> tuple[Callable[[str], Graph], Callable[[Graph], str]]:
+    if fmt not in _GRAPH_CODECS:
+        raise ValueError(f"unknown graph format {fmt!r}")
+    return _GRAPH_CODECS[fmt]
+
+
 def parse_graph(text: str, fmt: str = "edgelist") -> Graph:
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    if fmt == "dimacs":
-        return parse_dimacs(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return _codec(fmt)[0](text)
 
 
 def serialize_graph(g: Graph, fmt: str = "edgelist") -> str:
-    if fmt == "edgelist":
-        return serialize_edgelist(g)
-    if fmt == "dimacs":
-        return serialize_dimacs(g)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return _codec(fmt)[1](g)
 
 
 def graph_digest(g: Graph) -> str:

@@ -165,7 +165,9 @@ def _domination_table(g: Graph) -> np.ndarray:
     """
     m = g.m
     inc = _padded(g.incident, m)
-    ends = np.array(g.edges, dtype=np.intp)
+    ends = np.fromiter(
+        chain.from_iterable(g.edges), dtype=np.intp, count=2 * m
+    ).reshape(m, 2)
     at_u, at_v = inc[ends[:, 0]], inc[ends[:, 1]]
     at_v[at_v == np.arange(m)[:, None]] = m
     return np.hstack((at_u, at_v))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dimtools
-from dimtools import cli, partition, solver
+from dimtools import cli, families, partition, solver
 from dimtools.checks import Budgets, CheckEntry, full_report
 from dimtools.cli import run
 from dimtools.graph import build_graph
@@ -24,8 +24,19 @@ from dimtools.io import (
     parse_labels,
     parse_partition,
     serialize_graph,
+    serialize_labels,
+    serialize_partition,
 )
-from dimtools.families import bipartite_kneser, cycle, kneser, petersen
+from dimtools.families import (
+    bg_dim_partition,
+    bipartite_kneser,
+    complete,
+    cycle,
+    kneser,
+    kneser_dim_partition,
+    petersen,
+    star,
+)
 
 # Golden stdout (sweeps, verify reports, engine output) that a change must
 # reproduce byte for byte.
@@ -59,6 +70,35 @@ def c4_file(tmp_path):
     path = tmp_path / "c4.g"
     invoke(["gen", "cycle", "--n", "4", "-o", str(path)])
     return path
+
+
+# Each gen family: its parameters and the library call it prints.
+GEN_FAMILIES = {
+    "kneser": (["--n", "6", "--k", "2"], lambda: kneser(6, 2).graph),
+    "kneser-family": (["--r", "3"], lambda: kneser(5, 2).graph),
+    "bg": (["--r", "3", "--s", "4"], lambda: bipartite_kneser(2, 3).graph),
+    "cycle": (["--n", "5"], lambda: cycle(5)),
+    "complete": (["--n", "4"], lambda: complete(4)),
+    "star": (["--k", "3"], lambda: star(3)),
+    "petersen": ([], petersen),
+}
+# gen invocations that write sidecars, and the library output they hold:
+# a labelled graph, or a labelled graph with its closed-form partition.
+GEN_SIDECARS = [
+    (["kneser", "--n", "6", "--k", "2", "--with-labels"], lambda: kneser(6, 2)),
+    (
+        ["kneser-family", "--r", "3", "--with-partition", "--with-labels"],
+        lambda: kneser_dim_partition(3),
+    ),
+    (
+        ["bg", "--r", "3", "--s", "4", "--with-partition", "--with-labels"],
+        lambda: bg_dim_partition(3, 4),
+    ),
+]
+
+
+def _no_build(*args):
+    raise RuntimeError("built")
 
 
 class TestGen:
@@ -105,6 +145,95 @@ class TestGen:
     def test_bad_parameter_is_usage_error(self):
         code, _, err = invoke(["gen", "cycle", "--n", "2"])
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+    @pytest.mark.parametrize("family", GEN_FAMILIES)
+    def test_family_prints_library_graph(self, family, fmt):
+        params, make = GEN_FAMILIES[family]
+        code, out, err = invoke(["gen", family, *params, "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out == serialize_graph(make(), fmt)
+
+    @pytest.mark.parametrize("argv,make", GEN_SIDECARS, ids=[a[0] for a, _ in GEN_SIDECARS])
+    def test_sidecars_equal_library_output(self, tmp_path, argv, make):
+        base = tmp_path / "g.g"
+        code, out, err = invoke(["gen", *argv, "-o", str(base)])
+        assert (code, out, err) == (0, "", "")
+        made = make()
+        labeled, partition = made if isinstance(made, tuple) else (made, None)
+        assert base.read_text() == serialize_graph(labeled.graph)
+        sidecar = tmp_path / "g.g.partition"
+        if partition is None:
+            assert not sidecar.exists()
+        else:
+            assert sidecar.read_text() == serialize_partition(labeled.graph, partition)
+        labels = (tmp_path / "g.g.labels").read_text()
+        assert labels == serialize_labels(labeled.labels)
+
+    @pytest.mark.parametrize("family", ["cycle", "complete", "star", "petersen"])
+    def test_labels_on_unlabelled_family_is_usage_error(self, tmp_path, family):
+        base = tmp_path / "g.g"
+        params, _ = GEN_FAMILIES[family]
+        code, out, err = invoke(["gen", family, *params, "--with-labels", "-o", str(base)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {family} has no subset labels\n"
+
+    @pytest.mark.parametrize("family", ["kneser", "cycle", "complete", "star", "petersen"])
+    def test_partition_without_closed_form_is_usage_error(self, tmp_path, capsys, family):
+        params, _ = GEN_FAMILIES[family]
+        argv = ["gen", family, *params, "--with-partition", "-o", str(tmp_path / "g.g")]
+        code, out, _ = invoke(argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --with-partition" in capsys.readouterr().err
+        assert not (tmp_path / "g.g").exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["kneser", "--n", "-1", "--k", "2"], "ground set size n must be positive"),
+            (["bg", "--r", "1", "--s", "3"], "subset sizes must be positive"),
+            (["star", "--k", "0"], "star needs at least 1 leaf"),
+            (["kneser-family", "--r", "1", "--with-partition"], "r must be at least 2"),
+        ],
+    )
+    def test_bad_parameter_keeps_family_message(self, argv, message):
+        # The last has no -o: a bad parameter is reported before that.
+        code, out, err = invoke(["gen", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("family", GEN_FAMILIES)
+    def test_vertex_count_is_closed_form(self, family):
+        params, make = GEN_FAMILIES[family]
+        ints = [int(a) for a in params[1::2]]
+        assert cli._FAMILIES[family].vertices(*ints) == make().n
+
+    @pytest.mark.parametrize(
+        "argv,count",
+        [
+            (["bg", "--r", "2", "--s", "450"], 101_926),
+            (["kneser", "--n", "40", "--k", "20"], 137_846_528_820),
+            (["kneser-family", "--r", "11", "--with-partition"], 352_716),
+        ],
+    )
+    def test_family_above_vertex_limit_is_refused_unbuilt(
+        self, tmp_path, monkeypatch, argv, count
+    ):
+        # Building any of these would fail the test rather than fill memory.
+        monkeypatch.setattr(families, "_colex_subsets", _no_build)
+        path = tmp_path / "big.g"
+        code, out, err = invoke(["gen", *argv, "-o", str(path)])
+        assert (code, out) == (2, "")
+        limit = f"vertex count {count} exceeds the limit of {MAX_VERTICES}"
+        assert err == f"error: {argv[0]}: {limit}\n"
+        assert not path.exists()
+
+    def test_vertex_limit_boundary_is_kneser_family_r_10(self, monkeypatch):
+        count = cli._FAMILIES["kneser-family"].vertices
+        assert count(10) == 92_378 <= MAX_VERTICES < count(11) == 352_716
+        # r = 10 passes the check and goes on to build.
+        monkeypatch.setattr(families, "_colex_subsets", _no_build)
+        code, _, err = invoke(["gen", "kneser-family", "--r", "10"])
+        assert (code, err) == (4, "internal error: RuntimeError: built\n")
 
 
 class TestDim:
