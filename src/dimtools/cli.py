@@ -88,7 +88,10 @@ _FAMILIES = {
     "bg": _Family(
         "BG(r-1, s-1), optionally with its DIM partition",
         ("r", "s"),
-        lambda r, s: _comb(r + s - 1, r - 1) + _comb(r + s - 1, s - 1),
+        # r or s below 2 is the family's own error, not an oversized graph.
+        lambda r, s: (
+            0 if min(r, s) < 2 else _comb(r + s - 1, r - 1) + _comb(r + s - 1, s - 1)
+        ),
         lambda r, s: bipartite_kneser(r - 1, s - 1),
         bg_dim_partition,
     ),

@@ -227,6 +227,16 @@ class TestGen:
         assert err == f"error: {argv[0]}: {limit}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("r,s", [(1, 500_000), (500_000, 1)])
+    def test_bad_bg_size_beside_a_huge_one_keeps_family_message(
+        self, tmp_path, monkeypatch, r, s
+    ):
+        monkeypatch.setattr(families, "_colex_subsets", _no_build)
+        path = tmp_path / "bg.g"
+        code, out, err = invoke(["gen", "bg", "--r", str(r), "--s", str(s), "-o", str(path)])
+        assert (code, out, err) == (2, "", "error: subset sizes must be positive\n")
+        assert not path.exists()
+
     def test_vertex_limit_boundary_is_kneser_family_r_10(self, monkeypatch):
         count = cli._FAMILIES["kneser-family"].vertices
         assert count(10) == 92_378 <= MAX_VERTICES < count(11) == 352_716
@@ -616,6 +626,17 @@ def test_engine_output_matches_golden(name, command):
     code, out, err = invoke([*command, str(DATA / f"{name}.g")])
     assert (code, err) == (0, "")
     golden = DATA / f"{name}.{'-'.join(command)}.txt"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", [("dim", "enum"), ("partition", "find")])
+def test_dimacs_with_every_edge_twice_matches_golden(command):
+    # Comment lines, CRLF line ends and each edge listed a second time,
+    # reversed: the DIMACS merge path end to end.
+    path = DATA / "petersen-repeats.dimacs"
+    code, out, err = invoke([*command, "--format", "dimacs", str(path)])
+    assert (code, err) == (0, "")
+    golden = DATA / f"petersen-repeats.{'-'.join(command)}.txt"
     assert out == golden.read_text(encoding="utf-8")
 
 

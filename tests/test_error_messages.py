@@ -31,6 +31,10 @@ EDGELIST_ERRORS = [
     ("3 1\n0 1 2\n", "malformed edge line: '0 1 2'"),
     ("3 1\n0 x\n", "malformed edge line: '0 x'"),
     ("3 1\n0 1.0\n", "malformed edge line: '0 1.0'"),
+    # An edge-list line has no tag, and '#' starts a comment only at the
+    # start of a line.
+    ("3 1\ne 0 1\n", "malformed edge line: 'e 0 1'"),
+    ("3 1\n0 1 # note\n", "malformed edge line: '0 1 # note'"),
     ("3 1\n-1 2\n", "vertex out of range in line '-1 2'"),
     ("3 1\n0 3\n", "vertex out of range in line '0 3'"),
     ("3 1\n2 2\n", "self-loop at vertex 2"),
@@ -50,6 +54,7 @@ EDGELIST_ERRORS = [
 DIMACS_ERRORS = [
     ("", "missing problem line"),
     ("p edge 2\n", "malformed problem line: 'p edge 2'"),
+    ("p edge 2 1 7\n", "malformed problem line: 'p edge 2 1 7'"),
     ("p foo 2 1\ne 1 2\n", "malformed problem line: 'p foo 2 1'"),
     ("p edge x 1\n", "malformed problem line: 'p edge x 1'"),
     ("e 1 2\n", "malformed problem line: 'e 1 2'"),
@@ -58,6 +63,7 @@ DIMACS_ERRORS = [
     ("p edge 2 2\ne 1 2\n", "declared 2 edges but found 1 edge lines"),
     ("p edge 2 1\ne 1 2 3\n", "malformed edge line: 'e 1 2 3'"),
     ("p edge 2 1\nf 1 2\n", "malformed edge line: 'f 1 2'"),
+    ("p edge 2 1\n1 2\n", "malformed edge line: '1 2'"),
     ("p edge 2 1\ne 1 x\n", "malformed edge line: 'e 1 x'"),
     ("p edge 2 1\ne 0 1\n", "vertex out of range in line 'e 0 1'"),
     ("p edge 2 1\ne -1 1\n", "vertex out of range in line 'e -1 1'"),
@@ -74,11 +80,15 @@ GRAPHS_ACCEPTED = [
     # DIMACS files from other tools may list an edge twice; it is merged.
     ("dimacs", "p edge 3 2\ne 1 2\ne 2 1\n", 3, ((0, 1),)),
     ("dimacs", "p edge 3 3\ne 1 2\ne 2 3\ne 1 2\n", 3, ((0, 1), (1, 2))),
+    # Fields may be separated by tabs as well as spaces.
+    ("edgelist", "3\t2\n0\t1\n2 \t1\n", 3, ((0, 1), (1, 2))),
+    ("dimacs", "p\tedge 3\t2\ne\t1\t2\ne 2\t 3\n", 3, ((0, 1), (1, 2))),
 ]
 
 # Partition files for the 4-cycle, whose edges are (0,1) (0,3) (1,2) (2,3).
 PARTITION_ERRORS = [
     ("", "missing partition header"),
+    ("classes\n", "malformed partition header: 'classes'"),
     ("class 2\n0 1 1\n1 2 2\n2 3 1\n0 3 2\n", "malformed partition header: 'class 2'"),
     ("classes x\n", "malformed partition header: 'classes x'"),
     ("classes 2 3\n", "malformed partition header: 'classes 2 3'"),

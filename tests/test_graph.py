@@ -23,7 +23,7 @@ from dimtools.graph import (
     induced_subgraph,
     is_connected,
 )
-from dimtools.io import parse_dimacs, parse_edgelist
+from dimtools.io import FormatError, parse_graph
 
 
 def graphs_strategy(max_n=8):
@@ -92,16 +92,38 @@ def _pair_lines(draw_result):
 
 def _parsed_edgelist(draw_result):
     n, pairs = _pair_lines(draw_result)
-    return parse_edgelist(f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+    return parse_graph(
+        f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs), "edgelist"
+    )
 
 
 def _parsed_dimacs(draw_result):
     # DIMACS files may repeat an edge; the parser keeps it once.
     n, pairs = _pair_lines(draw_result)
     pairs += pairs[: len(pairs) // 2]
-    return parse_dimacs(
-        f"p edge {n} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+    return parse_graph(
+        f"p edge {n} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs),
+        "dimacs",
     )
+
+
+@given(graphs_strategy(), st.randoms(use_true_random=False))
+def test_repeated_edge_is_merged_in_dimacs_and_refused_in_edge_list(g, rng):
+    pairs = list(g.edges)
+    rng.shuffle(pairs)
+    twice = pairs + [(v, u) for u, v in pairs]
+    dimacs = "".join(f"e {u + 1} {v + 1}\n" for u, v in twice)
+    assert parse_graph(f"p edge {g.n} {len(twice)}\n" + dimacs, "dimacs") == g
+    if not pairs:
+        return
+    # One edge again, in either orientation, on a later line.
+    i = rng.randrange(len(pairs))
+    u, v = pairs[i] if rng.random() < 0.5 else pairs[i][::-1]
+    lines = [f"{a} {b}\n" for a, b in pairs]
+    lines.insert(rng.randrange(i + 1, len(pairs) + 1), f"{u} {v}\n")
+    with pytest.raises(FormatError) as info:
+        parse_graph(f"{g.n} {len(lines)}\n" + "".join(lines), "edgelist")
+    assert str(info.value) == f"repeated edge in line '{u} {v}'"
 
 
 def _pair_draws(max_n):
