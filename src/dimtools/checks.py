@@ -417,7 +417,7 @@ def _run_formula(f: _Facts) -> tuple[bool, str]:
 
 
 def _run_divisibility(f: _Facts) -> tuple[bool, str]:
-    ok = (f.g.n * f.k) % (4 * f.k - 2) == 0
+    ok = regular_dim_formula(f.g.n, f.k) is not None
     return ok, f"{4 * f.k - 2} divides {f.g.n * f.k}: {ok}"
 
 

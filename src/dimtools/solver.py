@@ -256,12 +256,11 @@ def classify_dim(g: Graph, edge_ids: Iterable[EdgeId]) -> DimWitness:
 # vertices have at most 28 edges, so their searches never apply it.
 _COUNTING_MIN_COLUMNS = 256
 
-# A search frame: the node's viable rows and uncovered columns, as int
-# masks under the scan and as the live rows and the counts under the
-# counting rule, then the rows still to try.
-_Frame = tuple[object, object, int]
-# The frame a batch row leaves on the stack: no rows left to try.
-_SPENT: _Frame = (None, None, 0)
+# A search frame, one per node: the node's viable rows and uncovered
+# columns, as int masks under the scan and as the live rows and the counts
+# under the counting rule, then the rows still to try and how many rows
+# are chosen at the node.
+_Frame = tuple[object, object, int, int]
 # The counting rule's node to walk a dead chain again from: live rows,
 # counts and nodes used.
 _Replay = tuple[np.ndarray, np.ndarray, int]
@@ -285,11 +284,16 @@ class _ExactCover:
     viable rows (those disjoint from every chosen row), as in Knuth's
     Algorithm X, and tries those rows in ascending order, given as an
     int row mask.  Every row tried counts as one node on the ``budget``
-    counter.  The branching column is the lowest-index uncovered column
-    with at most one viable row if there is one, and otherwise the
-    lowest-index uncovered column of minimum count.  One walk finds it by
-    one of two rules, chosen by the number of columns
-    (``_COUNTING_MIN_COLUMNS``):
+    counter.  The walk's stack holds one frame per node on the path from
+    the root: its state, its rows still to try and its depth, the number
+    of rows chosen at it.  Trying a row cuts the chosen rows back to the
+    frame's depth and appends the row; a solution is yielded and not
+    pushed, and a frame with no row left to try is popped.
+
+    The branching column is the lowest-index uncovered column with at
+    most one viable row if there is one, and otherwise the lowest-index
+    uncovered column of minimum count.  One walk finds it by one of two
+    rules, chosen by the number of columns (``_COUNTING_MIN_COLUMNS``):
 
     * scanning (:meth:`_branch_rows`): a node is its uncovered columns
       and its viable rows as ints.  Choosing row i removes its columns
@@ -319,7 +323,8 @@ class _ExactCover:
     row is forced when it is the one live row of an uncovered column.
     After each recount, if the least count is 1 and at least two
     distinct rows are forced, it takes them all with one recount, each
-    still one node, provided that
+    still one node on the budget but with no frame of its own: they are
+    chosen at the node the batch reaches, provided that
 
     1. no uncovered column has 0 live rows;
     2. the forced rows are pairwise disjoint: one ``np.bincount`` of
@@ -352,12 +357,15 @@ class _ExactCover:
     seen to run; the tests build an instance where it does.
 
     The counting rule also applies least-count column dominance
-    (:meth:`_dominated`) in :meth:`_settle`, once no batch applies and
-    the least count is 2 or more.  Let l be the least count.  For each
-    column f with exactly l live rows, every uncovered column g with
-    more than l that all of f's live rows cover loses its live rows
-    outside f's; the counts are recounted and the pass repeated until
-    nothing dies, and the node then branches as above.  This is sound:
+    (:meth:`_dominated`) in :meth:`_settle`, one pass at a time, at a
+    node whose least count is 2 or more.  Let l be the least count.  For
+    each column f with exactly l live rows, every uncovered column g
+    with more than l that all of f's live rows cover loses its live rows
+    outside f's, and the counts are recounted.  Each round of
+    :meth:`_settle` takes a batch or makes one pass, whichever the least
+    count calls for, until neither changes the node, and the node then
+    branches as above; this is the engine's one propagation loop.  This
+    is sound:
     every cover below the node takes exactly one of f's rows, which
     covers g, so any other row of g would cover g twice.  The deletions
     are not nodes.  The batch walk and the single steps reach such a
@@ -398,6 +406,9 @@ class _ExactCover:
     def _kill(self, i: int) -> int:
         """Row i and every row sharing a column with it, as a row mask,
         built the first time the scan chooses row i."""
+        # Rebuilding the mask at every choice instead of caching it made an
+        # enumeration of KG(7,3) 3-5% slower (Python 3.11, 2 vCPUs, median
+        # of 60 in one process).
         k = self.kill[i]
         if k is None:
             cols, k = self.cols, 0
@@ -418,10 +429,9 @@ class _ExactCover:
         if not self.ncols:
             yield []
             return
+        # The rows chosen on the path to the node being tried: a frame's
+        # depth is how many of them its node holds.
         chosen: list[int] = []
-        # A frame, once done, pops the row whose choice pushed it; a batch
-        # pushes one spent frame per row it takes.
-        stack: list[_Frame] = []
         # The counting rule's node before the first batch of the current
         # forced chain since its last dominance kill, or None (see
         # _settle).
@@ -432,25 +442,23 @@ class _ExactCover:
             counts = np.bincount(self.table.ravel(), minlength=self.ncols + 1).astype(np.int32)
             live = np.ones(self.nrows + 1, dtype=np.bool_)
             live[-1] = False
-            live, counts, cand, replay, solved = self._settle(live, counts, chosen, stack, None)
+            counts, cand, replay, solved = self._settle(live, counts, chosen, None)
             if solved:
                 yield sorted(chosen)
-            stack.append((live, counts, cand))
+            stack: list[_Frame] = [(live, counts, cand, len(chosen))]
         else:
             rows, self.cols = self.masks()
             self.rows, self.kill = rows, [None] * self.nrows
             viable, uncovered = (1 << self.nrows) - 1, (1 << self.ncols) - 1
-            stack.append((viable, uncovered, self._branch_rows(uncovered, viable)))
+            stack = [(viable, uncovered, self._branch_rows(uncovered, viable), 0)]
         while stack:
-            viable, uncovered, cand = stack[-1]
+            viable, uncovered, cand, depth = stack[-1]
             if not cand:
                 stack.pop()
-                if chosen:
-                    chosen.pop()
                 continue
             low = cand & -cand
             cand ^= low
-            stack[-1] = (viable, uncovered, cand)
+            stack[-1] = (viable, uncovered, cand, depth)
             nodes.used += 1
             if nodes.used > limit:
                 if replay is None:
@@ -460,15 +468,15 @@ class _ExactCover:
                 replay = None
                 continue
             i = low.bit_length() - 1
+            del chosen[depth:]
             chosen.append(i)
             if counting:
                 live, counts = viable, uncovered
                 if cand:
                     live, counts = live.copy(), counts.copy()
                 self._choose(live, counts, i)
-                viable, uncovered, cand, replay, solved = self._settle(
-                    live, counts, chosen, stack, replay
-                )
+                counts, cand, replay, solved = self._settle(live, counts, chosen, replay)
+                viable, uncovered = live, counts
             else:
                 uncovered &= ~rows[i]
                 solved = not uncovered
@@ -476,77 +484,71 @@ class _ExactCover:
                     viable &= ~self._kill(i)
                     cand = self._branch_rows(uncovered, viable)
             if solved:
-                # The row's frame would have nothing to try: pop it at once.
                 yield sorted(chosen)
-                chosen.pop()
                 continue
-            stack.append((viable, uncovered, cand))
+            stack.append((viable, uncovered, cand, len(chosen)))
 
     def _settle(
         self,
         live: np.ndarray,
         counts: np.ndarray,
         chosen: list[int],
-        stack: list[_Frame],
         replay: Optional[_Replay],
-    ) -> tuple[np.ndarray, np.ndarray, int, Optional[_Replay], bool]:
-        """The counting rule's work at a node: batch steps while one
-        applies, dominance while it kills rows, then the rows of the
-        branching column.
+    ) -> tuple[np.ndarray, int, Optional[_Replay], bool]:
+        """The counting rule's work at a node: its propagation, then the
+        rows of the branching column.
 
-        Each batch row is appended to ``chosen``, pushes a spent frame on
-        ``stack`` and counts one node; a batch leaves ``counts`` itself
-        unchanged, dominance updates it in place, and both clear the rows
-        they kill in ``live``.  ``replay`` is the node before the first
-        batch of the forced chain this node is on since its last
-        dominance kill, or None if there is none.  Returns the node
-        reached, its branching rows (0 at a solution or a dead end), the
-        chain's ``replay`` onward (None once the chain has ended) and
-        whether the node is a solution.  A dead end after a batch is
-        first walked again from ``replay``.
+        Each round applies a batch step or one dominance pass, until
+        neither changes the node.  Each batch row is appended to
+        ``chosen`` and counts one node; a batch recounts into a copy of
+        ``counts`` and leaves the array it was given unchanged, dominance
+        updates it in place, and both clear the rows they kill in
+        ``live``, in place.  ``replay`` is the node before the first batch
+        of the forced chain this node is on since its last dominance
+        kill, or None if there is none.  Returns the node's counts, its
+        branching rows (0 at a solution or a dead end), the chain's
+        ``replay`` onward (None once the chain has ended) and whether the
+        node is a solution.  A dead end after a batch is first walked
+        again from ``replay``.
         """
         nodes, nrows = self.budget, self.nrows
-        free = counts[:-1]
-        c, least = _counted_branch(free)
-        while True:
-            if least == 1:
-                # Some uncovered column has one live row and none has 0.
-                forced = self._forced_rows(free, live)
-                if forced is None:
-                    break
-                batch, dead = forced
-                if nodes.used + len(batch) > nodes.limit:
-                    break
-                after = self._recount(counts.copy(), dead, batch)
-                c_after, least_after = _counted_branch(after[:-1])
-                if least_after == 0:
-                    break
-                if replay is None:
-                    replay = (live.copy(), counts, nodes.used)
-                nodes.used += len(batch)
-                chosen.extend(batch)
-                stack.extend([_SPENT] * len(batch))
-                live[dead] = False
-                counts, free, c, least = after, after[:-1], c_after, least_after
-            elif 1 < least <= nrows:
+        c, least = _counted_branch(counts[:-1])
+        while 1 <= least <= nrows:
+            if least > 1:
                 if not self._dominated(live, counts):
                     break
                 # The single steps reach this node in the state the batches
                 # do, so a dead chain is walked again from here on.
                 replay = None
-                c, least = _counted_branch(free)
-            else:
+                c, least = _counted_branch(counts[:-1])
+                continue
+            # Some uncovered column has one live row and none has 0.
+            forced = self._forced_rows(counts[:-1], live)
+            if forced is None:
                 break
+            batch, dead = forced
+            if nodes.used + len(batch) > nodes.limit:
+                break
+            after = self._recount(counts.copy(), dead, batch)
+            c_after, least_after = _counted_branch(after[:-1])
+            if least_after == 0:
+                break
+            if replay is None:
+                replay = (live.copy(), counts, nodes.used)
+            nodes.used += len(batch)
+            chosen.extend(batch)
+            live[dead] = False
+            counts, c, least = after, c_after, least_after
         if least > nrows:
-            return live, counts, 0, None, True
+            return counts, 0, None, True
         rows = self.col_table[c]
         cand = sum(1 << r for r in rows[live[rows]].tolist())
         if not cand:
             if replay is not None:
                 self._single_steps(*replay)
-            return live, counts, 0, None, False
+            return counts, 0, None, False
         # A node with one row to try goes on with the chain.
-        return live, counts, cand, None if cand & (cand - 1) else replay, False
+        return counts, cand, None if cand & (cand - 1) else replay, False
 
     def _choose(self, live: np.ndarray, counts: np.ndarray, i: int) -> None:
         """Choose row i on the counting rule: the live rows that share a
@@ -613,17 +615,17 @@ class _ExactCover:
             self._choose(live, counts, int(rows[0]))
 
     def _dominated(self, live: np.ndarray, counts: np.ndarray) -> bool:
-        """Least-count column dominance at a node whose uncovered columns
-        all have two live rows or more: whether it killed rows.
+        """One pass of least-count column dominance at a node whose
+        uncovered columns all have two live rows or more: whether it
+        killed rows.
 
         The rows that die are cleared in ``live`` and their columns taken
         off ``counts``, in place.  Let l be the least count.  For each
         column f with l live rows, every uncovered column g that has more
         and is covered by all of f's live rows loses its live rows
         outside f's.  Every cover below the node takes one of f's rows,
-        which covers g, so another row of g would cover g twice.  The
-        counts are recounted and the pass repeated until nothing dies or
-        some column has fewer than two live rows.
+        which covers g, so another row of g would cover g twice.  No pass
+        runs when every uncovered column has l live rows.
 
         A pass is a fixed number of numpy calls.  f's l rows are read off
         the column table and their columns off the row table, sorted per
@@ -638,29 +640,29 @@ class _ExactCover:
         table, col_table = self.table, self.col_table
         n, ncols = self.nrows, self.ncols
         free = counts[:-1]
-        killed = False
+        least = int(free.min())
         # Covered columns are counted n + 1, uncovered ones at most n.
-        while 1 < (least := int(free.min())) < int(free[free <= n].max()):
-            fs = (free == least).nonzero()[0]
-            f_rows = np.take(col_table, fs, axis=0)
-            f_rows = f_rows[live[f_rows]].reshape(len(fs), least)
-            f_cols = np.take(table, f_rows, axis=0).reshape(len(fs), -1)
-            f_cols.sort(axis=1)
-            width = f_cols.shape[1] - least + 1
-            run = (f_cols[:, least - 1 :] == f_cols[:, :width]).ravel().nonzero()[0]
-            f_at, at = np.divmod(run, width)
-            g = f_cols[f_at, at]
-            dominated = (g != ncols) & (np.take(counts, g) > least)
-            in_g = np.bincount(np.take(col_table, g[dominated], axis=0).ravel(), minlength=n + 1)
-            in_f = np.bincount(f_rows[f_at[dominated]].ravel(), minlength=n + 1)
-            dying = ((in_g > in_f) & live).nonzero()[0]
-            if not len(dying):
-                break
-            live[dying] = False
-            killed = True
-            dropped = np.bincount(np.take(table, dying, axis=0).ravel(), minlength=ncols + 1)
-            counts -= dropped.astype(counts.dtype)
-        return killed
+        if least == int(free[free <= n].max()):
+            return False
+        fs = (free == least).nonzero()[0]
+        f_rows = np.take(col_table, fs, axis=0)
+        f_rows = f_rows[live[f_rows]].reshape(len(fs), least)
+        f_cols = np.take(table, f_rows, axis=0).reshape(len(fs), -1)
+        f_cols.sort(axis=1)
+        width = f_cols.shape[1] - least + 1
+        run = (f_cols[:, least - 1 :] == f_cols[:, :width]).ravel().nonzero()[0]
+        f_at, at = np.divmod(run, width)
+        g = f_cols[f_at, at]
+        dominated = (g != ncols) & (np.take(counts, g) > least)
+        in_g = np.bincount(np.take(col_table, g[dominated], axis=0).ravel(), minlength=n + 1)
+        in_f = np.bincount(f_rows[f_at[dominated]].ravel(), minlength=n + 1)
+        dying = ((in_g > in_f) & live).nonzero()[0]
+        if not len(dying):
+            return False
+        live[dying] = False
+        dropped = np.bincount(np.take(table, dying, axis=0).ravel(), minlength=ncols + 1)
+        counts -= dropped.astype(counts.dtype)
+        return True
 
     def _branch_rows(self, uncovered: int, viable: int) -> int:
         """Viable rows of the uncovered column with the fewest of them."""
@@ -741,6 +743,9 @@ def _dim_search(g: Graph, budget: _Nodes) -> _ExactCover:
         rows = _domination_masks(g)
         return rows, rows
 
+    # The int32 row table and its intp copy both stay: one intp table for
+    # both made the first DIM of KG(15,7) 4-11% slower (25.0 -> 26.0 ms and
+    # 29.4 -> 32.8 ms; Python 3.11, 2 vCPUs, medians of 20 in one process).
     def tables() -> tuple[np.ndarray, np.ndarray]:
         table = _domination_table(g)
         return table, table.astype(np.intp)
