@@ -178,12 +178,19 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
     returned as is: a Graph is frozen and canonical, so a rebuilt copy
     would equal it.  Otherwise the remap keeps the order of the
     vertices, so the kept edges, renumbered, are still canonical and
-    sorted, and go straight to :class:`Graph`.
+    sorted, and go straight to :class:`Graph`.  Raises ValueError
+    naming a vertex listed twice or outside 0..n-1.
     """
     order = sorted(vertices)
     if order == list(range(g.n)):
         return g, order
-    remap = {v: i for i, v in enumerate(order)}
+    remap: dict[int, int] = {}
+    for v in order:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
+        if v in remap:
+            raise ValueError(f"vertex {v} listed twice")
+        remap[v] = len(remap)
     pairs = tuple(
         [(remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap]
     )

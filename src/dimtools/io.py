@@ -30,6 +30,21 @@ Serialization always emits canonical edge order, '\\n' line endings,
 and no trailing whitespace, so parse(serialize(g)) == g and
 serialize(parse(text)) is the canonical form of text.
 
+:func:`parse_graph` and :func:`parse_partition` first try a bulk path
+for canonical text, which is every file dimtools writes: one split,
+one int conversion of the tokens, a header check before anything is
+built, then the result, returned only if the format's writer
+reproduces the text byte for byte.  By the round-trip law the line
+reader would read such a text as the same value, so this certificate
+means the bulk path changes no answer; every other valid file
+(comments, CRLF, tabs, repeated or unsorted edges) and every error
+goes through the line reader as before.  On KG(13,6) the edge list
+reads in 7.0 ms against 9.8, the DIMACS file in 6.9 against 7.8 and
+the partition in 4.2 against 6.2; a CRLF edge list, turned away after
+the split, in 7.7 against 7.3, and an unsorted one, turned away by the
+Graph constructor, in 13.0 against 10.1 (medians of 60 interleaved
+calls, 2-vCPU Xeon, CPython 3.11).
+
 Matchings serialize as one "u-v" pair per line in canonical edge
 order.  A certificate prefixes that with a sha256 digest of the
 graph's canonical edge-list serialization.  Partition files carry a
@@ -118,7 +133,62 @@ def _graph_format(fmt: str) -> _GraphFormat:
 
 
 def parse_graph(text: str, fmt: str = "edgelist") -> Graph:
-    comment, header, lead, tag, base, merge, _ = _graph_format(fmt)
+    form = _graph_format(fmt)
+    g = _bulk_graph(text, form)
+    return _read_graph(text, form) if g is None else g
+
+
+def _writer_tokens(text: str) -> Optional[list[str]]:
+    """The tokens of ``text`` if one space or newline follows each, as in
+    every writer's output, else None.  The counts cost about 2% of a
+    bulk read and turn away CRLF, tabs, blank lines and doubled spaces
+    before they pay for a graph and its re-serialization."""
+    tokens = text.split()
+    whitespace = len(text) - len("".join(tokens))
+    if whitespace == len(tokens) == text.count(" ") + text.count("\n"):
+        return tokens
+    return None
+
+
+def _bulk_graph(text: str, form: _GraphFormat) -> Optional[Graph]:
+    """The graph that ``form`` writes as exactly ``text``, else None.
+
+    One split and one int conversion of the edge tokens stand in for
+    the line reader's pass over lines.  The header is checked before
+    anything is built, so a hostile count costs nothing, and the writer
+    certifies the result: by the round-trip law the line reader reads
+    a writer's output as the graph written, so the two cannot differ.
+    """
+    tokens = _writer_tokens(text)
+    if tokens is None:
+        return None
+    head = len(form.lead) + 2  # header tokens
+    step = 3 if form.tag else 2  # tokens per edge line
+    try:
+        n, m = int(tokens[head - 2]), int(tokens[head - 1])
+    except (IndexError, ValueError):
+        return None
+    if not 0 <= n <= MAX_VERTICES or len(tokens) != head + step * m:
+        return None
+    first = head + step - 2  # the first edge's u
+    try:
+        us = list(map(int, tokens[first::step]))
+        vs = list(map(int, tokens[first + 1 :: step]))
+        # The token strings are the largest part of a bulk read; they go
+        # before the graph and its re-serialization are built.
+        del tokens
+        if form.base:  # DIMACS numbers vertices from 1
+            shift = (-form.base).__add__
+            us, vs = map(shift, us), map(shift, vs)
+        g = Graph(n, tuple(zip(us, vs)))
+    except ValueError:
+        return None
+    return g if form.write(g) == text else None
+
+
+def _read_graph(text: str, form: _GraphFormat) -> Graph:
+    """The line reader: any valid file, and every error, named."""
+    comment, header, lead, tag, base, merge, _ = form
     lines = _significant_lines(text, comment)
     n, m = _header(lines, header, lead, 2)
     if n < 0 or m < 0:
@@ -219,6 +289,10 @@ def parse_certificate(text: str, g: Graph) -> tuple[str, EdgeSet]:
 def serialize_partition(g: Graph, p: DimPartition) -> str:
     if len(p.color_of) != g.m:
         raise ValueError("partition does not color this graph")
+    return _write_partition(g, p)
+
+
+def _write_partition(g: Graph, p: DimPartition) -> str:
     lines = [f"classes {p.num_classes}"]
     lines.extend(
         f"{u} {v} {p.color_of[eid]}" for eid, (u, v) in enumerate(g.edges)
@@ -227,6 +301,27 @@ def serialize_partition(g: Graph, p: DimPartition) -> str:
 
 
 def parse_partition(text: str, g: Graph) -> DimPartition:
+    p = _bulk_partition(text, g)
+    return _read_partition(text, g) if p is None else p
+
+
+def _bulk_partition(text: str, g: Graph) -> Optional[DimPartition]:
+    """The partition that the writer writes for ``g`` as exactly
+    ``text``, else None; certified as in :func:`_bulk_graph`.  Only the
+    colors are converted: the certificate checks each line's edge."""
+    tokens = _writer_tokens(text)
+    if tokens is None or len(tokens) != 2 + 3 * g.m:
+        return None
+    try:
+        p = DimPartition(int(tokens[1]), tuple(map(int, tokens[4::3])))
+    except ValueError:
+        return None
+    del tokens  # before the re-serialization, as in _bulk_graph
+    return p if _write_partition(g, p) == text else None
+
+
+def _read_partition(text: str, g: Graph) -> DimPartition:
+    """The line reader: any valid file, and every error, named."""
     lines = _significant_lines(text, "#")
     (k,) = _header(lines, "partition header", ["classes"], 1)
     if len(lines) - 1 != g.m:

@@ -450,6 +450,15 @@ class TestComponents:
         sub, old = induced_subgraph(g, [0, 1, 2, 3])
         assert sub.edges == ((0, 1), (2, 3)) and old == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "vertices,message",
+        [([1, 1, 2], "vertex 1 listed twice"), ([0, 99, -5], "vertex -5 is outside 0..2")],
+    )
+    def test_induced_subgraph_refuses_phantom_vertices(self, vertices, message):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=message):
+            induced_subgraph(g, vertices)
+
 
 def closed_walk_cycle_counts(g, max_len):
     """Oracle: count cycles as closed walks with all-distinct vertices.

@@ -5,7 +5,16 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from dimtools.families import cycle, petersen, kneser_dim_partition
+from dimtools.corpus import connected_graphs
+from dimtools.families import (
+    bg_dim_partition,
+    complete,
+    cycle,
+    kneser,
+    kneser_dim_partition,
+    petersen,
+    star,
+)
 from dimtools.graph import build_graph
 from dimtools.io import (
     MAX_VERTICES,
@@ -111,6 +120,36 @@ def test_vertex_count_above_ceiling_rejected(text, fmt):
         parse_graph(text, fmt)
 
 
+def _peak_bytes(fn, *args):
+    """Peak traced allocation while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _refused(text, fmt, message):
+    with pytest.raises(FormatError, match=message):
+        parse_graph(text, fmt)
+
+
+@pytest.mark.parametrize(
+    "text,fmt,message",
+    [
+        ("1000000000 0\n", "edgelist", "exceeds the limit"),
+        ("p edge 1000000000 0\n", "dimacs", "exceeds the limit"),
+        ("5 1000000000\n0 1\n", "edgelist", "declared 1000000000 edges but found 1 edge lines"),
+    ],
+)
+def test_hostile_header_costs_no_memory(text, fmt, message):
+    # Canonical-looking text: the header is refused before either
+    # reader allocates anything it declares.
+    assert _peak_bytes(_refused, text, fmt, message) < 1_000_000
+
+
 class TestMatchingAndCertificate:
     def test_matching_roundtrip(self):
         g = cycle(6)
@@ -169,14 +208,12 @@ class TestPartitionFormat:
         # Every class must be nonempty, so a count above the edge count
         # is rejected before one set per declared class is allocated.
         g = build_graph(2, [(0, 1)])
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(FormatError, match="nonempty"):
                 parse_partition("classes 1000000\n0 1 1\n", g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+
+        assert _peak_bytes(refused) < 1_000_000
 
 
 class TestListAssignmentFormat:
@@ -194,3 +231,103 @@ class TestListAssignmentFormat:
     def test_vertices_must_be_dense(self):
         with pytest.raises(FormatError):
             parse_labels("0 : {1}\n2 : {2}\n")
+
+
+# The two readers.  parse_graph and parse_partition read a writer's
+# exact output in one bulk pass and everything else line by line; a
+# trailing comment keeps a text off the bulk path (no writer emits
+# one) and changes no outcome, so it gives the line reader's answer.
+_COMMENT = {"edgelist": "#", "dimacs": "c", "partition": "#"}
+# Field positions of an edge line's endpoints, and the first vertex number.
+_ENDS = {"edgelist": (0, 1, 0), "dimacs": (1, 2, 1), "partition": (0, 1, 0)}
+
+
+def _outcome(parse, text, *args):
+    try:
+        return parse(text, *args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _mutations(text, fmt, n):
+    """Near misses of a canonical text, one edit each."""
+    yield text[:-1]  # final newline dropped
+    yield text.replace("\n", "\r\n")
+    lines = text.splitlines(keepends=True)
+    comment = f"{_COMMENT[fmt]} note\n"
+    a, b, base = _ENDS[fmt]
+    for i in sorted({0, 1, len(lines) // 2, len(lines) - 1} & set(range(len(lines)))):
+        line, before, after = lines[i], lines[:i], lines[i + 1 :]
+        fields = line.split()
+
+        def with_fields(new, before=before, after=after):
+            return "".join(before + [" ".join(new) + "\n"] + after)
+
+        j = max(j for j, ch in enumerate(line) if ch.isdigit())
+        digit = str((int(line[j]) + 1) % 10)
+        yield "".join(before + [line[:j] + digit + line[j + 1 :]] + after)
+        yield "".join(before + [line.replace(" ", "  ", 1)] + after)
+        yield "".join(before + [line.replace(" ", "\t", 1)] + after)
+        yield "".join(before + ["\n", line] + after)
+        yield "".join(before + [comment, line] + after)
+        yield "".join(before + [line, line] + after)  # duplicated
+        yield "".join(before + after)  # deleted
+        if after:
+            yield "".join(before + [after[0], line] + after[1:])  # swapped
+            yield "".join(before + [line[:-1] + " " + after[0]] + after[1:])  # joined
+        for j, field in enumerate(fields):
+            if field.isdigit():
+                edits = ("0" + field, "+" + field, str(int(field) + 1), str(int(field) - 1))
+            else:
+                edits = (field + "x",)
+            for new in edits:
+                yield with_fields(fields[:j] + [new] + fields[j + 1 :])
+        if i and len(fields) > b:
+            yield with_fields(fields[:b] + [fields[a]] + fields[b + 1 :])  # self-loop
+            yield with_fields(fields[:b] + [str(n + base)] + fields[b + 1 :])  # out of range
+
+
+def _assert_readers_agree(parse, text, fmt, n, *args):
+    suffix = f"\n{_COMMENT[fmt]} line reader\n"
+    for variant in [text, *_mutations(text, fmt, n)]:
+        assert _outcome(parse, variant, *args) == _outcome(parse, variant + suffix, *args), variant
+
+
+_FAMILY_CASES = (
+    [(f"KG({2 * r - 1},{r - 1})", lambda r=r: kneser_dim_partition(r)) for r in range(2, 7)]
+    + [
+        (f"BG({r - 1},{s - 1})", lambda r=r, s=s: bg_dim_partition(r, s))
+        for r in range(2, 6)
+        for s in range(2, 6)
+    ]
+    + [
+        ("KG(6,2)", lambda: (kneser(6, 2), None)),
+        ("petersen", lambda: (petersen(), None)),
+        ("C7", lambda: (cycle(7), None)),
+        ("K5", lambda: (complete(5), None)),
+        ("star4", lambda: (star(4), None)),
+    ]
+)
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+@pytest.mark.parametrize("name,make", _FAMILY_CASES, ids=[name for name, _ in _FAMILY_CASES])
+def test_readers_agree_on_family_files(name, make, fmt):
+    made, part = make()
+    g = getattr(made, "graph", made)
+    text = serialize_graph(g, fmt)
+    assert parse_graph(text, fmt) == g
+    _assert_readers_agree(parse_graph, text, fmt, g.n, fmt)
+    if part is not None and fmt == "edgelist":
+        text = serialize_partition(g, part)
+        assert parse_partition(text, g) == part
+        _assert_readers_agree(parse_partition, text, "partition", g.n, g)
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_readers_agree_on_small_corpus_graphs(n, fmt):
+    for g in connected_graphs(n):
+        text = serialize_graph(g, fmt)
+        assert parse_graph(text, fmt) == g
+        _assert_readers_agree(parse_graph, text, fmt, n, fmt)
