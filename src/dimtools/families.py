@@ -10,24 +10,30 @@ partitions: coloring each edge XY by the single element outside
 X union Y splits KG(2r-1, r-1) into 2r-1 DIM classes and
 BG(r-1, s-1) into r+s-1 classes.
 
-Subsets are enumerated in colexicographic order, which fixes vertex
-ids reproducibly.
+Subsets are enumerated in colexicographic (colex) order, which fixes
+vertex ids reproducibly: a subset's id is its colex rank, a sum of
+binomial coefficients over its elements (the combinatorial number
+system).
 
-Construction is output-sensitive: a label's neighbors are the subsets
-of its complement of the other side's size, found by lookup in a label
-index, so building the graph costs at most one lookup per edge end
-rather than one disjointness test per vertex pair.  Each edge is kept
-once, from its smaller end, with each vertex's partners sorted, so the
-pairs come out in canonical order and go to the Graph constructor as
-they are.
+Construction is output-sensitive and done in numpy: a label's
+neighbors are the subsets of its complement of the other side's size,
+and their ids are their colex ranks, computed for all labels at once,
+so building the graph costs a few array operations per edge end rather
+than one disjointness test per vertex pair.  Each edge is kept once,
+from its smaller end, and each label's partners come out in ascending
+order, so the pairs are in canonical order and go to the Graph
+constructor as they are.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
-from .graph import Graph, build_graph
+import numpy as np
+
+from .graph import Graph, VertexPair, build_graph
 from .partition import DimPartition
 
 SubsetLabel = frozenset[int]
@@ -42,50 +48,84 @@ class LabeledGraph:
     ground_size: int
 
 
-def _colex_subsets(ground_size: int, k: int) -> list[tuple[int, ...]]:
-    combos = itertools.combinations(range(1, ground_size + 1), k)
-    return sorted(combos, key=lambda s: s[::-1])
+def _colex_subsets(ground_size: int, k: int) -> np.ndarray:
+    """The k-subsets of {1..ground_size} in colex order, one ascending row
+    each.
+
+    Colex order compares two sets at the largest element in which they
+    differ.  Under a -> ground_size + 1 - a that becomes the smallest
+    such element with the order reversed, so the subsets are the
+    combinations of the ground set taken downwards, read from the last
+    combination back and each one backwards.
+    """
+    combos = itertools.combinations(range(ground_size, 0, -1), k)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(combos), np.intp, comb(ground_size, k) * k
+    )
+    return flat.reshape(-1, k)[::-1, ::-1]
 
 
 def _disjoint_pairs(
-    left: list[tuple[int, ...]],
-    right: list[tuple[int, ...]],
-    k: int,
-    ground_size: int,
-    offset: int,
-) -> list[tuple[int, int]]:
-    """Vertex pairs (i, offset + j) with i < offset + j and left[i] and
-    right[j] disjoint, each once and in canonical order.
+    left: np.ndarray, k: int, ground_size: int, offset: int
+) -> tuple[VertexPair, ...]:
+    """Vertex pairs (i, offset + j) with i < offset + j and left[i]
+    disjoint from the j-th k-subset of {1..ground_size} in colex order,
+    each once and in canonical order.
 
-    ``right`` holds k-subsets of {1..ground_size}; the partners of
-    left[i] are the k-subsets of its complement, looked up by index.
-    Subsets are sorted tuples, as ``itertools.combinations`` yields them.
-    With ``offset`` 0 and ``right`` the same list as ``left`` these are
-    the edges of a Kneser graph, each found from its smaller end.
+    The partners of left[i] are the k-subsets of its complement, and the
+    colex rank of {c_1 < ... < c_k} is the sum of C(c_t - 1, t).  The
+    complement is ascending, so taking its positions in colex order
+    keeps that order: each row's partner ranks come out ascending, and
+    the rows, kept to partners above the row, list the pairs sorted.
+    With ``offset`` 0 and ``left`` the k-subsets themselves these are the
+    edges of a Kneser graph, each kept at its smaller end.
     """
-    index = {s: offset + j for j, s in enumerate(right)}
-    ground = range(1, ground_size + 1)
-    pairs = []
-    for i, s in enumerate(left):
-        rest = [x for x in ground if x not in s]
-        partners = sorted(index[c] for c in itertools.combinations(rest, k))
-        pairs.extend((i, j) for j in partners if j > i)
-    return pairs
+    rows, size = left.shape
+    member = np.zeros((rows, ground_size + 1), dtype=bool)
+    member[np.arange(rows)[:, None], left] = True
+    member[:, 0] = True  # column 0 is no element
+    # No rows at all when size > ground_size.
+    free = max(ground_size - size, 0)
+    complement = np.nonzero(~member)[1].reshape(rows, free)
+    positions = _colex_subsets(free, k) - 1
+    # Element c_t is at most ground_size - k + t, so every term, and the
+    # rank, is below C(ground_size, k), the partner count: exact in int64
+    # once the binomials out of that range are left out.
+    partners = np.full((rows, len(positions)), offset, dtype=np.int64)
+    for t in range(1, k + 1):
+        term = [comb(c - 1, t) if t <= c <= ground_size - k + t else 0
+                for c in range(ground_size + 1)]
+        partners += np.array(term, dtype=np.int64)[complement[:, positions[:, t - 1]]]
+    keep = partners > np.arange(rows)[:, None]
+    # Every occurrence of a vertex is one shared int: the ints that
+    # tolist() makes would be two more objects per edge, kept by the graph.
+    ids = list(range(offset + comb(ground_size, k)))
+    ends = itertools.chain.from_iterable(
+        map(itertools.repeat, ids, keep.sum(axis=1).tolist())
+    )
+    return tuple(zip(ends, map(ids.__getitem__, partners[keep].tolist())))
+
+
+def _labeled_graph(
+    parts: tuple[np.ndarray, ...], edges: tuple[VertexPair, ...], ground_size: int
+) -> LabeledGraph:
+    labels = tuple(itertools.chain.from_iterable(
+        map(frozenset, part.tolist()) for part in parts
+    ))
+    return LabeledGraph(Graph(len(labels), edges), labels, ground_size)
 
 
 def kneser(n: int, k: int) -> LabeledGraph:
     """Disjointness graph on the k-subsets of {1..n}.
 
-    n < 2k is allowed and yields an edgeless graph.
+    n < 2k is allowed and yields an edgeless graph, k > n an empty one.
     """
     if k < 1:
         raise ValueError("subset size k must be positive")
     if n < 1:
         raise ValueError("ground set size n must be positive")
     subsets = _colex_subsets(n, k)
-    edges = tuple(_disjoint_pairs(subsets, subsets, k, n, 0))
-    labels = tuple(frozenset(s) for s in subsets)
-    return LabeledGraph(Graph(len(labels), edges), labels, n)
+    return _labeled_graph((subsets,), _disjoint_pairs(subsets, k, n, 0), n)
 
 
 def bipartite_kneser(m: int, n: int) -> LabeledGraph:
@@ -99,26 +139,30 @@ def bipartite_kneser(m: int, n: int) -> LabeledGraph:
     ground = m + n + 1
     left = _colex_subsets(ground, m)
     right = _colex_subsets(ground, n)
-    edges = tuple(_disjoint_pairs(left, right, n, ground, len(left)))
-    labels = tuple(frozenset(s) for s in left + right)
-    return LabeledGraph(Graph(len(labels), edges), labels, ground)
+    edges = _disjoint_pairs(left, n, ground, len(left))
+    return _labeled_graph((left, right), edges, ground)
 
 
 def _leftover_coloring(lg: LabeledGraph) -> DimPartition:
     """Color each edge by the unique ground element missing from both labels.
 
-    Labels are held as bitmasks with bit x set for element x, so an
-    edge's leftover is one mask operation and a single-bit test.
+    Labels are rows of a vertex-by-element table, so each edge's
+    uncovered elements are one row operation, exact at any ground size.
     """
-    mask = [sum(1 << x for x in label) for label in lg.labels]
-    ground = (1 << (lg.ground_size + 1)) - 2
-    colors = []
-    for u, v in lg.graph.edges:
-        leftover = ground & ~(mask[u] | mask[v])
-        if not leftover or leftover & (leftover - 1):
-            raise ValueError("edge labels do not leave exactly one element uncovered")
-        colors.append(leftover.bit_length() - 1)
-    return DimPartition(lg.ground_size, tuple(colors))
+    g, ground = lg.graph, lg.ground_size
+    sizes = np.fromiter(map(len, lg.labels), np.intp, g.n)
+    member = np.zeros((g.n, ground + 1), dtype=bool)
+    member[
+        np.repeat(np.arange(g.n), sizes),
+        np.fromiter(itertools.chain.from_iterable(lg.labels), np.intp, sizes.sum()),
+    ] = True
+    member[:, 0] = True  # column 0 is no element
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * g.m)
+    # Row-major, so exactly one element per edge reads 0, 1, ... m - 1.
+    edge, leftover = np.nonzero(~(member[ends[0::2]] | member[ends[1::2]]))
+    if len(edge) != g.m or (edge != np.arange(g.m)).any():
+        raise ValueError("edge labels do not leave exactly one element uncovered")
+    return DimPartition(ground, tuple(leftover.tolist()))
 
 
 def kneser_dim_partition(r: int) -> tuple[LabeledGraph, DimPartition]:

@@ -297,13 +297,17 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
 
     Rooted depth-first search: a cycle is discovered from its smallest
     vertex, extending paths through strictly larger vertices only, and
-    reflections are suppressed by requiring second < last vertex.  A
-    cycle leaves its root through two neighbors larger than the root, so
-    roots with fewer than two such neighbors are skipped: on a long
-    cycle each of them would otherwise walk the whole path of larger
-    vertices above it.  The search keeps one neighbor iterator per path
-    vertex on an explicit stack, so cycles longer than the recursion
-    limit are found too.
+    reflections are suppressed by requiring second < last vertex.  Roots
+    are taken in ascending order, and once a root is done it leaves
+    every adjacency list, where it was the first entry: no step ever
+    looks below the root, roots with fewer than two neighbors left are
+    skipped, and a new path end closes a cycle exactly when its first
+    entry is the root.  The last vertex of a cycle is a root neighbor
+    above the second, so the second ranges below the root's largest
+    neighbor, and a path stops growing once every root neighbor above
+    its second is on it, or once it has max_len vertices.  The search
+    keeps one neighbor iterator per path vertex on an explicit stack, so
+    cycles longer than the recursion limit are found too.
 
     Each vertex's ``(neighbor, edge id)`` pairs, in ascending neighbor
     order, are listed once per call, and the search carries the id of
@@ -334,29 +338,53 @@ def _cycle_walk(g: Graph, max_len: int) -> Iterator[tuple[list[int], list[EdgeId
     for eid, (u, v) in enumerate(g.edges):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
-    for root in range(g.n):
-        nbrs = adj[root]
-        if len(nbrs) < 2 or nbrs[-2][0] < root:
-            continue
-        path = [root]
-        # ids[i] is the id of the edge into path[i]; the root's slot holds
-        # the closing edge while a cycle is yielded.
-        ids = [-1]
-        on_path = {root}
-        stack = [iter(nbrs)]
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                on_path.remove(path.pop())
-                ids.pop()
-                continue
-            nxt, eid = step
-            if nxt == root and len(path) >= 3 and path[1] < path[-1]:
-                ids[0] = eid
-                yield path, ids
-            elif nxt > root and nxt not in on_path and len(path) < max_len:
-                path.append(nxt)
+    on_path = [False] * g.n
+    # closes[x]: x is a root neighbor above the second vertex.
+    closes = [False] * g.n
+    for root, nbrs in enumerate(adj):
+        if len(nbrs) >= 2:
+            on_path[root] = True
+            for w, _ in nbrs:
+                closes[w] = True
+            path = [root]
+            # ids[i] is the id of the edge into path[i]; the root's slot
+            # holds the closing edge while a cycle is yielded.
+            ids = [-1]
+            for i in range(len(nbrs) - 1):
+                second, eid = nbrs[i]
+                closes[second] = False
+                # Root neighbors above the second that are not on the path.
+                open_ends = len(nbrs) - 1 - i
+                path.append(second)
                 ids.append(eid)
-                on_path.add(nxt)
-                stack.append(iter(adj[nxt]))
+                on_path[second] = True
+                stack = [iter(adj[second])]
+                while stack:
+                    step = next(stack[-1], None)
+                    if step is None:
+                        stack.pop()
+                        x = path.pop()
+                        ids.pop()
+                        on_path[x] = False
+                        open_ends += closes[x]
+                        continue
+                    x, eid = step
+                    if on_path[x]:
+                        continue
+                    path.append(x)
+                    ids.append(eid)
+                    if closes[x]:
+                        ids[0] = adj[x][0][1]
+                        yield path, ids
+                        open_ends -= 1
+                    if open_ends and len(path) < max_len:
+                        on_path[x] = True
+                        stack.append(iter(adj[x]))
+                    else:
+                        path.pop()
+                        ids.pop()
+                        open_ends += closes[x]
+            closes[nbrs[-1][0]] = False
+            on_path[root] = False
+        for w, _ in nbrs:
+            del adj[w][0]

@@ -245,8 +245,14 @@ def serialize_matching(g: Graph, edge_ids: Iterable[int]) -> str:
     return "".join(f"{u}-{v}\n" for u, v in pairs)
 
 
+def _edge_index(g: Graph) -> dict[tuple[int, int], int]:
+    """Each edge's id, for one read: unlike ``g._edge_index()`` it is not
+    kept on the graph once the read is over."""
+    return {e: i for i, e in enumerate(g.edges)}
+
+
 def _edge_id(index: dict[tuple[int, int], int], u: int, v: int) -> int:
-    """The id of the edge uv in ``g._edge_index()``, in either orientation."""
+    """The id of the edge uv in ``index``, in either orientation."""
     eid = index.get((u, v) if u < v else (v, u))
     if eid is None:
         raise FormatError(f"({u}, {v}) is not an edge of the graph")
@@ -254,7 +260,7 @@ def _edge_id(index: dict[tuple[int, int], int], u: int, v: int) -> int:
 
 
 def parse_matching(text: str, g: Graph) -> EdgeSet:
-    index = g._edge_index()
+    index = _edge_index(g)
     ids = set()
     for line in _significant_lines(text, "#"):
         try:
@@ -326,7 +332,7 @@ def _read_partition(text: str, g: Graph) -> DimPartition:
     (k,) = _header(lines, "partition header", ["classes"], 1)
     if len(lines) - 1 != g.m:
         raise FormatError(f"partition has {len(lines) - 1} edge lines, graph has {g.m}")
-    index = g._edge_index()
+    index = _edge_index(g)
     # As many lines as edges and none repeated: every edge gets a color.
     colors: list[Optional[int]] = [None] * g.m
     for line in itertools.islice(lines, 1, None):

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism, round trips."""
 
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -557,6 +558,43 @@ class TestDeterminism:
     def test_unknown_command_usage_error(self):
         code, _, _ = invoke(["frobnicate"])
         assert code == 2
+
+
+# The labelled families as gen writes them, with every sidecar, in both
+# formats.  tests/data/gen-digests.txt holds the files' sha256 digests as
+# an earlier construction of the families wrote them; gen_digests prints
+# the same lines.
+GEN_DIGEST_CASES = (
+    [["kneser-family", "--r", str(r), "--with-partition"] for r in range(2, 8)]
+    + [
+        ["bg", "--r", str(r), "--s", str(s), "--with-partition"]
+        for r in range(2, 7)
+        for s in range(2, 7)
+    ]
+    + [["kneser", "--n", "9", "--k", "3"]]
+)
+
+
+def gen_digests(tmp_path):
+    """One "<gen arguments> <file> <sha256>" line per file written."""
+    lines = []
+    path = tmp_path / "family"
+    for argv in GEN_DIGEST_CASES:
+        for fmt in ("edgelist", "dimacs"):
+            args = [*argv, "--with-labels", "--format", fmt]
+            assert invoke(["gen", *args, "-o", str(path)]) == (0, "", "")
+            for suffix in ("", ".partition", ".labels"):
+                file = Path(f"{path}{suffix}")
+                if file.exists():
+                    digest = hashlib.sha256(file.read_bytes()).hexdigest()
+                    lines.append(f"{' '.join(args)} {suffix or '.g'} {digest}\n")
+                    file.unlink()
+    return "".join(lines)
+
+
+def test_gen_output_matches_recorded_digests(tmp_path):
+    expected = (DATA / "gen-digests.txt").read_text(encoding="utf-8")
+    assert gen_digests(tmp_path) == expected
 
 
 @pytest.mark.parametrize("module", ["dimtools", "dimtools.cli"])

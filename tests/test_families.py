@@ -6,6 +6,7 @@ from math import comb
 import networkx as nx
 import pytest
 
+from dimtools import families
 from dimtools.families import (
     bg_dim_partition,
     bipartite_kneser,
@@ -31,9 +32,8 @@ def pairwise_kneser(n, k):
     labels = colex_labels(n, k)
     pairs = [
         (i, j)
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if labels[i].isdisjoint(labels[j])
+        for (i, a), (j, b) in itertools.combinations(enumerate(labels), 2)
+        if a.isdisjoint(b)
     ]
     return build_graph(len(labels), pairs), tuple(labels)
 
@@ -43,10 +43,10 @@ def pairwise_bipartite_kneser(m, n):
     ground = m + n + 1
     left, right = colex_labels(ground, m), colex_labels(ground, n)
     pairs = [
-        (i, len(left) + j)
-        for i in range(len(left))
-        for j in range(len(right))
-        if left[i].isdisjoint(right[j])
+        (i, j)
+        for i, a in enumerate(left)
+        for j, b in enumerate(right, len(left))
+        if a.isdisjoint(b)
     ]
     labels = tuple(left) + tuple(right)
     return build_graph(len(labels), pairs), labels
@@ -70,17 +70,43 @@ class TestKneser:
         assert set(lg.graph.degrees) == {4}
 
     def test_kg_11_5_isomorphic_to_networkx(self):
-        g = kneser(11, 5).graph
-        ours = nx.Graph()
-        ours.add_nodes_from(range(g.n))
-        ours.add_edges_from(g.edges)
-        assert nx.is_isomorphic(ours, nx.kneser_graph(11, 5))
+        # The colex map x -> x - 1 on labels is the isomorphism.
+        lg = kneser(11, 5)
+        node_of = [tuple(sorted(x - 1 for x in label)) for label in lg.labels]
+        G = nx.kneser_graph(11, 5)
+        assert sorted(G.nodes) == sorted(node_of)
+        ours = {frozenset((node_of[u], node_of[v])) for u, v in lg.graph.edges}
+        assert ours == {frozenset(e) for e in G.edges}
+        assert lg.graph.m == G.number_of_edges()
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_equals_pairwise_construction(self, n):
-        for k in range(1, n + 1):
+        # Up to k = n + 2: no edges from n < 2k on, no vertices past k = n.
+        for k in range(1, n + 3):
             lg = kneser(n, k)
             assert (lg.graph, lg.labels, lg.ground_size) == (*pairwise_kneser(n, k), n)
+            assert lg.graph.n == comb(n, k)
+            assert lg.graph.m == (comb(n, k) * comb(n - k, k) // 2 if k <= n else 0)
+
+    @pytest.mark.parametrize("n,k", [(64, 1), (70, 1), (70, 69), (66, 64)])
+    def test_equals_pairwise_construction_past_63_elements(self, n, k):
+        # A 64-bit label bitmask or binomial table would overflow here
+        # (C(65, 32) > 2**63 for KG(66, 64)).
+        lg = kneser(n, k)
+        assert (lg.graph, lg.labels, lg.ground_size) == (*pairwise_kneser(n, k), n)
+
+    def test_first_rows_of_kg_70_2_match_the_disjointness_rule(self):
+        # All of KG(70, 2) has 2.75 million edges; its first rows carry
+        # the ranks of 2-subsets of a 70-element ground set.
+        labels = colex_labels(70, 2)
+        left = families._colex_subsets(70, 2)[:6]
+        pairs = families._disjoint_pairs(left, 2, 70, 0)
+        assert pairs == tuple(
+            (i, j)
+            for i in range(len(left))
+            for j in range(i + 1, len(labels))
+            if labels[i].isdisjoint(labels[j])
+        )
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_edges_match_networkx_under_colex_map(self, n):
@@ -169,6 +195,43 @@ class TestBipartiteKneser:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             bipartite_kneser(0, 1)
+
+
+def leftover_reference(lg):
+    """Reference: each edge's color is the one ground element outside
+    both labels, found set by set."""
+    ground = set(range(1, lg.ground_size + 1))
+    colors = []
+    for u, v in lg.graph.edges:
+        (leftover,) = ground - lg.labels[u] - lg.labels[v]
+        colors.append(leftover)
+    return tuple(colors)
+
+
+class TestLeftoverColoring:
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_kneser_family_matches_reference(self, r):
+        lg, p = kneser_dim_partition(r)
+        assert lg == kneser(2 * r - 1, r - 1)
+        assert (p.num_classes, p.color_of) == (2 * r - 1, leftover_reference(lg))
+
+    @pytest.mark.parametrize("r,s", [(r, s) for r in range(2, 7) for s in range(2, 7)])
+    def test_bg_family_matches_reference(self, r, s):
+        lg, p = bg_dim_partition(r, s)
+        assert lg == bipartite_kneser(r - 1, s - 1)
+        assert (p.num_classes, p.color_of) == (r + s - 1, leftover_reference(lg))
+
+    @pytest.mark.parametrize("s", range(60, 71))
+    def test_bg_family_past_63_elements(self, s):
+        # BG(1, s - 1) has a ground set of s + 1 elements.
+        lg, p = bg_dim_partition(2, s)
+        assert (lg.graph, lg.labels) == pairwise_bipartite_kneser(1, s - 1)
+        assert p.color_of == leftover_reference(lg)
+
+    def test_labels_leaving_two_elements_are_refused(self):
+        lg = kneser(5, 1)
+        with pytest.raises(ValueError, match="^edge labels do not leave exactly one element uncovered$"):
+            families._leftover_coloring(lg)
 
 
 class TestKneserPartition:

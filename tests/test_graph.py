@@ -16,6 +16,7 @@ from dimtools.graph import (
     BiregularClasses,
     DegreeProfile,
     Graph,
+    _cycle_walk,
     build_graph,
     components,
     degree_profile,
@@ -575,6 +576,7 @@ def test_cycles_match_networkx_simple_cycles(max_len):
         cycle(8),
         star(4),
         *sample_connected_graphs(8, 60, seed=42),
+        *(g for n in range(1, 6) for g in connected_graphs(n)),
     ]
     for g in graphs:
         G = nx.Graph()
@@ -588,6 +590,69 @@ def test_cycles_match_networkx_simple_cycles(max_len):
         for c in cycles:
             closed = zip(c.vertices, c.vertices[1:] + c.vertices[:1])
             assert c.edge_ids == {g.edge_id(a, b) for a, b in closed}, c
+
+
+def reference_cycle_walk(g, max_len):
+    """An earlier form of graph._cycle_walk, kept to pin the order.
+
+    From each root it steps through every neighbor of every path vertex,
+    those below the root included, and tests the close at each step.
+    """
+    adj = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    for root in range(g.n):
+        nbrs = adj[root]
+        if len(nbrs) < 2 or nbrs[-2][0] < root:
+            continue
+        path = [root]
+        ids = [-1]
+        on_path = {root}
+        stack = [iter(nbrs)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                on_path.remove(path.pop())
+                ids.pop()
+                continue
+            nxt, eid = step
+            if nxt == root and len(path) >= 3 and path[1] < path[-1]:
+                ids[0] = eid
+                yield path, ids
+            elif nxt > root and nxt not in on_path and len(path) < max_len:
+                path.append(nxt)
+                ids.append(eid)
+                on_path.add(nxt)
+                stack.append(iter(adj[nxt]))
+
+
+def walk_sequence(walk, g, max_len):
+    return [(tuple(path), tuple(ids)) for path, ids in walk(g, max_len)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_walk_order_matches_reference_on_small_corpus(n):
+    max_len = max(n, 3)
+    for g in connected_graphs(n):
+        assert walk_sequence(_cycle_walk, g, max_len) == walk_sequence(
+            reference_cycle_walk, g, max_len
+        ), g.edges
+
+
+@pytest.mark.parametrize("max_len", range(3, 9))
+def test_walk_order_matches_reference_below_the_longest_cycle(max_len):
+    graphs = [
+        kneser(7, 3).graph,
+        bipartite_kneser(2, 3).graph,
+        petersen(),
+        *sample_connected_graphs(8, 60, seed=42),
+    ]
+    for g in graphs:
+        assert walk_sequence(_cycle_walk, g, max_len) == walk_sequence(
+            reference_cycle_walk, g, max_len
+        ), g.edges
 
 
 # enumerate_cycles(petersen(), 8) in the order the search finds them: by

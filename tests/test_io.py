@@ -324,6 +324,18 @@ def test_readers_agree_on_family_files(name, make, fmt):
         _assert_readers_agree(parse_partition, text, "partition", g.n, g)
 
 
+def test_line_readers_leave_no_edge_index_on_the_graph():
+    # A CRLF file goes to the line reader, whose edge index lives only as
+    # long as the read.
+    lg, part = kneser_dim_partition(4)
+    g = lg.graph
+    text = serialize_partition(g, part).replace("\n", "\r\n")
+    assert parse_partition(text, g) == part
+    matching = serialize_matching(g, part.classes[0]).replace("\n", "\r\n")
+    assert parse_matching(matching, g) == part.classes[0]
+    assert not hasattr(g, "_edge_index_cache")
+
+
 @pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
 @pytest.mark.parametrize("n", range(1, 6))
 def test_readers_agree_on_small_corpus_graphs(n, fmt):
