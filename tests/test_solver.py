@@ -624,21 +624,29 @@ def reference_batch(row_lists, free, live):
     return sorted(batch), [i for i in live_rows if row_sets[i] & cover]
 
 
+def as_batch(forced):
+    """A batch step's answer as plain lists, as :func:`reference_batch`
+    gives it."""
+    return None if forced is None else (forced[0], forced[1].tolist())
+
+
 def checked_batches(monkeypatch, search_for, row_lists):
-    """Enumerate under the counting rule, checking every call of the batch
-    step against :func:`reference_batch` on the instance's row lists; for
-    each call, whether it took a batch."""
+    """Enumerate under the counting rule, checking at every call of the
+    batch step both of its sides, the row table's and the column
+    table's, whichever the step picks, and the step itself against
+    :func:`reference_batch` on the instance's row lists; for each call,
+    whether it took a batch."""
     forced_rows = _ExactCover._forced_rows
     taken = []
 
     def checked(self, free, live):
-        forced = forced_rows(self, free, live)
         expected = reference_batch(row_lists, free.tolist(), live.tolist())
-        if forced is None:
-            assert expected is None
-        else:
-            batch, dead = forced
-            assert (batch, dead.tolist()) == expected
+        ones = (free == 1).nonzero()[0]
+        by_rows = self._forced_by_rows(ones, live.nonzero()[0])
+        by_columns = self._forced_by_columns(ones, live)
+        assert as_batch(by_rows) == as_batch(by_columns) == expected
+        forced = forced_rows(self, free, live)
+        assert as_batch(forced) == expected
         taken.append(forced is not None)
         return forced
 
@@ -948,3 +956,51 @@ class TestForcedBatch:
         for g in (make(), relabelled(make(), 1)):
             row_lists = [sorted(dominated_set(g, e)) for e in range(g.m)]
             assert checked_batches(monkeypatch, dim_instance(g), row_lists) == [True] * calls
+
+    def test_kg_11_5_reads_both_tables(self, monkeypatch):
+        # Each branch of a KG(11,5) enumeration takes two batches: the
+        # first, with 725 live rows and 275 columns counted 1, reads the
+        # column table, and the last, with 100 live rows and 1 100
+        # columns counted 1, the row table.
+        sides = []
+        for side in ("_forced_by_rows", "_forced_by_columns"):
+            read = getattr(_ExactCover, side)
+
+            def logged(self, *args, side=side, read=read):
+                sides.append(side)
+                return read(self, *args)
+
+            monkeypatch.setattr(_ExactCover, side, logged)
+        search = dim_instance(kneser(11, 5).graph)(DEFAULT_BUDGET)
+        assert len(list(search.solutions())) == 11
+        assert search.budget.used == 1386
+        assert sides == ["_forced_by_columns", "_forced_by_rows"] * 11
+
+    def test_choose_kills_the_rows_sharing_a_column(self, monkeypatch):
+        # On seeded small instances with some rows already dead, choosing
+        # a live row kills exactly the live rows that share a column with
+        # it, itself included, each once and in ascending order.
+        killed = []
+        recount = _ExactCover._recount
+
+        def logged(self, counts, dead, chosen):
+            killed.append(dead.tolist())
+            return recount(self, counts, dead, chosen)
+
+        monkeypatch.setattr(_ExactCover, "_recount", logged)
+        rng = random.Random(17)
+        for _ in range(60):
+            row_lists, ncols = random_cover_rows(rng)
+            search = cover_instance(row_lists, ncols)(DEFAULT_BUDGET)
+            search.table, search.col_table = search.tables()
+            counts = np.bincount(search.table.ravel(), minlength=ncols + 1).astype(np.int32)
+            live = np.array([rng.random() < 0.7 for _ in row_lists] + [False])
+            live_rows = live.nonzero()[0].tolist()
+            if not live_rows:
+                continue
+            i = rng.choice(live_rows)
+            expected = [j for j in live_rows if set(row_lists[j]) & set(row_lists[i])]
+            killed.clear()
+            search._choose(live, counts, i)
+            assert killed == [expected]
+            assert live.nonzero()[0].tolist() == [j for j in live_rows if j not in expected]
