@@ -3,12 +3,14 @@
 Vertices are dense 0-based integers.  Edges are stored as a
 lexicographically sorted tuple of pairs (u, v) with u < v, so two equal
 graphs always have identical edge lists, edge ids, and serializations.
-All functions in this package treat Graph values as immutable; sharing
+A Graph is complete once constructed: no lookup writes to it, and all
+functions in this package treat Graph values as immutable, so sharing
 them across threads is safe.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -71,24 +73,21 @@ class Graph:
         return len(self.edges)
 
     def edge_id(self, u: int, v: int) -> EdgeId:
-        """Id of the edge between u and v (order-insensitive)."""
+        """Id of the edge between u and v (order-insensitive), found by
+        bisecting u's sorted neighbors, which line up with its edge ids."""
         if u > v:
             u, v = v, u
-        eid = self._edge_index().get((u, v))
-        if eid is None:
-            raise KeyError(f"({u}, {v}) is not an edge")
-        return eid
+        # A negative u would index from the end.
+        if 0 <= u < self.n:
+            nbrs = self.neighbors[u]
+            j = bisect_left(nbrs, v)
+            if j < len(nbrs) and nbrs[j] == v:
+                return self.incident[u][j]
+        raise KeyError(f"({u}, {v}) is not an edge")
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether uv is an edge; False if u is not a vertex."""
         return 0 <= u < self.n and v in self.neighbors[u]
-
-    def _edge_index(self) -> dict[VertexPair, EdgeId]:
-        idx = getattr(self, "_edge_index_cache", None)
-        if idx is None:
-            idx = {e: i for i, e in enumerate(self.edges)}
-            object.__setattr__(self, "_edge_index_cache", idx)
-        return idx
 
 
 def build_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:

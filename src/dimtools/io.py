@@ -24,7 +24,8 @@ canonical pairs straight to :class:`~dimtools.graph.Graph`, whose
 constructor checks canonical form in the pass that builds the
 adjacency.  The partition header goes through the graph header's
 reader, and the matching and partition parsers resolve each pair
-through one lookup in the graph's edge index.
+with :meth:`Graph.edge_id <dimtools.graph.Graph.edge_id>`, which
+builds no index.
 
 Serialization always emits canonical edge order, '\\n' line endings,
 and no trailing whitespace, so parse(serialize(g)) == g and
@@ -245,29 +246,23 @@ def serialize_matching(g: Graph, edge_ids: Iterable[int]) -> str:
     return "".join(f"{u}-{v}\n" for u, v in pairs)
 
 
-def _edge_index(g: Graph) -> dict[tuple[int, int], int]:
-    """Each edge's id, for one read: unlike ``g._edge_index()`` it is not
-    kept on the graph once the read is over."""
-    return {e: i for i, e in enumerate(g.edges)}
-
-
-def _edge_id(index: dict[tuple[int, int], int], u: int, v: int) -> int:
-    """The id of the edge uv in ``index``, in either orientation."""
-    eid = index.get((u, v) if u < v else (v, u))
-    if eid is None:
-        raise FormatError(f"({u}, {v}) is not an edge of the graph")
-    return eid
+def _edge_id(g: Graph, u: int, v: int) -> int:
+    """The id of the edge uv of g, in either orientation; a pair that is
+    not an edge is named as written."""
+    try:
+        return g.edge_id(u, v)
+    except KeyError:
+        raise FormatError(f"({u}, {v}) is not an edge of the graph") from None
 
 
 def parse_matching(text: str, g: Graph) -> EdgeSet:
-    index = _edge_index(g)
     ids = set()
     for line in _significant_lines(text, "#"):
         try:
             u, v = map(int, line.split("-"))
         except ValueError:
             raise FormatError(f"malformed matching line: {line!r}") from None
-        ids.add(_edge_id(index, u, v))
+        ids.add(_edge_id(g, u, v))
     return frozenset(ids)
 
 
@@ -332,7 +327,6 @@ def _read_partition(text: str, g: Graph) -> DimPartition:
     (k,) = _header(lines, "partition header", ["classes"], 1)
     if len(lines) - 1 != g.m:
         raise FormatError(f"partition has {len(lines) - 1} edge lines, graph has {g.m}")
-    index = _edge_index(g)
     # As many lines as edges and none repeated: every edge gets a color.
     colors: list[Optional[int]] = [None] * g.m
     for line in itertools.islice(lines, 1, None):
@@ -341,7 +335,7 @@ def _read_partition(text: str, g: Graph) -> DimPartition:
             u, v, color = int(a), int(b), int(c)
         except ValueError:
             raise FormatError(f"malformed partition line: {line!r}") from None
-        eid = _edge_id(index, u, v)
+        eid = _edge_id(g, u, v)
         if colors[eid] is not None:
             raise FormatError(f"edge ({u}, {v}) colored twice")
         colors[eid] = color

@@ -37,8 +37,8 @@ target families.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
@@ -66,28 +66,35 @@ class DimPartition:
     Colors are 1-based.  The constructor checks totality, color range,
     and nonempty classes; DIM validity of each class is the producer's
     obligation and is what :func:`verify_dim_partition` re-checks.
+    The classes are not stored: :attr:`classes` rebuilds them from
+    ``color_of`` on each read.
     """
 
     num_classes: int
     color_of: tuple[int, ...]
-    classes: tuple[EdgeSet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_classes < 0:
-            raise ValueError("class count must be nonnegative")
-        # Checked before the buckets are allocated, so a hostile class
-        # count costs no memory.
-        if self.num_classes > len(self.color_of):
-            raise ValueError("every color class must be nonempty")
         k = self.num_classes
-        buckets: list[list[int]] = [[] for _ in range(k)]
-        for eid, c in enumerate(self.color_of):
-            if not (1 <= c <= k):
-                raise ValueError(f"color {c} out of range 1..{k}")
-            buckets[c - 1].append(eid)
-        if not all(buckets):
+        if k < 0:
+            raise ValueError("class count must be nonnegative")
+        # More classes than edges leaves one empty whatever the colors,
+        # and is reported before any color is read.
+        if k > len(self.color_of):
             raise ValueError("every color class must be nonempty")
-        object.__setattr__(self, "classes", tuple(map(frozenset, buckets)))
+        used = set(self.color_of)
+        if used and not (1 <= min(used) and max(used) <= k):
+            bad = next(c for c in self.color_of if not 1 <= c <= k)
+            raise ValueError(f"color {bad} out of range 1..{k}")
+        if len(used) != k:
+            raise ValueError("every color class must be nonempty")
+
+    @property
+    def classes(self) -> tuple[EdgeSet, ...]:
+        """The edge ids of each color, color 1 first."""
+        buckets: list[list[int]] = [[] for _ in range(self.num_classes)]
+        for eid, c in enumerate(self.color_of):
+            buckets[c - 1].append(eid)
+        return tuple(map(frozenset, buckets))
 
 
 @dataclass(frozen=True)
@@ -327,16 +334,24 @@ def verify_list_properties(g: Graph, assignment: ListAssignment) -> ListCheck:
 
 
 def _list_properties(g: Graph, assignment: ListAssignment, lo: int, hi: int) -> ListCheck:
-    """:func:`verify_list_properties` given g's extreme degrees lo, hi."""
+    """:func:`verify_list_properties` given g's extreme degrees lo, hi.
+
+    The fibers are counted from the lists.  Once every list is checked
+    to be a (k - d(v))-subset of 1..k, with d(v) lo or hi, each list is
+    a target subset, so the distinct lists are the nonempty fibers: the
+    lists are onto when there are as many as target subsets, and the
+    fibers are equal when they are onto with one count, or all empty.
+    """
     k = max(lo + hi - 1, 0)
+    lists = assignment.lists
     if assignment.num_labels != k:
         raise ValueError(
             f"label universe has {assignment.num_labels} colors, expected {k}"
         )
-    if len(assignment.lists) != g.n:
+    if len(lists) != g.n:
         raise ValueError("assignment does not cover every vertex")
     labels = frozenset(range(1, k + 1))
-    for v, lst in enumerate(assignment.lists):
+    for v, lst in enumerate(lists):
         if len(lst) != k - g.degrees[v]:
             raise ValueError(
                 f"vertex {v} has a list of size {len(lst)}, "
@@ -345,20 +360,10 @@ def _list_properties(g: Graph, assignment: ListAssignment, lo: int, hi: int) -> 
         if not lst <= labels:
             raise ValueError(f"vertex {v} has a label outside 1..{k}")
 
-    disjoint = all(
-        not (assignment.lists[u] & assignment.lists[v]) for u, v in g.edges
-    )
-
-    fibers: dict[frozenset[int], int] = {}
-    for size in sorted({k - lo, k - hi}):
-        for combo in itertools.combinations(range(1, assignment.num_labels + 1), size):
-            fibers[frozenset(combo)] = 0
-    for v in range(g.n):
-        lst = assignment.lists[v]
-        if lst in fibers:
-            fibers[lst] += 1
-    surjective = all(count > 0 for count in fibers.values())
-    equal_fibers = len(set(fibers.values())) <= 1
+    disjoint = all(not (lists[u] & lists[v]) for u, v in g.edges)
+    fibers = Counter(lists)
+    surjective = len(fibers) == sum(comb(k, size) for size in {k - lo, k - hi})
+    equal_fibers = not fibers or (surjective and len(set(fibers.values())) == 1)
     return ListCheck(
         disjointness=disjoint, surjective=surjective, equal_fibers=equal_fibers
     )

@@ -77,6 +77,36 @@ class TestBuildGraph:
             assert g.edge_id(u, v) == g.edge_id(v, u)
 
 
+class TestEdgeId:
+    def test_id_is_the_position_in_the_edge_list(self):
+        graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
+        graphs += [kneser(9, 4).graph, bipartite_kneser(3, 4).graph]
+        for g in graphs:
+            for eid, (u, v) in enumerate(g.edges):
+                assert g.edge_id(u, v) == g.edge_id(v, u) == eid
+
+    @pytest.mark.parametrize(
+        "u,v,pair",
+        [
+            (0, 2, "(0, 2)"),
+            (2, 0, "(0, 2)"),
+            (1, 1, "(1, 1)"),
+            # Vertex 3 of the 4-cycle is adjacent to 2: a negative end must
+            # not be read as counting from the end.
+            (-1, 2, "(-1, 2)"),
+            (2, -1, "(-1, 2)"),
+            (2, 4, "(2, 4)"),
+            (4, 4, "(4, 4)"),
+            (5, 0, "(0, 5)"),
+        ],
+    )
+    def test_a_non_edge_raises_key_error(self, u, v, pair):
+        g = cycle(4)
+        with pytest.raises(KeyError) as info:
+            g.edge_id(u, v)
+        assert info.value.args == (f"{pair} is not an edge",)
+
+
 def _pair_lines(draw_result):
     """An n and its pairs, each in a random orientation, in random order."""
     n, mask, seed = draw_result

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
+from dimtools.checks import full_report
 from dimtools.corpus import connected_graphs
 from dimtools.families import (
     bg_dim_partition,
@@ -325,15 +326,26 @@ def test_readers_agree_on_family_files(name, make, fmt):
 
 
 def test_line_readers_leave_no_edge_index_on_the_graph():
-    # A CRLF file goes to the line reader, whose edge index lives only as
-    # long as the read.
+    # No lookup writes to a graph: not edge_id, not the line readers (a
+    # CRLF file goes to them), not the partition search of a disconnected
+    # graph, which maps each component's edges back by edge_id, and not
+    # a report.
     lg, part = kneser_dim_partition(4)
     g = lg.graph
+    before = dict(vars(g))
+    assert g.edge_id(*reversed(g.edges[-1])) == g.m - 1
     text = serialize_partition(g, part).replace("\n", "\r\n")
     assert parse_partition(text, g) == part
     matching = serialize_matching(g, part.classes[0]).replace("\n", "\r\n")
     assert parse_matching(matching, g) == part.classes[0]
-    assert not hasattr(g, "_edge_index_cache")
+    assert vars(g) == before
+
+    edges = petersen().edges
+    two = build_graph(20, edges + tuple((u + 10, v + 10) for u, v in edges))
+    before = dict(vars(two))
+    assert find_dim_partition(two).num_classes == 5
+    assert full_report(two).dim_exists
+    assert vars(two) == before
 
 
 @pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])

@@ -1,5 +1,6 @@
 """DIM partitions, list assignments, and their verification."""
 
+import functools
 import itertools
 import random
 import subprocess
@@ -27,6 +28,7 @@ from dimtools.graph import build_graph, components, degree_profile, is_connected
 from dimtools.partition import (
     DimPartition,
     ListAssignment,
+    ListCheck,
     brute_force_dim_partitions,
     check_kneser_isomorphism,
     find_dim_partition,
@@ -66,6 +68,53 @@ class TestDimPartitionType:
     def test_rejects_out_of_range_color(self):
         with pytest.raises(ValueError):
             DimPartition(1, (2,))
+
+    def test_more_classes_than_edges_is_an_empty_class(self):
+        # Refused before any color is read, though 9 is out of range.
+        with pytest.raises(ValueError, match="^every color class must be nonempty$"):
+            DimPartition(5, (1, 9))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-1, 4), st.lists(st.integers(-1, 5), max_size=6))
+    def test_error_text_of_an_eager_check(self, k, color_of):
+        # The reference checks color by color, in edge order, filling one
+        # bucket per class.
+        def eager_error():
+            if k < 0:
+                return "class count must be nonnegative"
+            if k > len(color_of):
+                return "every color class must be nonempty"
+            buckets = [[] for _ in range(k)]
+            for c in color_of:
+                if not 1 <= c <= k:
+                    return f"color {c} out of range 1..{k}"
+                buckets[c - 1].append(c)
+            return None if all(buckets) else "every color class must be nonempty"
+
+        try:
+            DimPartition(k, tuple(color_of))
+        except ValueError as exc:
+            assert str(exc) == eager_error()
+        else:
+            assert eager_error() is None
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=12))
+    def test_classes_are_the_color_buckets(self, raw):
+        # Colors renumbered 1..k by first appearance: every class is nonempty.
+        first = {c: i for i, c in enumerate(dict.fromkeys(raw), 1)}
+        color_of = tuple(first[c] for c in raw)
+        k = len(first)
+        p = DimPartition(k, color_of)
+        assert p.classes == tuple(
+            frozenset(e for e, c in enumerate(color_of) if c == color)
+            for color in range(1, k + 1)
+        )
+        # Built on each read, stored nowhere, so equality, hashing and
+        # repr see only the coloring.
+        assert set(vars(p)) == {"num_classes", "color_of"}
+        assert p == DimPartition(k, color_of) and hash(p) == hash(DimPartition(k, color_of))
+        assert repr(p) == f"DimPartition(num_classes={k}, color_of={color_of!r})"
 
 
 class TestFindPartition:
@@ -431,6 +480,82 @@ class TestVerifyListProperties:
         lists = tuple(map(frozenset, ({97}, {98}, {99}, {3}, {2}, {1})))
         with pytest.raises(ValueError, match="vertex 0 has a label outside 1..3"):
             verify_list_properties(cycle(6), ListAssignment(3, lists))
+
+
+# Regular and biregular graphs, with and without a DIM partition, and
+# the edgeless ones.
+LIST_GRAPHS = [
+    build_graph(0, []),
+    build_graph(3, []),
+    cycle(3),
+    cycle(4),
+    cycle(6),
+    star(4),
+    petersen(),
+    bg_dim_partition(2, 3)[0].graph,
+    kneser_dim_partition(4)[0].graph,
+    build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+]
+
+
+def all_subsets_list_check(g, assignment):
+    """The list properties by their definition: a fiber for every target
+    subset, counted over the vertices."""
+    lists = assignment.lists
+    lo, hi = min(g.degrees, default=0), max(g.degrees, default=0)
+    k = max(lo + hi - 1, 0)
+    fibers = {
+        frozenset(combo): 0
+        for size in {k - lo, k - hi}
+        for combo in itertools.combinations(range(1, k + 1), size)
+    }
+    for lst in lists:
+        if lst in fibers:
+            fibers[lst] += 1
+    return ListCheck(
+        disjointness=all(not (lists[u] & lists[v]) for u, v in g.edges),
+        surjective=all(count > 0 for count in fibers.values()),
+        equal_fibers=len(set(fibers.values())) <= 1,
+    )
+
+
+@functools.cache
+def partition_lists(index):
+    """The lists of LIST_GRAPHS[index]'s DIM partition, or None for each
+    vertex if it has none."""
+    g = LIST_GRAPHS[index]
+    p = find_dim_partition(g)
+    return list_assignment(g, p).lists if p else (None,) * g.n
+
+
+class TestListPropertiesByCount:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(range(len(LIST_GRAPHS))),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        st.booleans(),
+    )
+    def test_matches_the_all_subsets_definition(self, index, seed, redraw, shuffle):
+        # Start from the partition's own lists where there is one, redraw
+        # some at random, and maybe shuffle them among equal degrees, which
+        # keeps the fibers but breaks disjointness.
+        g = LIST_GRAPHS[index]
+        rng = random.Random(seed)
+        k = max(min(g.degrees, default=0) + max(g.degrees, default=0) - 1, 0)
+        lists = list(partition_lists(index))
+        for v, d in enumerate(g.degrees):
+            if lists[v] is None or rng.random() < redraw:
+                lists[v] = frozenset(rng.sample(range(1, k + 1), k - d))
+        if shuffle:
+            for d in set(g.degrees):
+                same = [v for v in range(g.n) if g.degrees[v] == d]
+                moved = [lists[v] for v in same]
+                rng.shuffle(moved)
+                for v, lst in zip(same, moved):
+                    lists[v] = lst
+        a = ListAssignment(k, tuple(lists))
+        assert verify_list_properties(g, a) == all_subsets_list_check(g, a)
 
 
 def pairwise_kneser_check(g, assignment):
