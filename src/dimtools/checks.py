@@ -240,9 +240,6 @@ class Budgets:
             raise ValueError(f"need max_cycle_len >= 3 and search_nodes >= 0, got {self}")
 
 
-
-
-
 Outcome = Literal["pass", "fail", "na", "error"]
 
 
@@ -340,7 +337,6 @@ class VerificationReport:
                 lines.append(f"error = {e.error}")
             lines.append(f"details = {e.details}")
         return "\n".join(lines) + "\n"
-
 
 
 @dataclass

@@ -7,7 +7,8 @@ Exit codes:
   counterexample;
 * 2 usage or input errors, including a graph file whose header declares
   more than ``io.MAX_VERTICES`` vertices, a ``gen`` family with more
-  vertices than that, and a sweep over no graphs;
+  vertices than that or with more than ``MAX_GEN_ENTRIES`` edges and
+  label entries together, and a sweep over no graphs;
 * 3 a search ran out of budget: for ``verify`` and ``sweep``, the DIM
   search or any check of any report (this takes precedence over 1);
 * 4 internal error: any other exception, reported on one stderr line.
@@ -59,17 +60,40 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
+# Largest number of edges and label entries together that ``gen``
+# builds.  A family allocates about 240 bytes per edge and 60-110 per
+# label entry while it is built, whatever the file it writes, so this
+# keeps a ``gen`` run under about 400 MB; KG(19,9) with its partition,
+# 461 890 edges and 831 402 label entries, fits.
+MAX_GEN_ENTRIES = 1_500_000
+
 
 def _comb(n: int, k: int) -> int:
     # Out-of-range parameters count as small, so the family reports them.
     return math.comb(max(n, 0), max(k, 0))
 
 
+def _kneser_counts(n: int, k: int) -> tuple[int, int, int]:
+    count = _comb(n, k)
+    # Each k-subset is disjoint from the k-subsets of its complement.
+    return count, count * _comb(n - k, k) // 2, count * max(k, 0)
+
+
+def _bg_counts(r: int, s: int) -> tuple[int, int, int]:
+    # r or s below 2 is the family's own error, not an oversized graph.
+    if min(r, s) < 2:
+        return 0, 0, 0
+    left, right = _comb(r + s - 1, r - 1), _comb(r + s - 1, s - 1)
+    # Each (r-1)-subset is disjoint from s of the (s-1)-subsets.
+    return left + right, left * s, left * (r - 1) + right * (s - 1)
+
+
 class _Family(NamedTuple):
     help: str
     params: tuple[str, ...]
-    # The vertex count in closed form, checked before anything is built.
-    vertices: Callable[..., int]
+    # The vertex, edge and label-entry counts in closed form, checked
+    # before anything is built.
+    counts: Callable[..., tuple[int, int, int]]
     # A Graph, or a LabeledGraph whose labels --with-labels writes.
     make: Callable
     # The graph with its closed-form DIM partition, if the family has one.
@@ -77,28 +101,25 @@ class _Family(NamedTuple):
 
 
 _FAMILIES = {
-    "kneser": _Family("disjointness graph of k-subsets", ("n", "k"), _comb, kneser),
+    "kneser": _Family("disjointness graph of k-subsets", ("n", "k"), _kneser_counts, kneser),
     "kneser-family": _Family(
         "KG(2r-1, r-1), optionally with its DIM partition",
         ("r",),
-        lambda r: _comb(2 * r - 1, r - 1),
+        lambda r: _kneser_counts(2 * r - 1, r - 1),
         lambda r: kneser(2 * r - 1, r - 1),
         kneser_dim_partition,
     ),
     "bg": _Family(
         "BG(r-1, s-1), optionally with its DIM partition",
         ("r", "s"),
-        # r or s below 2 is the family's own error, not an oversized graph.
-        lambda r, s: (
-            0 if min(r, s) < 2 else _comb(r + s - 1, r - 1) + _comb(r + s - 1, s - 1)
-        ),
+        _bg_counts,
         lambda r, s: bipartite_kneser(r - 1, s - 1),
         bg_dim_partition,
     ),
-    "cycle": _Family("cycle graph", ("n",), lambda n: n, cycle),
-    "complete": _Family("complete graph", ("n",), lambda n: n, complete),
-    "star": _Family("star graph with k leaves", ("k",), lambda k: k + 1, star),
-    "petersen": _Family("the Petersen graph", (), lambda: 10, petersen),
+    "cycle": _Family("cycle graph", ("n",), lambda n: (n, n, 0), cycle),
+    "complete": _Family("complete graph", ("n",), lambda n: (n, _comb(n, 2), 0), complete),
+    "star": _Family("star graph with k leaves", ("k",), lambda k: (k + 1, k, 0), star),
+    "petersen": _Family("the Petersen graph", (), lambda: (10, 15, 0), petersen),
 }
 
 
@@ -193,11 +214,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
     family = _FAMILIES[args.family]
     params = [getattr(args, param) for param in family.params]
-    n = family.vertices(*params)
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"{args.family}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
-        )
+    n, m, labels = family.counts(*params)
+    for what, count, limit in (
+        ("vertex count", n, MAX_VERTICES),
+        ("edge and label-entry count", m + labels, MAX_GEN_ENTRIES),
+    ):
+        if count > limit:
+            raise ValueError(f"{args.family}: {what} {count} exceeds the limit of {limit}")
     partition = None
     if getattr(args, "with_partition", False):
         made, partition = family.partition(*params)

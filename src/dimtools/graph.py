@@ -99,16 +99,12 @@ def build_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """
     canon: set[VertexPair] = set()
     for u, v in pairs:
-        if u < v:
-            if u < 0 or v >= n:
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            canon.add((u, v))
-        elif v < u:
-            if v < 0 or u >= n:
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            canon.add((v, u))
-        else:
+        if u == v:
             raise ValueError(f"self-loop at vertex {u}")
+        pair = (u, v) if u < v else (v, u)
+        if pair[0] < 0 or pair[1] >= n:
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        canon.add(pair)
     return Graph(n, tuple(sorted(canon)))
 
 

@@ -8,7 +8,9 @@ follows from the first, so the search checks only the first, up front
 and over all edges at once.  Then it enumerates each component's DIMs
 with the solver's exact-cover engine and runs the same engine once
 more to cover the component's edges exactly by those DIMs; every class
-of such a cover is a DIM, so the cover is the partition.
+of such a cover is a DIM, so the cover is the partition.  The solver
+builds both instances: this module hands it the DIMs as edge lists and
+reads back which of them cover.
 :func:`brute_force_dim_partitions` is the assumption-free oracle that
 covers the edge set by DIMs from the subset-scan oracle with a search
 of its own.
@@ -42,18 +44,14 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-import numpy as np
-
 from .graph import Graph, _regularity, components, induced_subgraph
 from .solver import (
     DEFAULT_BUDGET,
     DimClass,
     EdgeSet,
-    _column_table,
+    _cover_search,
     _dim_search,
-    _ExactCover,
     _Nodes,
-    _padded,
     brute_force_dims,
     classify_dim,
 )
@@ -133,30 +131,16 @@ def _cover_by_dims(
     """Colors of a connected graph's edges in k DIM classes, or None if
     there is no such partition.
 
-    Enumerates the DIMs with the exact-cover engine, each as a sorted
+    Enumerates the DIMs with the solver's DIM search, each as a sorted
     edge list in the order found, unless ``dims`` already lists them so,
-    then runs the same engine on the instance whose rows are those DIMs
-    and whose columns are the edges; the DIMs' edge lists are its row
-    table, and the engine builds the form its branching rule needs.  The
-    first cover found is returned, its classes numbered 1..k in order of
-    their smallest edge.  Both searches draw on ``budget``.
+    then hands those lists to the solver as the rows of a cover instance
+    whose columns are the edges.  The first cover found is returned, its
+    classes numbered 1..k in order of their smallest edge.  Both
+    searches draw on ``budget``.
     """
     if dims is None:
         dims = list(_dim_search(g, budget).solutions())
-
-    def masks() -> tuple[list[int], list[int]]:
-        cols = [0] * g.m
-        for i, dim in enumerate(dims):
-            for e in dim:
-                cols[e] |= 1 << i
-        return [sum(1 << e for e in dim) for dim in dims], cols
-
-    def tables() -> tuple[np.ndarray, np.ndarray]:
-        table = _padded(dims, g.m)
-        return table, _column_table(table, g.m)
-
-    cover_search = _ExactCover(len(dims), g.m, masks, tables, budget)
-    cover = next(cover_search.solutions(), None)
+    cover = next(_cover_search(dims, g.m, budget).solutions(), None)
     if cover is None:
         return None
     # Each DIM holds exactly one edge of E(u) | E(v) for a fixed edge uv,

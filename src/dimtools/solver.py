@@ -8,8 +8,11 @@ with it), a set M of edges is a DIM exactly when the family
 one member.
 
 The search is an exact cover: :class:`_ExactCover` is the one engine,
-and both the DIM search here and the partition search in
-:mod:`dimtools.partition` run on it.  It branches on the uncovered
+and this module builds every instance it runs: :func:`_dim_search`
+the DIM instance of a graph, and :func:`_cover_search` an instance
+given as row lists, which the partition search in
+:mod:`dimtools.partition` runs with a graph's DIMs as rows and its
+edges as columns.  It branches on the uncovered
 column with the fewest viable rows (Knuth's Algorithm X, arXiv
 cs/0011047) and walks the tree with an explicit stack, so depth is
 bounded by memory rather than by the interpreter's recursion limit.
@@ -799,6 +802,25 @@ def _dim_search(g: Graph, budget: _Nodes) -> _ExactCover:
         return table, table.astype(np.intp)
 
     return _ExactCover(g.m, g.m, masks, tables, budget)
+
+
+def _cover_search(rows: Sequence[Sequence[int]], ncols: int, budget: _Nodes) -> _ExactCover:
+    """The instance over ``ncols`` columns whose row i covers the
+    columns ``rows[i]``, each listed once; the lists are its row table.
+    """
+
+    def masks() -> tuple[list[int], list[int]]:
+        cols = [0] * ncols
+        for i, row in enumerate(rows):
+            for c in row:
+                cols[c] |= 1 << i
+        return [sum(1 << c for c in row) for row in rows], cols
+
+    def tables() -> tuple[np.ndarray, np.ndarray]:
+        table = _padded(rows, ncols)
+        return table, _column_table(table, ncols)
+
+    return _ExactCover(len(rows), ncols, masks, tables, budget)
 
 
 def find_dim(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[EdgeSet]:

@@ -206,7 +206,20 @@ class TestGen:
     def test_vertex_count_is_closed_form(self, family):
         params, make = GEN_FAMILIES[family]
         ints = [int(a) for a in params[1::2]]
-        assert cli._FAMILIES[family].vertices(*ints) == make().n
+        assert cli._FAMILIES[family].counts(*ints)[0] == make().n
+
+    @pytest.mark.parametrize("family", GEN_FAMILIES)
+    def test_edge_count_is_closed_form(self, family):
+        params, make = GEN_FAMILIES[family]
+        ints = [int(a) for a in params[1::2]]
+        assert cli._FAMILIES[family].counts(*ints)[1] == make().m
+
+    @pytest.mark.parametrize("argv,make", GEN_SIDECARS)
+    def test_label_entry_count_is_closed_form(self, argv, make):
+        made = make()
+        lg = made[0] if isinstance(made, tuple) else made
+        ints = [int(a) for a in argv[1:] if not a.startswith("-")]
+        assert cli._FAMILIES[argv[0]].counts(*ints)[2] == sum(map(len, lg.labels))
 
     @pytest.mark.parametrize(
         "argv,count",
@@ -221,10 +234,34 @@ class TestGen:
     ):
         # Building any of these would fail the test rather than fill memory.
         monkeypatch.setattr(families, "_colex_subsets", _no_build)
+        monkeypatch.setattr(families, "build_graph", _no_build)
         path = tmp_path / "big.g"
         code, out, err = invoke(["gen", *argv, "-o", str(path)])
         assert (code, out) == (2, "")
         limit = f"vertex count {count} exceeds the limit of {MAX_VERTICES}"
+        assert err == f"error: {argv[0]}: {limit}\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["complete", "--n", "100000"], 4_999_950_000),
+            (["kneser", "--n", "447", "--k", "2"], 4_923_942_357),
+            (["kneser", "--n", "22", "--k", "5"], 81_609_066),
+            (["kneser", "--n", "100000", "--k", "99999"], 9_999_900_000),
+            (["bg", "--r", "445", "--s", "2"], 44_259_256),
+            (["kneser", "--n", "2000", "--k", "1999"], 3_998_000),
+        ],
+    )
+    def test_family_above_size_limit_is_refused_unbuilt(self, tmp_path, monkeypatch, argv, size):
+        # Each is under the vertex limit, and is refused on its edges and
+        # label entries before anything is built.
+        monkeypatch.setattr(families, "_colex_subsets", _no_build)
+        monkeypatch.setattr(families, "build_graph", _no_build)
+        path = tmp_path / "big.g"
+        code, out, err = invoke(["gen", *argv, "-o", str(path)])
+        assert (code, out) == (2, "")
+        limit = f"edge and label-entry count {size} exceeds the limit of {cli.MAX_GEN_ENTRIES}"
         assert err == f"error: {argv[0]}: {limit}\n"
         assert not path.exists()
 
@@ -239,9 +276,11 @@ class TestGen:
         assert not path.exists()
 
     def test_vertex_limit_boundary_is_kneser_family_r_10(self, monkeypatch):
-        count = cli._FAMILIES["kneser-family"].vertices
-        assert count(10) == 92_378 <= MAX_VERTICES < count(11) == 352_716
-        # r = 10 passes the check and goes on to build.
+        counts = cli._FAMILIES["kneser-family"].counts
+        assert counts(10)[0] == 92_378 <= MAX_VERTICES < counts(11)[0] == 352_716
+        assert counts(10)[1:] == (461_890, 831_402)
+        assert sum(counts(10)[1:]) <= cli.MAX_GEN_ENTRIES
+        # r = 10 passes both checks and goes on to build.
         monkeypatch.setattr(families, "_colex_subsets", _no_build)
         code, _, err = invoke(["gen", "kneser-family", "--r", "10"])
         assert (code, err) == (4, "internal error: RuntimeError: built\n")

@@ -357,7 +357,7 @@ class TestDominationSets:
         for _ in range(20):
             ncols = rng.randint(1, 9)
             row_lists = [rng.sample(range(ncols), rng.randint(0, ncols)) for _ in range(rng.randint(0, 9))]
-            cols = solver._column_table(solver._padded(row_lists, ncols), ncols)
+            _, cols = solver._cover_search(row_lists, ncols, _Nodes(0)).tables()
             assert cols.shape[0] == ncols
             for c, row in enumerate(cols.tolist()):
                 assert [i for i in row if i != len(row_lists)] == [
@@ -486,15 +486,7 @@ def assert_same_budget_hits(search_for, budgets, walks=RULES):
 def cover_instance(row_lists, ncols):
     """``search_for(budget)`` on the exact cover instance over ``ncols``
     columns whose row i covers the columns ``row_lists[i]``."""
-    rows = [sum(1 << c for c in cs) for cs in row_lists]
-    cols = [
-        sum(1 << i for i, cs in enumerate(row_lists) if c in cs) for c in range(ncols)
-    ]
-    table = solver._padded(row_lists, ncols)
-    col_table = solver._column_table(table, ncols)
-    return lambda budget: _ExactCover(
-        len(rows), ncols, lambda: (rows, cols), lambda: (table, col_table), _Nodes(budget)
-    )
+    return lambda budget: solver._cover_search(row_lists, ncols, _Nodes(budget))
 
 
 def counted_walk(monkeypatch, search_for):
@@ -724,8 +716,9 @@ class TestBranchingStrategies:
 
     @staticmethod
     def assert_cover_instance_same_tree(monkeypatch, g, shape):
-        """find_dim_partition's cover instance on g has the given shape
-        and an unpadded table, and both rules search it alike."""
+        """find_dim_partition's cover instance on g, the last instance it
+        builds, has the given shape and an unpadded table, and both rules
+        search it alike."""
         built = []
 
         class Recording(_ExactCover):
@@ -733,9 +726,9 @@ class TestBranchingStrategies:
                 built.append(args[:4])
                 super().__init__(*args)
 
-        monkeypatch.setattr(partition, "_ExactCover", Recording)
+        monkeypatch.setattr(solver, "_ExactCover", Recording)
         assert partition.find_dim_partition(g) is not None
-        [(nrows, ncols, masks, tables)] = built
+        nrows, ncols, masks, tables = built[-1]
         assert (nrows, ncols) == shape
         # All DIMs of a graph have one size, so no row is padded.
         assert (tables()[0] < ncols).all()
@@ -795,7 +788,6 @@ class TestBranchingStrategies:
         # never building the index tables.
         calls = []
         monkeypatch.setattr(solver, "_ExactCover", recording(calls))
-        monkeypatch.setattr(partition, "_ExactCover", solver._ExactCover)
         partition.find_dim_partition(make())
         assert calls == built
 
