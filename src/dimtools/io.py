@@ -11,11 +11,21 @@ Graph formats:
 Both graph formats are rows of one table of constants (comment prefix,
 header name and leading tokens, edge-line tag, first vertex number,
 and whether a repeated edge is merged), read by one reader,
-:func:`parse_graph`.  The writers stay one per format, three lines
-each: a shared writer driven by the row took 17% longer on KG(13,6)'s
-edge list (1.60 against 1.37 ms) and 11% longer on its DIMACS (1.77
-against 1.59 ms; min of 15 x 20 calls, 2-core x86 machine), and the
-closed-form benchmark times that call.
+:func:`parse_graph`.  The writers stay one per format, a few lines
+each.
+
+Every writer formats numbers through one table of decimal strings
+built for the call (:func:`_names`), so a vertex number or color is
+formatted once however many lines it occurs on, and an edge line is
+two lookups and a concatenation.  KG(13,6)'s edge list is written in
+0.67 ms, its DIMACS in 0.75 and its partition in 0.86 (min of 15 x 20
+calls, 2-vCPU Xeon, CPython 3.11); a writer shared through the row
+measured the same as the two graph writers (0.68 and 0.77 ms).
+
+An integer, in every format, is ASCII decimal digits after an optional
+sign, leading zeros allowed: "+7" and "07" read as 7, while the
+digit-group underscores and non-ASCII digits that int() also reads make
+the line malformed.
 
 Each layer checks what it alone can name.  The reader checks lines:
 field counts, integers, self-loops, endpoint range and repeats, each
@@ -32,19 +42,23 @@ and no trailing whitespace, so parse(serialize(g)) == g and
 serialize(parse(text)) is the canonical form of text.
 
 :func:`parse_graph` and :func:`parse_partition` first try a bulk path
-for canonical text, which is every file dimtools writes: one split,
-one int conversion of the tokens, a header check before anything is
-built, then the result, returned only if the format's writer
-reproduces the text byte for byte.  By the round-trip law the line
-reader would read such a text as the same value, so this certificate
-means the bulk path changes no answer; every other valid file
-(comments, CRLF, tabs, repeated or unsorted edges) and every error
-goes through the line reader as before.  On KG(13,6) the edge list
-reads in 7.0 ms against 9.8, the DIMACS file in 6.9 against 7.8 and
-the partition in 4.2 against 6.2; a CRLF edge list, turned away after
-the split, in 7.7 against 7.3, and an unsorted one, turned away by the
-Graph constructor, in 13.0 against 10.1 (medians of 60 interleaved
-calls, 2-vCPU Xeon, CPython 3.11).
+for canonical text, which is every file dimtools writes: one split, a
+header check before anything is built, one lookup per vertex token (or,
+in a partition, per color token) in the writer's table read backwards,
+then the result, returned only if the format's writer reproduces the
+text byte for byte.  A token no writer emits ("07", "+7", a number out
+of range) misses the table and sends the text to the line reader
+before a graph is built.  By the round-trip law the line reader would
+read a certified text as the same value, so the bulk path changes no
+answer; every other valid file (comments, CRLF, tabs, repeated or
+unsorted edges) and every error goes through the line reader as
+before.  On KG(13,6) the edge
+list reads in 4.5 ms against 8.0 for the line reader, the DIMACS
+file in 4.6 against 7.6 and the partition in 1.8 against 6.4; a
+CRLF edge list, turned away after the split, in 8.3 against 7.8,
+and an unsorted one, turned away by the Graph constructor, in 10.1
+against 8.0 (medians of 60 interleaved calls, 2-vCPU Xeon, CPython
+3.11).
 
 Matchings serialize as one "u-v" pair per line in canonical edge
 order.  A certificate prefixes that with a sha256 digest of the
@@ -89,10 +103,27 @@ def _header(lines: list[str], name: str, lead: list[str], count: int) -> list[in
     fields = lines[0].split()
     if fields[: len(lead)] == lead and len(fields) == len(lead) + count:
         try:
-            return [int(field) for field in fields[len(lead) :]]
+            return [_int(field) for field in fields[len(lead) :]]
         except ValueError:
             pass
     raise FormatError(f"malformed {name}: {lines[0]!r}")
+
+
+def _int(token: str) -> int:
+    """``token`` as an integer: ASCII digits with an optional sign, as
+    every line reader accepts them; else ValueError, which each reader
+    reports as its malformed line.  int() alone also reads digit-group
+    underscores and non-ASCII digits."""
+    if token.isascii() and "_" not in token:
+        return int(token)
+    raise ValueError(f"not an ASCII decimal integer: {token!r}")
+
+
+def _names(first: int, stop: int) -> list[str]:
+    """The decimal strings of first..stop-1: the per-call table through
+    which a writer formats, and a bulk reader resolves, each number
+    once however often it recurs."""
+    return list(map(str, range(first, stop)))
 
 
 class _GraphFormat(NamedTuple):
@@ -106,14 +137,18 @@ class _GraphFormat(NamedTuple):
 
 
 def serialize_edgelist(g: Graph) -> str:
+    names = _names(0, g.n)
+    pre = [name + " " for name in names]
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend([pre[u] + names[v] for u, v in g.edges])
     return "\n".join(lines) + "\n"
 
 
 def serialize_dimacs(g: Graph) -> str:
+    names = _names(1, g.n + 1)
+    pre = ["e " + name + " " for name in names]
     lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
+    lines.extend([pre[u] + names[v] for u, v in g.edges])
     return "\n".join(lines) + "\n"
 
 
@@ -154,11 +189,11 @@ def _writer_tokens(text: str) -> Optional[list[str]]:
 def _bulk_graph(text: str, form: _GraphFormat) -> Optional[Graph]:
     """The graph that ``form`` writes as exactly ``text``, else None.
 
-    One split and one int conversion of the edge tokens stand in for
-    the line reader's pass over lines.  The header is checked before
-    anything is built, so a hostile count costs nothing, and the writer
-    certifies the result: by the round-trip law the line reader reads
-    a writer's output as the graph written, so the two cannot differ.
+    One split and one table lookup per edge token stand in for the line
+    reader's pass over lines.  The header is checked before anything is
+    built, so a hostile count costs nothing, and the writer certifies
+    the result: by the round-trip law the line reader reads a writer's
+    output as the graph written, so the two cannot differ.
     """
     tokens = _writer_tokens(text)
     if tokens is None:
@@ -171,18 +206,19 @@ def _bulk_graph(text: str, form: _GraphFormat) -> Optional[Graph]:
         return None
     if not 0 <= n <= MAX_VERTICES or len(tokens) != head + step * m:
         return None
+    # The writer's table read backwards: each vertex's string, numbered
+    # from form.base, to its 0-based id.  A token no writer emits for an
+    # n-vertex graph ("07", "+7", out of range) misses.
+    vertex = dict(zip(_names(form.base, n + form.base), range(n)))
     first = head + step - 2  # the first edge's u
     try:
-        us = list(map(int, tokens[first::step]))
-        vs = list(map(int, tokens[first + 1 :: step]))
+        us = list(map(vertex.__getitem__, tokens[first::step]))
+        vs = list(map(vertex.__getitem__, tokens[first + 1 :: step]))
         # The token strings are the largest part of a bulk read; they go
         # before the graph and its re-serialization are built.
         del tokens
-        if form.base:  # DIMACS numbers vertices from 1
-            shift = (-form.base).__add__
-            us, vs = map(shift, us), map(shift, vs)
         g = Graph(n, tuple(zip(us, vs)))
-    except ValueError:
+    except (KeyError, ValueError):
         return None
     return g if form.write(g) == text else None
 
@@ -210,7 +246,7 @@ def _read_graph(text: str, form: _GraphFormat) -> Graph:
         # A wrong field count fails the unpacking with ValueError too.
         try:
             first, a, b = line.split() if tag else pad + line.split()
-            u, v = int(a), int(b)
+            u, v = _int(a), _int(b)
         except ValueError:
             raise FormatError(f"malformed edge line: {line!r}") from None
         if first != tag:
@@ -242,8 +278,9 @@ def graph_digest(g: Graph) -> str:
 
 
 def serialize_matching(g: Graph, edge_ids: Iterable[int]) -> str:
+    names = _names(0, g.n)
     pairs = sorted(g.edges[e] for e in edge_ids)
-    return "".join(f"{u}-{v}\n" for u, v in pairs)
+    return "".join([f"{names[u]}-{names[v]}\n" for u, v in pairs])
 
 
 def _edge_id(g: Graph, u: int, v: int) -> int:
@@ -259,7 +296,7 @@ def parse_matching(text: str, g: Graph) -> EdgeSet:
     ids = set()
     for line in _significant_lines(text, "#"):
         try:
-            u, v = map(int, line.split("-"))
+            u, v = map(_int, line.split("-"))
         except ValueError:
             raise FormatError(f"malformed matching line: {line!r}") from None
         ids.add(_edge_id(g, u, v))
@@ -294,9 +331,11 @@ def serialize_partition(g: Graph, p: DimPartition) -> str:
 
 
 def _write_partition(g: Graph, p: DimPartition) -> str:
+    # Vertices are 0..n-1 and colors 1..k.
+    names = _names(0, max(g.n, p.num_classes + 1))
     lines = [f"classes {p.num_classes}"]
     lines.extend(
-        f"{u} {v} {p.color_of[eid]}" for eid, (u, v) in enumerate(g.edges)
+        [f"{names[u]} {names[v]} {names[c]}" for (u, v), c in zip(g.edges, p.color_of)]
     )
     return "\n".join(lines) + "\n"
 
@@ -309,13 +348,22 @@ def parse_partition(text: str, g: Graph) -> DimPartition:
 def _bulk_partition(text: str, g: Graph) -> Optional[DimPartition]:
     """The partition that the writer writes for ``g`` as exactly
     ``text``, else None; certified as in :func:`_bulk_graph`.  Only the
-    colors are converted: the certificate checks each line's edge."""
+    colors are looked up: the certificate checks each line's edge."""
     tokens = _writer_tokens(text)
     if tokens is None or len(tokens) != 2 + 3 * g.m:
         return None
     try:
-        p = DimPartition(int(tokens[1]), tuple(map(int, tokens[4::3])))
+        k = int(tokens[1])
     except ValueError:
+        return None
+    # More classes than edges leaves one empty, which DimPartition
+    # refuses, so the table of colors is never larger than the graph.
+    if not 0 <= k <= g.m:
+        return None
+    color = dict(zip(_names(1, k + 1), range(1, k + 1)))
+    try:
+        p = DimPartition(k, tuple(map(color.__getitem__, tokens[4::3])))
+    except (KeyError, ValueError):
         return None
     del tokens  # before the re-serialization, as in _bulk_graph
     return p if _write_partition(g, p) == text else None
@@ -332,7 +380,7 @@ def _read_partition(text: str, g: Graph) -> DimPartition:
     for line in itertools.islice(lines, 1, None):
         try:
             a, b, c = line.split()
-            u, v, color = int(a), int(b), int(c)
+            u, v, color = _int(a), _int(b), _int(c)
         except ValueError:
             raise FormatError(f"malformed partition line: {line!r}") from None
         eid = _edge_id(g, u, v)
@@ -345,8 +393,8 @@ def _read_partition(text: str, g: Graph) -> DimPartition:
         raise FormatError(str(exc)) from None
 
 
-def _format_label_set(labels: frozenset[int]) -> str:
-    return "{" + ",".join(str(a) for a in sorted(labels)) + "}"
+def _format_label_set(labels: frozenset[int], names: dict[int, str]) -> str:
+    return "{" + ",".join([names[a] for a in sorted(labels)]) + "}"
 
 
 def _parse_label_set(token: str) -> frozenset[int]:
@@ -357,14 +405,18 @@ def _parse_label_set(token: str) -> frozenset[int]:
     if not body:
         return frozenset()
     try:
-        return frozenset(int(part) for part in body.split(","))
+        return frozenset(_int(part) for part in body.split(","))
     except ValueError:
         raise FormatError(f"malformed label set: {token!r}") from None
 
 
 def serialize_labels(labels: Iterable[frozenset[int]]) -> str:
+    labels = tuple(labels)
+    # Keyed by label rather than indexed, since a parsed label may be
+    # negative; each vertex number occurs once and is formatted in place.
+    names = {a: str(a) for a in frozenset().union(*labels)}
     return "".join(
-        f"{v} : {_format_label_set(lab)}\n" for v, lab in enumerate(labels)
+        [f"{v} : {_format_label_set(lab, names)}\n" for v, lab in enumerate(labels)]
     )
 
 
@@ -377,7 +429,7 @@ def parse_labels(text: str) -> tuple[frozenset[int], ...]:
         if not sep:
             raise FormatError(f"malformed assignment line: {line!r}")
         try:
-            v = int(head.strip())
+            v = _int(head.strip())
         except ValueError:
             raise FormatError(f"malformed assignment line: {line!r}") from None
         if v in entries:

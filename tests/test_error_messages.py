@@ -3,10 +3,12 @@ closed-form coloring.
 
 Each row is an input and the full message it must raise, so a rewrite of
 a parser or a constructor cannot change a message, the order in which a
-file's faults are reported, or what ``int()`` accepts, without failing
-here.  The repeated-edge rows of the edge-list format are the one
-deliberate change: such a file used to load as a graph with fewer edges
-than its header declares.
+file's faults are reported, or the integer syntax the readers accept
+(ASCII digits with an optional sign and leading zeros), without failing
+here.  Two kinds of rows record deliberate changes: the repeated-edge
+rows of the edge-list format, since such a file used to load as a graph
+with fewer edges than its header declares, and the rows with digit-group
+underscores or non-ASCII digits, which int() reads and used to load.
 """
 
 import pytest
@@ -14,7 +16,13 @@ import pytest
 from dimtools.cli import run
 from dimtools.families import LabeledGraph, _leftover_coloring, cycle, kneser
 from dimtools.graph import Graph, build_graph
-from dimtools.io import FormatError, parse_graph, parse_matching, parse_partition
+from dimtools.io import (
+    FormatError,
+    parse_graph,
+    parse_labels,
+    parse_matching,
+    parse_partition,
+)
 
 EDGELIST_ERRORS = [
     ("", "missing header line"),
@@ -22,6 +30,7 @@ EDGELIST_ERRORS = [
     ("3\n", "malformed header line: '3'"),
     ("3 2 1\n0 1\n", "malformed header line: '3 2 1'"),
     ("x 1\n0 1\n", "malformed header line: 'x 1'"),
+    ("1_2 1\n0 10\n", "malformed header line: '1_2 1'"),
     ("-1 0\n", "vertex and edge counts must be nonnegative"),
     ("3 -1\n", "vertex and edge counts must be nonnegative"),
     ("100001 0\n", "vertex count 100001 exceeds the limit of 100000"),
@@ -38,8 +47,11 @@ EDGELIST_ERRORS = [
     ("3 1\n-1 2\n", "vertex out of range in line '-1 2'"),
     ("3 1\n0 3\n", "vertex out of range in line '0 3'"),
     ("3 1\n2 2\n", "self-loop at vertex 2"),
-    # int() accepts a sign and digit separators.
-    ("3 2\n+0 +1\n1_0 2\n", "vertex out of range in line '1_0 2'"),
+    # A sign is accepted, but not the digit-group underscores or the
+    # non-ASCII digits that int() also reads.
+    ("3 2\n+0 +1\n1_0 2\n", "malformed edge line: '1_0 2'"),
+    ("12 1\n0 1_0\n", "malformed edge line: '0 1_0'"),
+    ("12 1\n0 \u0661\u0660\n", "malformed edge line: '0 \u0661\u0660'"),
     ("3 1\r\n+2 2\r\n", "self-loop at vertex 2"),
     # The first faulty line is reported, whatever its fault.
     ("3 2\n0 5\n1 1\n", "vertex out of range in line '0 5'"),
@@ -57,6 +69,7 @@ DIMACS_ERRORS = [
     ("p edge 2 1 7\n", "malformed problem line: 'p edge 2 1 7'"),
     ("p foo 2 1\ne 1 2\n", "malformed problem line: 'p foo 2 1'"),
     ("p edge x 1\n", "malformed problem line: 'p edge x 1'"),
+    ("p edge 1_2 1\ne 1 2\n", "malformed problem line: 'p edge 1_2 1'"),
     ("e 1 2\n", "malformed problem line: 'e 1 2'"),
     ("p edge -2 1\n", "vertex and edge counts must be nonnegative"),
     ("p edge 100001 0\n", "vertex count 100001 exceeds the limit of 100000"),
@@ -65,6 +78,8 @@ DIMACS_ERRORS = [
     ("p edge 2 1\nf 1 2\n", "malformed edge line: 'f 1 2'"),
     ("p edge 2 1\n1 2\n", "malformed edge line: '1 2'"),
     ("p edge 2 1\ne 1 x\n", "malformed edge line: 'e 1 x'"),
+    ("p edge 12 1\ne 1 1_1\n", "malformed edge line: 'e 1 1_1'"),
+    ("p edge 12 1\ne 1 \u0661\u0661\n", "malformed edge line: 'e 1 \u0661\u0661'"),
     ("p edge 2 1\ne 0 1\n", "vertex out of range in line 'e 0 1'"),
     ("p edge 2 1\ne -1 1\n", "vertex out of range in line 'e -1 1'"),
     ("p edge 2 1\ne 1 3\n", "vertex out of range in line 'e 1 3'"),
@@ -74,7 +89,7 @@ DIMACS_ERRORS = [
 
 GRAPHS_ACCEPTED = [
     ("edgelist", "3 2\r\n0 1\r\n# c\r\n\r\n1 2\r\n", 3, ((0, 1), (1, 2))),
-    ("edgelist", "11 2\n+0 +1\n1_0 2\n", 11, ((0, 1), (2, 10))),
+    ("edgelist", "11 2\n+0 +1\n010 2\n", 11, ((0, 1), (2, 10))),
     ("edgelist", "3 2\n2 1\n1 0\n", 3, ((0, 1), (1, 2))),
     ("dimacs", "c x\r\np edge 3 2\r\n\r\ne 1 2\r\ne +2 3\r\n", 3, ((0, 1), (1, 2))),
     # DIMACS files from other tools may list an edge twice; it is merged.
@@ -92,8 +107,10 @@ PARTITION_ERRORS = [
     ("class 2\n0 1 1\n1 2 2\n2 3 1\n0 3 2\n", "malformed partition header: 'class 2'"),
     ("classes x\n", "malformed partition header: 'classes x'"),
     ("classes 2 3\n", "malformed partition header: 'classes 2 3'"),
+    ("classes \u0662\n", "malformed partition header: 'classes \u0662'"),
     ("classes 2\n0 1 1\n", "partition has 1 edge lines, graph has 4"),
     ("classes 2\n0 1 1\n1 2 2\n2 3 1\n0 3\n", "malformed partition line: '0 3'"),
+    ("classes 2\n0 1 1\n1 2 2\n2 3 1\n0 3 0_2\n", "malformed partition line: '0 3 0_2'"),
     ("classes 2\n0 1 1\n1 2 2\n2 3 1\n0 2 2\n", "(0, 2) is not an edge of the graph"),
     ("classes 2\n0 1 1\n1 2 2\n2 3 1\n2 0 2\n", "(2, 0) is not an edge of the graph"),
     ("classes 2\n0 1 1\n1 2 2\n2 3 1\n0 9 2\n", "(0, 9) is not an edge of the graph"),
@@ -110,6 +127,7 @@ PARTITIONS_ACCEPTED = [
     # A reversed pair names the same edge.
     "classes 2\n1 0 1\n1 2 2\n2 3 1\n0 3 2\n",
     "classes 2\r\n0 1 1\r\n1 2 2\r\n2 3 1\r\n0 3 +2\r\n",
+    "classes 02\n00 1 1\n0 03 2\n1 2 +2\n2 3 01\n",
 ]
 
 MATCHING_ERRORS = [
@@ -119,6 +137,15 @@ MATCHING_ERRORS = [
     ("0-1-2\n", "malformed matching line: '0-1-2'"),
     ("-1-0\n", "malformed matching line: '-1-0'"),
     ("a-b\n", "malformed matching line: 'a-b'"),
+    ("0-1_0\n", "malformed matching line: '0-1_0'"),
+    ("\u0660-1\n", "malformed matching line: '\u0660-1'"),
+]
+
+LABEL_ERRORS = [
+    ("0 : {1}\n1_0 : {2}\n", "malformed assignment line: '1_0 : {2}'"),
+    ("\u0660 : {1}\n", "malformed assignment line: '\u0660 : {1}'"),
+    ("0 : {1,2_0}\n", "malformed label set: '{1,2_0}'"),
+    ("0 : {\u0661}\n", "malformed label set: '{\u0661}'"),
 ]
 
 GRAPH_ERRORS = [
@@ -192,6 +219,15 @@ def test_matching_error_text(text, message):
 
 def test_matching_accepts_either_orientation():
     assert parse_matching("1-0\n3-2\n0-1\n", cycle(4)) == frozenset({0, 3})
+
+
+@pytest.mark.parametrize("text,message", LABEL_ERRORS)
+def test_label_error_text(text, message):
+    _raises(FormatError, message, parse_labels, text)
+
+
+def test_labels_accept_sign_and_leading_zeros():
+    assert parse_labels("00 : {+1, 02}\n+1 : {}\n") == (frozenset({1, 2}), frozenset())
 
 
 @pytest.mark.parametrize("n,edges,message", GRAPH_ERRORS)

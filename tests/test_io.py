@@ -3,7 +3,8 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimtools.checks import full_report
 from dimtools.corpus import connected_graphs
@@ -16,7 +17,7 @@ from dimtools.families import (
     petersen,
     star,
 )
-from dimtools.graph import build_graph
+from dimtools.graph import Graph, build_graph
 from dimtools.io import (
     MAX_VERTICES,
     FormatError,
@@ -32,7 +33,7 @@ from dimtools.io import (
     serialize_matching,
     serialize_partition,
 )
-from dimtools.partition import find_dim_partition
+from dimtools.partition import DimPartition, find_dim_partition
 from dimtools.solver import find_dim
 
 from test_graph import graphs_strategy
@@ -217,6 +218,92 @@ class TestPartitionFormat:
         assert _peak_bytes(refused) < 1_000_000
 
 
+# Reference writers, independent of the number tables in io.py: one
+# f-string per line, each number formatted where it occurs.
+def _reference_edgelist(g):
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_dimacs(g):
+    lines = [f"p edge {g.n} {g.m}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_partition(g, p):
+    lines = [f"classes {p.num_classes}"]
+    lines.extend(f"{u} {v} {p.color_of[eid]}" for eid, (u, v) in enumerate(g.edges))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_matching(g, edge_ids):
+    return "".join(f"{u}-{v}\n" for u, v in sorted(g.edges[e] for e in edge_ids))
+
+
+def _reference_labels(labels):
+    return "".join(
+        f"{v} : " + "{" + ",".join(str(a) for a in sorted(lab)) + "}\n"
+        for v, lab in enumerate(labels)
+    )
+
+
+@st.composite
+def _sparse_graphs(draw, min_n=0, min_m=0, max_m=12):
+    """Up to 12 000 vertices, so numbers of 1 to 5 digits, and a few
+    distinct random edges; the top vertex is nearly always isolated."""
+    n = draw(st.integers(min_value=min_n, max_value=12_000))
+    if n < 2:
+        return Graph(n, ())
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = st.lists(pairs, min_size=min_m, max_size=max_m, unique_by=frozenset)
+    return build_graph(n, draw(edges))
+
+
+@st.composite
+def _colored_graphs(draw):
+    """A sparse graph with a total coloring of its edges in 10 to 25
+    colors, each used at least once."""
+    k = draw(st.integers(min_value=10, max_value=25))
+    g = draw(_sparse_graphs(min_n=10, min_m=k, max_m=k + 10))
+    extra = draw(st.lists(st.integers(1, k), min_size=g.m - k, max_size=g.m - k))
+    colors = draw(st.permutations(list(range(1, k + 1)) + extra))
+    return g, DimPartition(k, tuple(colors))
+
+
+class TestWritersMatchReference:
+    @settings(max_examples=30, deadline=None)
+    @given(_sparse_graphs())
+    @example(Graph(0, ()))
+    @example(Graph(12_000, ()))  # m = 0 and every vertex isolated
+    @example(build_graph(10_001, [(0, 9_999), (9, 10)]))  # isolated top vertex
+    def test_graph_and_matching_writers(self, g):
+        text = serialize_graph(g)
+        assert text == _reference_edgelist(g)
+        assert parse_graph(text) == g
+        text = serialize_graph(g, "dimacs")
+        assert text == _reference_dimacs(g)
+        assert parse_graph(text, "dimacs") == g
+        assert serialize_matching(g, range(g.m)) == _reference_matching(g, range(g.m))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_colored_graphs())
+    def test_partition_writer(self, case):
+        g, p = case
+        text = serialize_partition(g, p)
+        assert text == _reference_partition(g, p)
+        assert parse_partition(text, g) == p
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(-3, 12_000), max_size=5), max_size=12))
+    def test_labels_writer(self, labels):
+        text = serialize_labels(labels)
+        assert text == _reference_labels(labels)
+        assert parse_labels(text) == tuple(labels)
+
+
 class TestListAssignmentFormat:
     def test_roundtrip(self):
         labels = (frozenset({1, 2}), frozenset(), frozenset({3}))
@@ -248,6 +335,10 @@ def _outcome(parse, text, *args):
         return parse(text, *args)
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+# Arabic-Indic digits, which int() reads too.
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 
 def _mutations(text, fmt, n):
@@ -283,6 +374,11 @@ def _mutations(text, fmt, n):
                 edits = (field + "x",)
             for new in edits:
                 yield with_fields(fields[:j] + [new] + fields[j + 1 :])
+        # Two spellings that int() reads as a number, on the line's last one.
+        j, field = max((j, f) for j, f in enumerate(fields) if f.isdigit())
+        underscored = (field[:-1] or "0") + "_" + field[-1]
+        for new in (underscored, field.translate(_ARABIC_INDIC)):
+            yield with_fields(fields[:j] + [new] + fields[j + 1 :])
         if i and len(fields) > b:
             yield with_fields(fields[:b] + [fields[a]] + fields[b + 1 :])  # self-loop
             yield with_fields(fields[:b] + [str(n + base)] + fields[b + 1 :])  # out of range
