@@ -14,13 +14,19 @@ and whether a repeated edge is merged), read by one reader,
 :func:`parse_graph`.  The writers stay one per format, a few lines
 each.
 
-Every writer formats numbers through one table of decimal strings
-built for the call (:func:`_names`), so a vertex number or color is
-formatted once however many lines it occurs on, and an edge line is
-two lookups and a concatenation.  KG(13,6)'s edge list is written in
-0.67 ms, its DIMACS in 0.75 and its partition in 0.86 (min of 15 x 20
-calls, 2-vCPU Xeon, CPython 3.11); a writer shared through the row
-measured the same as the two graph writers (0.68 and 0.77 ms).
+The graph and partition writers format numbers through one table of
+decimal strings built for the call (:func:`_names`), so a vertex
+number or color is formatted once however many lines it occurs on,
+and an edge line is one f-string of looked-up strings.  The table
+holds only the numbers written, so the gain grows with edges per
+vertex, and a vertex with no edge costs one empty slot and the test of
+its degree.  KG(13,6)'s edge list is written in 0.67 ms, its DIMACS
+in 0.69 and its partition in 0.87, and a 100 000-vertex graph of one
+edge in 2.2 ms, a tenth of the time that graph takes to build
+(min of 15 x 20 calls, and of 5 x 3 for the sparse graph, 2-vCPU Xeon,
+CPython 3.11); a writer shared through the row measured 0.69 and
+0.70 ms.  A matching names each vertex at most once, and the
+labels sidecar is not timed, so both format each number in place.
 
 An integer, in every format, is ASCII decimal digits after an optional
 sign, leading zeros allowed: "+7" and "07" read as 7, while the
@@ -44,21 +50,22 @@ serialize(parse(text)) is the canonical form of text.
 :func:`parse_graph` and :func:`parse_partition` first try a bulk path
 for canonical text, which is every file dimtools writes: one split, a
 header check before anything is built, one lookup per vertex token (or,
-in a partition, per color token) in the writer's table read backwards,
-then the result, returned only if the format's writer reproduces the
-text byte for byte.  A token no writer emits ("07", "+7", a number out
-of range) misses the table and sends the text to the line reader
-before a graph is built.  By the round-trip law the line reader would
-read a certified text as the same value, so the bulk path changes no
-answer; every other valid file (comments, CRLF, tabs, repeated or
-unsorted edges) and every error goes through the line reader as
-before.  On KG(13,6) the edge
-list reads in 4.5 ms against 8.0 for the line reader, the DIMACS
-file in 4.6 against 7.6 and the partition in 1.8 against 6.4; a
-CRLF edge list, turned away after the split, in 8.3 against 7.8,
-and an unsorted one, turned away by the Graph constructor, in 10.1
-against 8.0 (medians of 60 interleaved calls, 2-vCPU Xeon, CPython
-3.11).
+in a partition, per color token) in the writer's numbers read
+backwards, a table with no more entries than the text has tokens, then
+the result, returned only if the format's writer reproduces the text
+byte for byte.  A token no writer emits ("07", "+7", a number out of
+range) misses the table and sends the text to the line reader before a
+graph is built, and so does a vertex numbered above the table, which
+only a graph with isolated vertices can name.  By the round-trip law
+the line reader would read a certified text as the same value, so the
+bulk path changes no answer; every other valid file (comments, CRLF,
+tabs, repeated or unsorted edges) and every error goes through the line
+reader as before.  On KG(13,6) the edge list reads in 4.7 ms against
+7.5 for the line reader, the DIMACS file in 4.7 against 7.1 and the
+partition in 1.9 against 5.6; a CRLF edge list, turned away after
+the split, in 8.4 against 7.8, and an unsorted one, turned away
+by the Graph constructor, in 10.6 against 8.1 (medians of 60
+interleaved calls, 2-vCPU Xeon, CPython 3.11).
 
 Matchings serialize as one "u-v" pair per line in canonical edge
 order.  A certificate prefixes that with a sha256 digest of the
@@ -109,21 +116,35 @@ def _header(lines: list[str], name: str, lead: list[str], count: int) -> list[in
     raise FormatError(f"malformed {name}: {lines[0]!r}")
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` holds no digit-group underscore and no non-ASCII
+    digit: int() reads both, and no format allows either."""
+    return text.isascii() and "_" not in text
+
+
 def _int(token: str) -> int:
-    """``token`` as an integer: ASCII digits with an optional sign, as
-    every line reader accepts them; else ValueError, which each reader
-    reports as its malformed line.  int() alone also reads digit-group
-    underscores and non-ASCII digits."""
-    if token.isascii() and "_" not in token:
+    """``token`` as an integer: ASCII digits with an optional sign, the
+    integers every format allows; else ValueError, which each reader
+    reports as its malformed line."""
+    if _plain(token):
         return int(token)
     raise ValueError(f"not an ASCII decimal integer: {token!r}")
 
 
-def _names(first: int, stop: int) -> list[str]:
-    """The decimal strings of first..stop-1: the per-call table through
-    which a writer formats, and a bulk reader resolves, each number
-    once however often it recurs."""
-    return list(map(str, range(first, stop)))
+def _names(numbers: Iterable[int], size: int, first: int = 0) -> list[str]:
+    """A table of ``size`` slots in which slot v holds the decimal
+    string of v + first for each v in ``numbers`` and the others hold
+    "": built for one call, so that a writer formats each number it
+    writes once however many lines it occurs on, and no other."""
+    names = [""] * size
+    for v in numbers:
+        names[v] = str(v + first)
+    return names
+
+
+def _ends(g: Graph) -> Iterable[int]:
+    """The vertices of g that have an edge: the only ones written."""
+    return itertools.compress(range(g.n), g.degrees)
 
 
 class _GraphFormat(NamedTuple):
@@ -137,18 +158,16 @@ class _GraphFormat(NamedTuple):
 
 
 def serialize_edgelist(g: Graph) -> str:
-    names = _names(0, g.n)
-    pre = [name + " " for name in names]
+    names = _names(_ends(g), g.n)
     lines = [f"{g.n} {g.m}"]
-    lines.extend([pre[u] + names[v] for u, v in g.edges])
+    lines.extend([f"{names[u]} {names[v]}" for u, v in g.edges])
     return "\n".join(lines) + "\n"
 
 
 def serialize_dimacs(g: Graph) -> str:
-    names = _names(1, g.n + 1)
-    pre = ["e " + name + " " for name in names]
+    names = _names(_ends(g), g.n, 1)
     lines = [f"p edge {g.n} {g.m}"]
-    lines.extend([pre[u] + names[v] for u, v in g.edges])
+    lines.extend([f"e {names[u]} {names[v]}" for u, v in g.edges])
     return "\n".join(lines) + "\n"
 
 
@@ -191,9 +210,10 @@ def _bulk_graph(text: str, form: _GraphFormat) -> Optional[Graph]:
 
     One split and one table lookup per edge token stand in for the line
     reader's pass over lines.  The header is checked before anything is
-    built, so a hostile count costs nothing, and the writer certifies
-    the result: by the round-trip law the line reader reads a writer's
-    output as the graph written, so the two cannot differ.
+    built, and the table is never larger than the text, so a hostile
+    count costs nothing; the writer certifies the result: by the
+    round-trip law the line reader reads a writer's output as the graph
+    written, so the two cannot differ.
     """
     tokens = _writer_tokens(text)
     if tokens is None:
@@ -206,10 +226,14 @@ def _bulk_graph(text: str, form: _GraphFormat) -> Optional[Graph]:
         return None
     if not 0 <= n <= MAX_VERTICES or len(tokens) != head + step * m:
         return None
-    # The writer's table read backwards: each vertex's string, numbered
-    # from form.base, to its 0-based id.  A token no writer emits for an
-    # n-vertex graph ("07", "+7", out of range) misses.
-    vertex = dict(zip(_names(form.base, n + form.base), range(n)))
+    # The writer's numbers read backwards: each vertex's string, numbered
+    # from form.base, to its 0-based id, for no more vertices than there
+    # are tokens.  A token no writer emits for an n-vertex graph ("07",
+    # "+7", out of range) misses, and so does a vertex numbered above the
+    # table, which only a graph with isolated vertices can name; either
+    # sends the text to the line reader.
+    size = min(n, len(tokens))
+    vertex = dict(zip(map(str, range(form.base, form.base + size)), range(size)))
     first = head + step - 2  # the first edge's u
     try:
         us = list(map(vertex.__getitem__, tokens[first::step]))
@@ -242,14 +266,17 @@ def _read_graph(text: str, form: _GraphFormat) -> Graph:
     # sorted; the set finds repeats.
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
+    # One test of the whole text clears the integers of every line of a
+    # plain file; otherwise each line's are tested, as _int does.
+    plain = _plain(text)
     for line in itertools.islice(lines, 1, None):
         # A wrong field count fails the unpacking with ValueError too.
         try:
             first, a, b = line.split() if tag else pad + line.split()
-            u, v = _int(a), _int(b)
+            u, v = int(a), int(b)
         except ValueError:
             raise FormatError(f"malformed edge line: {line!r}") from None
-        if first != tag:
+        if first != tag or not (plain or _plain(a + b)):
             raise FormatError(f"malformed edge line: {line!r}")
         if u >= v:
             if u == v:
@@ -278,9 +305,8 @@ def graph_digest(g: Graph) -> str:
 
 
 def serialize_matching(g: Graph, edge_ids: Iterable[int]) -> str:
-    names = _names(0, g.n)
     pairs = sorted(g.edges[e] for e in edge_ids)
-    return "".join([f"{names[u]}-{names[v]}\n" for u, v in pairs])
+    return "".join(f"{u}-{v}\n" for u, v in pairs)
 
 
 def _edge_id(g: Graph, u: int, v: int) -> int:
@@ -331,9 +357,9 @@ def serialize_partition(g: Graph, p: DimPartition) -> str:
 
 
 def _write_partition(g: Graph, p: DimPartition) -> str:
-    # Vertices are 0..n-1 and colors 1..k.
-    names = _names(0, max(g.n, p.num_classes + 1))
-    lines = [f"classes {p.num_classes}"]
+    k = p.num_classes  # colors are 1..k
+    names = _names(itertools.chain(_ends(g), range(1, k + 1)), max(g.n, k + 1))
+    lines = [f"classes {k}"]
     lines.extend(
         [f"{names[u]} {names[v]} {names[c]}" for (u, v), c in zip(g.edges, p.color_of)]
     )
@@ -360,7 +386,7 @@ def _bulk_partition(text: str, g: Graph) -> Optional[DimPartition]:
     # refuses, so the table of colors is never larger than the graph.
     if not 0 <= k <= g.m:
         return None
-    color = dict(zip(_names(1, k + 1), range(1, k + 1)))
+    color = dict(zip(map(str, range(1, k + 1)), range(1, k + 1)))
     try:
         p = DimPartition(k, tuple(map(color.__getitem__, tokens[4::3])))
     except (KeyError, ValueError):
@@ -377,12 +403,15 @@ def _read_partition(text: str, g: Graph) -> DimPartition:
         raise FormatError(f"partition has {len(lines) - 1} edge lines, graph has {g.m}")
     # As many lines as edges and none repeated: every edge gets a color.
     colors: list[Optional[int]] = [None] * g.m
+    plain = _plain(text)  # as in _read_graph
     for line in itertools.islice(lines, 1, None):
         try:
             a, b, c = line.split()
-            u, v, color = _int(a), _int(b), _int(c)
+            u, v, color = int(a), int(b), int(c)
         except ValueError:
             raise FormatError(f"malformed partition line: {line!r}") from None
+        if not (plain or _plain(a + b + c)):
+            raise FormatError(f"malformed partition line: {line!r}")
         eid = _edge_id(g, u, v)
         if colors[eid] is not None:
             raise FormatError(f"edge ({u}, {v}) colored twice")
@@ -393,8 +422,8 @@ def _read_partition(text: str, g: Graph) -> DimPartition:
         raise FormatError(str(exc)) from None
 
 
-def _format_label_set(labels: frozenset[int], names: dict[int, str]) -> str:
-    return "{" + ",".join([names[a] for a in sorted(labels)]) + "}"
+def _format_label_set(labels: frozenset[int]) -> str:
+    return "{" + ",".join(str(a) for a in sorted(labels)) + "}"
 
 
 def _parse_label_set(token: str) -> frozenset[int]:
@@ -411,12 +440,8 @@ def _parse_label_set(token: str) -> frozenset[int]:
 
 
 def serialize_labels(labels: Iterable[frozenset[int]]) -> str:
-    labels = tuple(labels)
-    # Keyed by label rather than indexed, since a parsed label may be
-    # negative; each vertex number occurs once and is formatted in place.
-    names = {a: str(a) for a in frozenset().union(*labels)}
     return "".join(
-        [f"{v} : {_format_label_set(lab, names)}\n" for v, lab in enumerate(labels)]
+        f"{v} : {_format_label_set(lab)}\n" for v, lab in enumerate(labels)
     )
 
 

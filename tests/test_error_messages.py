@@ -98,6 +98,10 @@ GRAPHS_ACCEPTED = [
     # Fields may be separated by tabs as well as spaces.
     ("edgelist", "3\t2\n0\t1\n2 \t1\n", 3, ((0, 1), (1, 2))),
     ("dimacs", "p\tedge 3\t2\ne\t1\t2\ne 2\t 3\n", 3, ((0, 1), (1, 2))),
+    # An underscore or a non-ASCII character outside the numbers, in a
+    # comment or as whitespace, leaves them valid.
+    ("edgelist", "# n_1 \u00e9\n3 2\n0\u00a01\n2\u20031\n", 3, ((0, 1), (1, 2))),
+    ("dimacs", "c n_1 \u00e9\np edge 3 2\ne 1\u00a02\ne\u20032 3\n", 3, ((0, 1), (1, 2))),
 ]
 
 # Partition files for the 4-cycle, whose edges are (0,1) (0,3) (1,2) (2,3).
@@ -128,6 +132,7 @@ PARTITIONS_ACCEPTED = [
     "classes 2\n1 0 1\n1 2 2\n2 3 1\n0 3 2\n",
     "classes 2\r\n0 1 1\r\n1 2 2\r\n2 3 1\r\n0 3 +2\r\n",
     "classes 02\n00 1 1\n0 03 2\n1 2 +2\n2 3 01\n",
+    "# n_1 \u00e9\nclasses 2\n0\u00a01 1\n0 3 2\n1 2\u20032\n2 3 1\n",
 ]
 
 MATCHING_ERRORS = [

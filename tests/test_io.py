@@ -144,11 +144,14 @@ def _refused(text, fmt, message):
         ("1000000000 0\n", "edgelist", "exceeds the limit"),
         ("p edge 1000000000 0\n", "dimacs", "exceeds the limit"),
         ("5 1000000000\n0 1\n", "edgelist", "declared 1000000000 edges but found 1 edge lines"),
+        ("100000 1\n0 1_0\n", "edgelist", "malformed edge line"),
+        ("p edge 100000 1\ne 1 ١\n", "dimacs", "malformed edge line"),
     ],
 )
 def test_hostile_header_costs_no_memory(text, fmt, message):
-    # Canonical-looking text: the header is refused before either
-    # reader allocates anything it declares.
+    # Canonical-looking text: the header, or the one edge line after a
+    # large vertex count, is refused before either reader allocates
+    # anything the header declares.
     assert _peak_bytes(_refused, text, fmt, message) < 1_000_000
 
 
