@@ -23,11 +23,19 @@ than one disjointness test per vertex pair.  Each edge is kept once,
 from its smaller end, and each label's partners come out in ascending
 order, so the pairs are in canonical order and go to the Graph
 constructor as they are.
+
+The labels stay the colex arrays they were enumerated as: a
+LabeledGraph's ``labels`` is a SubsetLabels view that builds a label's
+frozenset only when that label is read, so a caller that reads none
+(``gen`` without ``--with-labels``, say) builds none, and the leftover
+coloring reads the arrays themselves.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -39,12 +47,79 @@ from .partition import DimPartition
 SubsetLabel = frozenset[int]
 
 
+class SubsetLabels(Sequence):
+    """Vertex labels as a read-only sequence over integer arrays.
+
+    ``parts`` holds one (N_i, k_i) array per block of consecutive
+    vertices, each row a label's elements in strictly ascending order;
+    each is a read-only view of the array given, not a copy.  Reading a
+    label builds its frozenset then, and nothing is cached: an index
+    costs one row's frozenset (about two microseconds for nine
+    elements), a slice returns a tuple, and iteration builds each label
+    in turn.  A view equals another view with the same labels, compared
+    as arrays when the blocks have the same shapes, and the tuple of its
+    frozensets.
+    """
+
+    __slots__ = ("parts", "_len")
+
+    def __init__(self, parts: Iterable[np.ndarray]) -> None:
+        views = []
+        for part in parts:
+            view = np.asarray(part).view()
+            if view.ndim != 2 or not np.issubdtype(view.dtype, np.integer):
+                raise ValueError("label rows must form a 2-D integer array")
+            # Ascending rows make equal labels equal rows, so views compare
+            # as arrays.
+            if (view[:, 1:] <= view[:, :-1]).any():
+                raise ValueError("label rows must be strictly ascending")
+            view.flags.writeable = False
+            views.append(view)
+        self.parts: tuple[np.ndarray, ...] = tuple(views)
+        self._len = sum(map(len, views))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index) -> SubsetLabel | tuple[SubsetLabel, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(self._len)[index]))
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("label index out of range")
+        for part in self.parts:
+            if i < len(part):
+                return frozenset(part[i].tolist())
+            i -= len(part)
+
+    def __iter__(self) -> Iterator[SubsetLabel]:
+        for part in self.parts:
+            yield from map(frozenset, part.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SubsetLabels):
+            if [p.shape for p in self.parts] == [p.shape for p in other.parts]:
+                return all(map(np.array_equal, self.parts, other.parts))
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        # Equal to a tuple of frozensets, so hashed as one.
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"SubsetLabels({tuple(p.tolist() for p in self.parts)!r})"
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """A graph whose vertices carry subset labels over {1..ground_size}."""
 
     graph: Graph
-    labels: tuple[SubsetLabel, ...]
+    labels: SubsetLabels
     ground_size: int
 
 
@@ -109,9 +184,7 @@ def _disjoint_pairs(
 def _labeled_graph(
     parts: tuple[np.ndarray, ...], edges: tuple[VertexPair, ...], ground_size: int
 ) -> LabeledGraph:
-    labels = tuple(itertools.chain.from_iterable(
-        map(frozenset, part.tolist()) for part in parts
-    ))
+    labels = SubsetLabels(parts)
     return LabeledGraph(Graph(len(labels), edges), labels, ground_size)
 
 
@@ -146,16 +219,16 @@ def bipartite_kneser(m: int, n: int) -> LabeledGraph:
 def _leftover_coloring(lg: LabeledGraph) -> DimPartition:
     """Color each edge by the unique ground element missing from both labels.
 
-    Labels are rows of a vertex-by-element table, so each edge's
-    uncovered elements are one row operation, exact at any ground size.
+    Labels are rows of a vertex-by-element table, marked straight from
+    the label arrays, so each edge's uncovered elements are one row
+    operation, exact at any ground size.
     """
     g, ground = lg.graph, lg.ground_size
-    sizes = np.fromiter(map(len, lg.labels), np.intp, g.n)
     member = np.zeros((g.n, ground + 1), dtype=bool)
-    member[
-        np.repeat(np.arange(g.n), sizes),
-        np.fromiter(itertools.chain.from_iterable(lg.labels), np.intp, sizes.sum()),
-    ] = True
+    first = 0
+    for part in lg.labels.parts:
+        member[np.arange(first, first + len(part))[:, None], part] = True
+        first += len(part)
     member[:, 0] = True  # column 0 is no element
     ends = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * g.m)
     # Row-major, so exactly one element per edge reads 0, 1, ... m - 1.

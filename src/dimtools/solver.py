@@ -171,9 +171,13 @@ def _domination_table(g: Graph) -> np.ndarray:
     ends = np.fromiter(
         chain.from_iterable(g.edges), dtype=np.intp, count=2 * m
     ).reshape(m, 2)
-    at_u, at_v = inc[ends[:, 0]], inc[ends[:, 1]]
+    # One gather builds the table, with no half tables to join: row e of
+    # the (m, 2, width) result is u's row of inc then v's, which laid out
+    # flat is the padded row.
+    table = inc[ends]
+    at_v = table[:, 1]
     at_v[at_v == np.arange(m)[:, None]] = m
-    return np.hstack((at_u, at_v))
+    return table.reshape(m, 2 * inc.shape[1])
 
 
 def classify_dim(g: Graph, edge_ids: Iterable[EdgeId]) -> DimWitness:

@@ -171,6 +171,24 @@ class TestGen:
         labels = (tmp_path / "g.g.labels").read_text()
         assert labels == serialize_labels(labeled.labels)
 
+    @pytest.mark.parametrize("extra", [[], ["--with-partition"]])
+    def test_gen_reads_no_label_without_with_labels(self, tmp_path, monkeypatch, extra):
+        argv = ["gen", "kneser-family", "--r", "3", *extra, "-o"]
+        assert invoke([*argv, str(tmp_path / "before.g")]) == (0, "", "")
+
+        def unread(*args):
+            raise AssertionError("a label was read")
+
+        monkeypatch.setattr(families.SubsetLabels, "__getitem__", unread)
+        monkeypatch.setattr(families.SubsetLabels, "__iter__", unread)
+        assert invoke([*argv, str(tmp_path / "after.g")]) == (0, "", "")
+        for suffix in ("", ".partition") if extra else ("",):
+            before = (tmp_path / f"before.g{suffix}").read_bytes()
+            assert (tmp_path / f"after.g{suffix}").read_bytes() == before
+        # The patch bites: the label writer does read every label.
+        code, _, err = invoke([*argv, str(tmp_path / "labels.g"), "--with-labels"])
+        assert code == 4 and "a label was read" in err
+
     @pytest.mark.parametrize("family", ["cycle", "complete", "star", "petersen"])
     def test_labels_on_unlabelled_family_is_usage_error(self, tmp_path, family):
         base = tmp_path / "g.g"

@@ -14,7 +14,7 @@ underscores or non-ASCII digits, which int() reads and used to load.
 import pytest
 
 from dimtools.cli import run
-from dimtools.families import LabeledGraph, _leftover_coloring, cycle, kneser
+from dimtools.families import LabeledGraph, SubsetLabels, _leftover_coloring, cycle, kneser
 from dimtools.graph import Graph, build_graph
 from dimtools.io import (
     FormatError,
@@ -181,7 +181,7 @@ LEFTOVER_ERRORS = [
     # K5 on the singletons of {1..5}: every edge leaves three elements.
     kneser(5, 1),
     # One edge whose labels meet cover all of {1, 2, 3}: none is left.
-    LabeledGraph(build_graph(2, [(0, 1)]), (frozenset({1, 2}), frozenset({2, 3})), 3),
+    LabeledGraph(build_graph(2, [(0, 1)]), SubsetLabels(([[1, 2], [2, 3]],)), 3),
 ]
 
 

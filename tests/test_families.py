@@ -4,10 +4,13 @@ import itertools
 from math import comb
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from dimtools import families
 from dimtools.families import (
+    LabeledGraph,
+    SubsetLabels,
     bg_dim_partition,
     bipartite_kneser,
     complete,
@@ -195,6 +198,75 @@ class TestBipartiteKneser:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             bipartite_kneser(0, 1)
+
+
+def read_one_by_one(labels):
+    """Every way the view hands out labels, checked against each other."""
+    n = len(labels)
+    by_index = tuple(labels[i] for i in range(n))
+    assert tuple(labels[i - n] for i in range(n)) == by_index
+    assert tuple(labels) == by_index
+    assert labels[:] == by_index
+    assert labels[n // 3: n - 1: 2] == by_index[n // 3: n - 1: 2]
+    assert labels[::-1] == by_index[::-1]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            labels[i]
+    return by_index
+
+
+class TestSubsetLabels:
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_kneser_family_labels_are_colex(self, r):
+        want = tuple(colex_labels(2 * r - 1, r - 1))
+        labels = kneser(2 * r - 1, r - 1).labels
+        assert len(labels) == len(want)
+        assert read_one_by_one(labels) == want
+        assert labels == want and want == labels
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)])
+    def test_bg_labels_are_both_sides_in_colex(self, m, n):
+        ground = m + n + 1
+        want = tuple(colex_labels(ground, m)) + tuple(colex_labels(ground, n))
+        labels = bipartite_kneser(m, n).labels
+        assert [len(p) for p in labels.parts] == [comb(ground, m), comb(ground, n)]
+        assert read_one_by_one(labels) == want
+        assert labels == want
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (7, 4), (9, 5), (3, 4), (1, 5)])
+    def test_edgeless_and_empty_kneser(self, n, k):
+        want = tuple(colex_labels(n, k))
+        labels = kneser(n, k).labels
+        assert len(labels) == comb(n, k)
+        assert read_one_by_one(labels) == want
+        assert labels == want
+
+    def test_equality_and_hash(self):
+        a, b = kneser(7, 3).labels, kneser(7, 3).labels
+        assert a is not b and a == b and hash(a) == hash(b) == hash(tuple(a))
+        # The same labels in other blocks are still the same labels.
+        rows = a.parts[0]
+        assert a == SubsetLabels((rows[:10], rows[10:]))
+        assert a != tuple(a)[:-1] and a != list(a) and a != kneser(7, 2).labels
+
+    def test_labeled_graphs_differing_in_one_label_row_are_unequal(self):
+        lg = kneser(5, 2)
+        rows = lg.labels.parts[0].copy()
+        rows[4] = [1, 5]  # {2, 4} -> {1, 5}
+        other = LabeledGraph(lg.graph, SubsetLabels((rows,)), lg.ground_size)
+        assert other != lg and lg == kneser(5, 2)
+        assert other.labels[4] == frozenset({1, 5}) and lg.labels[4] == frozenset({2, 4})
+
+    def test_view_is_read_only(self):
+        labels = SubsetLabels((np.array([[1, 2], [2, 3]]),))
+        with pytest.raises(ValueError):
+            labels.parts[0][0, 0] = 3
+        assert labels == (frozenset({1, 2}), frozenset({2, 3}))
+
+    @pytest.mark.parametrize("rows", [[[2, 1]], [[1, 1]], [1, 2], [[0.5, 1.5]]])
+    def test_rows_must_be_ascending_integers(self, rows):
+        with pytest.raises(ValueError):
+            SubsetLabels((rows,))
 
 
 def leftover_reference(lg):
