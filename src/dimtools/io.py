@@ -80,6 +80,7 @@ import hashlib
 import itertools
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from .families import SubsetLabels
 from .graph import Graph
 from .partition import DimPartition
 from .solver import EdgeSet
@@ -422,10 +423,6 @@ def _read_partition(text: str, g: Graph) -> DimPartition:
         raise FormatError(str(exc)) from None
 
 
-def _format_label_set(labels: frozenset[int]) -> str:
-    return "{" + ",".join(str(a) for a in sorted(labels)) + "}"
-
-
 def _parse_label_set(token: str) -> frozenset[int]:
     token = token.strip()
     if not (token.startswith("{") and token.endswith("}")):
@@ -440,8 +437,16 @@ def _parse_label_set(token: str) -> frozenset[int]:
 
 
 def serialize_labels(labels: Iterable[frozenset[int]]) -> str:
+    """One "v : {a,b,...}" line per label, elements ascending.  A
+    :class:`~dimtools.families.SubsetLabels` view is written from the
+    rows of its arrays, which are already ascending, so no label is
+    built or sorted."""
+    if isinstance(labels, SubsetLabels):
+        rows = itertools.chain.from_iterable(part.tolist() for part in labels.parts)
+    else:
+        rows = map(sorted, labels)
     return "".join(
-        f"{v} : {_format_label_set(lab)}\n" for v, lab in enumerate(labels)
+        f"{v} : {{{','.join(map(str, row))}}}\n" for v, row in enumerate(rows)
     )
 
 

@@ -16,11 +16,17 @@ covers the edge set by DIMs from the subset-scan oracle with a search
 of its own.
 
 Whether every class of a given coloring is a DIM is decided from the
-vertices' sets of incident colors, held as bitmasks, in one pass over
-the vertices and one over the edges (:func:`_incident_colors`),
-for :func:`verify_dim_partition`, for :func:`list_assignment` and for
-the search's postcondition; :func:`~dimtools.solver.classify_dim` runs
-per class only to name the failure.  The search returns those sets, so
+vertices' sets of incident colors, held as bitmasks
+(:func:`_incident_colors`), for :func:`verify_dim_partition`, for
+:func:`list_assignment` and for the search's postcondition;
+:func:`~dimtools.solver.classify_dim` runs per class only to name the
+failure.  A graph below ``_ARRAY_MIN_EDGES`` edges, or a coloring of
+more than 62 classes, takes one Python pass over the vertices and one
+over the edges.  Larger ones take an array pass: the edge ends and
+colors are read into int arrays once, each vertex's mask is an OR over
+its edges, and the per-edge tests are whole-array compares; the lists
+are then read off the masks' missing bits.  Both give the same answers,
+lists and errors.  The search returns those sets, so
 :func:`~dimtools.checks.full_report` builds its list assignment from
 them; the report passes its class count, components, DIM list and node
 counter down.
@@ -41,8 +47,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
-from typing import Optional
+from typing import Optional, Union
+
+import numpy as np
 
 from .graph import Graph, _regularity, components, induced_subgraph
 from .solver import (
@@ -55,6 +64,44 @@ from .solver import (
     brute_force_dims,
     classify_dim,
 )
+
+# _incident_colors takes its array pass on graphs of this many edges or
+# more.  Loops over array pass, as time ratios: each call timed alone
+# between unrelated calls, as the benchmark runs its ops, medians of
+# 40-60 rounds (CPython 3.11, numpy 2.4, 2-vCPU VM; the closed-form
+# partitions, and the 3-class partition of the cycle C_3j).  The second
+# session ran at about half the first one's speed, and there numpy's
+# fixed cost per call weighed more:
+#
+#   graph     edges   k    _incident_colors     list_assignment
+#                          first    second      first    second
+#   KG(7,3)      70   7    0.26x    0.27x       0.46x    0.45x
+#   BG(3,3)     140   7    0.66x    0.50x       0.74x    0.69x
+#   C192        192   3    0.97x    0.69x       0.86x    0.80x
+#   C255        255   3    1.08x    0.83x       0.93x    0.89x
+#   BG(3,4)     280   8    1.00x    0.81x       1.04x    0.98x
+#   KG(9,4)     315   9    1.08x    0.84x       1.11x    1.04x
+#   C384        384   3    1.20x    0.97x       1.01x    0.96x
+#   BG(3,5)     504   9    1.22x    1.00x       1.27x    1.25x
+#   C510        510   3    1.29x    1.08x       1.03x    1.04x
+#   BG(4,4)     630   9    1.30x    1.08x       1.29x    1.28x
+#   C768        768   3    1.34x    1.23x       1.05x    1.08x
+#   BG(4,5)    1260  10    1.39x    1.26x       1.44x    1.45x
+#   KG(11,5)   1386  11    1.45x    1.30x       1.48x    1.50x
+#   BG(5,5)    2772  11    1.47x    1.44x       1.45x    1.48x
+#   KG(13,6)   6006  13    1.52x    1.54x       1.55x    1.58x
+#
+# From 500 edges on the array pass was no slower in either session.
+# Sweep graphs on at most 8 vertices have at most 28 edges, so they
+# never take it.
+_ARRAY_MIN_EDGES = 500
+# Colors 1..62 set bits 1..62, so every mask, the full one 2**63 - 2
+# included, is a nonnegative int64.
+_ARRAY_MAX_CLASSES = 62
+
+# Each vertex's incident colors as bitmasks: a list of ints from the
+# loops of _incident_colors, an int64 array from its array pass.
+_Masks = Union[list[int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -182,7 +229,7 @@ def find_dim_partition(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[DimPa
 def _search_partition(
     g: Graph, k: int, budget: _Nodes, comps: list[list[int]],
     dims: Optional[list[list[int]]] = None,
-) -> Optional[tuple[DimPartition, list[int]]]:
+) -> Optional[tuple[DimPartition, _Masks]]:
     """:func:`find_dim_partition` on a g with edges, forced class count
     k and components ``comps``, drawing on ``budget``: the partition and
     each vertex's incident colors, or None.
@@ -215,7 +262,7 @@ def _search_partition(
     return partition, colors_at
 
 
-def _incident_colors(g: Graph, p: DimPartition) -> Optional[list[int]]:
+def _incident_colors(g: Graph, p: DimPartition) -> Optional[_Masks]:
     """Each vertex's set C(v) of incident edge colors, as a bitmask with
     bit c set for color c, or None unless every class of p is a DIM of
     g; p must color g's edges.
@@ -229,7 +276,14 @@ def _incident_colors(g: Graph, p: DimPartition) -> Optional[list[int]]:
     every edge; and color c dominates uv exactly when c is in
     C(u) | C(v), so every class is dominating exactly when C(u) | C(v)
     holds all k colors on every edge.
+
+    Graphs of at least ``_ARRAY_MIN_EDGES`` edges colored in at most
+    ``_ARRAY_MAX_CLASSES`` classes take :func:`_incident_colors_array`,
+    which returns the masks as an int64 array; the rest take this
+    function's loops, which return a list.
     """
+    if g.m >= _ARRAY_MIN_EDGES and p.num_classes <= _ARRAY_MAX_CLASSES:
+        return _incident_colors_array(g, p)
     bit = [1 << c for c in p.color_of]
     colors_at = []
     for inc in g.incident:
@@ -245,6 +299,38 @@ def _incident_colors(g: Graph, p: DimPartition) -> Optional[list[int]]:
         if cu & cv != b or cu | cv != full:
             return None
     return colors_at
+
+
+def _incident_colors_array(g: Graph, p: DimPartition) -> Optional[np.ndarray]:
+    """:func:`_incident_colors` by whole-array operations, for a p of at
+    most ``_ARRAY_MAX_CLASSES`` classes: the masks as an int64 array, or
+    None.
+
+    The edge ends and colors are read once; each vertex's mask is the OR
+    of its edges' color bits.  No mask has more colors than its vertex
+    has edges, so the masks' colors, counted bit by bit, add up to the
+    2m edge ends exactly when no color repeats at a vertex.  The count
+    is exact for every k, where comparing each mask with the sum of its
+    bits would not be: in int64 five copies of 2**62 sum to 2**62.
+    """
+    k = p.num_classes
+    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m)
+    bit = np.left_shift(1, np.fromiter(p.color_of, np.int64, g.m))
+    colors_at = np.zeros(g.n, np.int64)
+    np.bitwise_or.at(colors_at, ends, np.repeat(bit, 2))
+    if np.count_nonzero(_color_table(k, colors_at)) != 2 * g.m:
+        return None
+    cu, cv = colors_at[ends[0::2]], colors_at[ends[1::2]]
+    full = (1 << (k + 1)) - 2
+    if (cu & cv != bit).any() or (cu | cv != full).any():
+        return None
+    return colors_at
+
+
+def _color_table(k: int, colors_at: np.ndarray) -> np.ndarray:
+    """The (n, k) table whose entry (v, c - 1) is True when color c is
+    in the mask ``colors_at[v]``."""
+    return (colors_at[:, None] & (2 << np.arange(k, dtype=np.int64))) != 0
 
 
 def _first_non_dim(g: Graph, p: DimPartition) -> DimClass:
@@ -284,9 +370,11 @@ def list_assignment(g: Graph, p: DimPartition) -> ListAssignment:
     return _lists(p.num_classes, colors_at)
 
 
-def _lists(k: int, colors_at: list[int]) -> ListAssignment:
+def _lists(k: int, colors_at: _Masks) -> ListAssignment:
     """The lists of a k-class DIM partition with these incident colors,
     given as :func:`_incident_colors` returns them."""
+    if isinstance(colors_at, np.ndarray):
+        return ListAssignment(k, _missing_colors(k, colors_at))
     full = (1 << (k + 1)) - 2
     lists = []
     for colors in colors_at:
@@ -298,6 +386,16 @@ def _lists(k: int, colors_at: list[int]) -> ListAssignment:
             missing ^= low
         lists.append(frozenset(lst))
     return ListAssignment(k, tuple(lists))
+
+
+def _missing_colors(k: int, colors_at: np.ndarray) -> tuple[frozenset[int], ...]:
+    """Each vertex's missing colors, from the int64 masks of
+    :func:`_incident_colors_array`: the missing colors of all vertices,
+    vertex by vertex, cut into one list per vertex."""
+    missing = ~_color_table(k, colors_at)
+    colors = (np.flatnonzero(missing) % k + 1).tolist()
+    ends = np.cumsum(missing.sum(axis=1)).tolist()
+    return tuple([frozenset(colors[a:b]) for a, b in zip([0, *ends], ends)])
 
 
 def verify_list_properties(g: Graph, assignment: ListAssignment) -> ListCheck:
@@ -344,7 +442,7 @@ def _list_properties(g: Graph, assignment: ListAssignment, lo: int, hi: int) -> 
         if not lst <= labels:
             raise ValueError(f"vertex {v} has a label outside 1..{k}")
 
-    disjoint = all(not (lists[u] & lists[v]) for u, v in g.edges)
+    disjoint = all(lists[u].isdisjoint(lists[v]) for u, v in g.edges)
     fibers = Counter(lists)
     surjective = len(fibers) == sum(comb(k, size) for size in {k - lo, k - hi})
     equal_fibers = not fibers or (surjective and len(set(fibers.values())) == 1)

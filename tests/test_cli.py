@@ -174,20 +174,30 @@ class TestGen:
     @pytest.mark.parametrize("extra", [[], ["--with-partition"]])
     def test_gen_reads_no_label_without_with_labels(self, tmp_path, monkeypatch, extra):
         argv = ["gen", "kneser-family", "--r", "3", *extra, "-o"]
+        with_labels = [*argv, str(tmp_path / "labels-before.g"), "--with-labels"]
         assert invoke([*argv, str(tmp_path / "before.g")]) == (0, "", "")
+        assert invoke(with_labels) == (0, "", "")
 
         def unread(*args):
             raise AssertionError("a label was read")
 
         monkeypatch.setattr(families.SubsetLabels, "__getitem__", unread)
         monkeypatch.setattr(families.SubsetLabels, "__iter__", unread)
+        # The patch bites: indexing or iterating the view reads a label.
+        labels = families.kneser(5, 2).labels
+        for read in (lambda: labels[0], lambda: list(labels)):
+            with pytest.raises(AssertionError, match="a label was read"):
+                read()
         assert invoke([*argv, str(tmp_path / "after.g")]) == (0, "", "")
         for suffix in ("", ".partition") if extra else ("",):
             before = (tmp_path / f"before.g{suffix}").read_bytes()
             assert (tmp_path / f"after.g{suffix}").read_bytes() == before
-        # The patch bites: the label writer does read every label.
-        code, _, err = invoke([*argv, str(tmp_path / "labels.g"), "--with-labels"])
-        assert code == 4 and "a label was read" in err
+        # The label writer formats the view's rows, so it reads no label
+        # either, and writes the same sidecar.
+        with_labels[-2] = str(tmp_path / "labels-after.g")
+        assert invoke(with_labels) == (0, "", "")
+        before = (tmp_path / "labels-before.g.labels").read_bytes()
+        assert (tmp_path / "labels-after.g.labels").read_bytes() == before
 
     @pytest.mark.parametrize("family", ["cycle", "complete", "star", "petersen"])
     def test_labels_on_unlabelled_family_is_usage_error(self, tmp_path, family):
@@ -386,6 +396,23 @@ class TestPartitionCmd:
         assert "valid = true" in out
         assert "class-count-ok = true" in out
         assert "regularity = regular" in out
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+    def test_verify_one_recolored_edge_exits_one(self, tmp_path, fmt):
+        # KG(13,6) is above the array pass's edge gate.  Its first edge
+        # takes the next color, as CI does with awk; that color is then
+        # repeated at one of the edge's ends.
+        base = tmp_path / f"kg13.{fmt}"
+        invoke(["gen", "kneser-family", "--r", "7", "--with-partition", "--format", fmt, "-o", str(base)])
+        header, first, *rest = Path(f"{base}.partition").read_text().splitlines(keepends=True)
+        u, v, c = first.split()
+        recolored = tmp_path / "recolored.partition"
+        recolored.write_text("".join([header, f"{u} {v} {int(c) % 13 + 1}\n", *rest]))
+        code, out, err = invoke(
+            ["partition", "verify", "--format", fmt, "--partition", str(recolored), str(base)]
+        )
+        assert (code, err) == (1, "")
+        assert out == (DATA / "kneser-13-6-recolored.partition-verify.txt").read_text()
 
     def test_find_budget_exhaustion_exit_three(self, petersen_file):
         code, out, err = invoke(["partition", "find", str(petersen_file), "--budget", "1"])

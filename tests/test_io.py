@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from dimtools.checks import full_report
 from dimtools.corpus import connected_graphs
 from dimtools.families import (
+    SubsetLabels,
     bg_dim_partition,
+    bipartite_kneser,
     complete,
     cycle,
     kneser,
@@ -318,6 +321,22 @@ class TestListAssignmentFormat:
         lg, _ = kneser_dim_partition(3)
         text = serialize_labels(lg.labels)
         assert parse_labels(text) == lg.labels
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: kneser(7, 3).labels,
+            lambda: bipartite_kneser(2, 3).labels,
+            lambda: SubsetLabels((np.zeros((2, 0), int), [[3, 12_000]], np.array([[-3, 2, 7]]))),
+            lambda: SubsetLabels(()),
+        ],
+        ids=["KG(7,3)", "BG(2,3)", "hand-made", "empty"],
+    )
+    def test_view_is_written_from_its_rows_as_its_labels(self, make):
+        # The writer formats a view's ascending rows, one block after
+        # another, with no label built: the text of its labels.
+        labels = make()
+        assert serialize_labels(labels) == serialize_labels(tuple(labels))
 
     def test_vertices_must_be_dense(self):
         with pytest.raises(FormatError):

@@ -9,6 +9,7 @@ import textwrap
 from math import comb
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -381,6 +382,142 @@ class TestVerifyPartition:
         expected = all(classify_dim(g, cls).is_valid for cls in p.classes)
         assert (partition._incident_colors(g, p) is not None) == expected
         assert verify_dim_partition(g, p).valid == expected
+        # Graphs this small take the loops; the array pass must agree.
+        assert as_list(partition._incident_colors_array(g, p)) == partition._incident_colors(g, p)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: kneser_dim_partition(6), lambda: bg_dim_partition(5, 6)],
+        ids=["KG(11,5)", "BG(4,5)"],
+    )
+    def test_array_pass_matches_loops_and_classify_dim(self, monkeypatch, make):
+        # The closed form with its colors permuted, the same with one edge
+        # recolored, and greedy proper colorings, on graphs above the gate.
+        lg, closed = make()
+        g, k = lg.graph, closed.num_classes
+        assert g.m >= partition._ARRAY_MIN_EDGES
+        rng = random.Random(5)
+        colorings = []
+        for _ in range(3):
+            relabel = rng.sample(range(1, k + 1), k)
+            colors = [relabel[c - 1] for c in closed.color_of]
+            colorings.append(list(colors))
+            colors[rng.randrange(g.m)] = rng.randint(1, k)
+            colorings.append(colors)
+        for extra in (0, 1, 2):
+            colors = []
+            for u, v in g.edges:
+                used = {colors[e] for e in g.incident[u] + g.incident[v] if e < len(colors)}
+                free = [c for c in range(1, k + extra + 1) if c not in used]
+                colors.append(rng.choice(free) if free else rng.randint(1, k + extra))
+            colorings.append(colors)
+        valid = 0
+        for colors in colorings:
+            p = DimPartition(max(colors), tuple(colors))
+            arrays = both_paths(monkeypatch, g, p)
+            expected = all(classify_dim(g, cls).is_valid for cls in p.classes)
+            assert (arrays[0] is not None) == expected
+            valid += expected
+        assert valid == 3
+
+    def test_more_than_62_classes_take_the_loops(self, monkeypatch):
+        # K(1, s) at the edge gate, each edge its own class: k = s > 62
+        # takes the loops although the star is not below the gate.
+        s = partition._ARRAY_MIN_EDGES
+        g, p = star(s), DimPartition(s, tuple(range(1, s + 1)))
+        monkeypatch.setattr(partition, "_incident_colors_array", _unreached)
+        assert verify_dim_partition(g, p).valid
+        lists = list_assignment(g, p).lists
+        assert lists[0] == frozenset()
+        assert all(lists[leaf] == frozenset(range(1, s + 1)) - {leaf} for leaf in range(1, s + 1))
+
+    def test_a_color_on_five_edges_of_one_vertex_is_a_repeat(self, monkeypatch):
+        # Vertex 0 carries colors 1..61 once each and color 62 on five
+        # edges, and every other vertex is a leaf, so every edge passes
+        # both edge compares: only the repeat test rejects the coloring.
+        # Summing the bits would miss it, since the int64 sum wraps to
+        # the OR.  Stars K(1, 62), colored 1..62, lift the edge count to
+        # the gate.
+        stars = -(-(partition._ARRAY_MIN_EDGES - 66) // 62)
+        g = build_graph(67 + 63 * stars, [
+            *((0, leaf) for leaf in range(1, 67)),
+            *((first, first + leaf) for first in range(67, 67 + 63 * stars, 63) for leaf in range(1, 63)),
+        ])
+        colors = [*range(1, 62), *[62] * 5, *list(range(1, 63)) * stars]
+        p = DimPartition(62, tuple(colors))
+        assert g.m >= partition._ARRAY_MIN_EDGES
+        bits = np.left_shift(1, np.array(colors[:66], np.int64))
+        assert bits.sum() == np.bitwise_or.reduce(bits)
+        assert both_paths(monkeypatch, g, p) == (None, None)
+        assert not verify_dim_partition(g, p).valid
+        with pytest.raises(ValueError, match=r"^partition class is not a DIM \(not-matching\)$"):
+            list_assignment(g, p)
+        # Without the repeats, stars alone are a partition into 62 DIMs
+        # whose masks fill bits 1..62 of an int64.
+        stars = -(-partition._ARRAY_MIN_EDGES // 62)
+        g = build_graph(63 * stars, [
+            (first, first + leaf) for first in range(0, 63 * stars, 63) for leaf in range(1, 63)
+        ])
+        p = DimPartition(62, tuple(range(1, 63)) * stars)
+        assert g.m >= partition._ARRAY_MIN_EDGES
+        _, arrays = both_paths(monkeypatch, g, p)
+        assert arrays[0] == 2**63 - 2
+
+    def test_reports_agree_across_the_gate(self, monkeypatch):
+        # The search's postcondition hands its masks to full_report's
+        # list assignment: as a list below the gate, as an array above.
+        want = [checks.full_report(g) for g in PARTITIONABLE]
+        monkeypatch.setattr(partition, "_ARRAY_MIN_EDGES", 0)
+        assert [checks.full_report(g) for g in PARTITIONABLE] == want
+
+    def test_the_gate_picks_the_path(self, monkeypatch):
+        calls = []
+        array_pass = partition._incident_colors_array
+
+        def spy(g, p):
+            calls.append((g.m, p.num_classes))
+            return array_pass(g, p)
+
+        monkeypatch.setattr(partition, "_incident_colors_array", spy)
+        gate = partition._ARRAY_MIN_EDGES
+        for m, k in ((gate - 1, 3), (gate, 3), (gate, 62), (gate, 63), (28, 3)):
+            g = build_graph(m + 1, [(v, v + 1) for v in range(m)])
+            p = DimPartition(k, tuple(e % k + 1 for e in range(m)))
+            verify_dim_partition(g, p)
+        assert calls == [(gate, 3), (gate, 62)]
+
+
+def as_list(colors_at):
+    """Incident colors as a list of ints, whichever path gave them."""
+    return colors_at if colors_at is None else [int(c) for c in colors_at]
+
+
+def _unreached(*args):
+    raise AssertionError("the array pass ran")
+
+
+def both_paths(monkeypatch, g, p):
+    """``_incident_colors`` by the loops and by the array pass, checked to
+    agree, with ``list_assignment`` agreeing too (lists or error text):
+    (loop result, array result)."""
+    with monkeypatch.context() as patched:
+        patched.setattr(partition, "_ARRAY_MIN_EDGES", g.m + 1)
+        loops = partition._incident_colors(g, p)
+        loop_lists = _lists_or_error(g, p)
+    with monkeypatch.context() as patched:
+        patched.setattr(partition, "_ARRAY_MIN_EDGES", 0)
+        arrays = partition._incident_colors(g, p)
+        array_lists = _lists_or_error(g, p)
+    assert isinstance(loops, (list, type(None))) and isinstance(arrays, (np.ndarray, type(None)))
+    assert as_list(arrays) == loops
+    assert array_lists == loop_lists
+    return loops, arrays
+
+
+def _lists_or_error(g, p):
+    try:
+        return list_assignment(g, p)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestListAssignment:
