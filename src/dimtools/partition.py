@@ -350,13 +350,19 @@ def verify_dim_partition(g: Graph, p: DimPartition) -> PartitionCheck:
     ``valid`` holds when every class is a DIM; ``class_count_ok`` when
     the class count equals d(u)+d(v)-1 for every edge uv.  Regularity
     is read off the degree profile and reported rather than assumed.
+
+    A valid p already settles the count, so only an invalid one walks
+    the edges for it.  When :func:`_incident_colors` accepts p, on every
+    edge uv the set C(u) of colors at u has d(u) colors, C(u) & C(v) is
+    uv's color alone and C(u) | C(v) holds all k colors, so
+    d(u) + d(v) - 1 = |C(u) | C(v)| = k.
     """
     if len(p.color_of) != g.m:
         raise ValueError(
             f"partition colors {len(p.color_of)} edges, graph has {g.m}"
         )
     valid = _incident_colors(g, p) is not None
-    count_ok = not g.edges or _class_count(g) == p.num_classes
+    count_ok = valid or not g.edges or _class_count(g) == p.num_classes
     return PartitionCheck(valid=valid, class_count_ok=count_ok, regularity=_regularity(g)[2])
 
 

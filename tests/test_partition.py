@@ -30,6 +30,7 @@ from dimtools.partition import (
     DimPartition,
     ListAssignment,
     ListCheck,
+    PartitionCheck,
     brute_force_dim_partitions,
     check_kneser_isomorphism,
     find_dim_partition,
@@ -353,37 +354,39 @@ class TestVerifyPartition:
     )
     @settings(max_examples=300, deadline=None)
     def test_one_pass_check_matches_classify_dim(self, g, rng):
-        # A found partition with its colors permuted, the same with one
-        # edge recolored, a random proper edge coloring (every class a
-        # matching, so induced and dominating decide), or a uniformly
-        # random total coloring.
-        found = find_dim_partition(g)
-        mode = rng.randrange(3)
-        if found is not None and mode == 0:
-            k = found.num_classes
-            relabel = rng.sample(range(1, k + 1), k)
-            colors = [relabel[c - 1] for c in found.color_of]
-            if g.m and rng.random() < 0.5:
-                colors[rng.randrange(g.m)] = rng.randint(1, k)
-        elif mode == 1:
-            k = max(g.degrees, default=0) + rng.randint(0, 2)
-            colors = []
-            for u, v in g.edges:
-                used = {colors[e] for e in g.incident[u] + g.incident[v] if e < len(colors)}
-                free = [c for c in range(1, k + 1) if c not in used]
-                colors.append(rng.choice(free) if free else rng.randint(1, k))
-        else:
-            k = rng.randint(1, max(g.m, 1))
-            colors = [rng.randint(1, k) for _ in range(g.m)]
-        try:
-            p = DimPartition(k, tuple(colors))
-        except ValueError:
-            return  # some color class is empty
+        p = draw_coloring(g, rng)
+        if p is None:
+            return
         expected = all(classify_dim(g, cls).is_valid for cls in p.classes)
         assert (partition._incident_colors(g, p) is not None) == expected
         assert verify_dim_partition(g, p).valid == expected
         # Graphs this small take the loops; the array pass must agree.
         assert as_list(partition._incident_colors_array(g, p)) == partition._incident_colors(g, p)
+
+    @given(
+        st.one_of(graphs_strategy(max_n=6), st.sampled_from(PARTITIONABLE)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_valid_partition_settles_the_class_count(self, g, rng):
+        # verify_dim_partition counts classes by the edges only when p
+        # is invalid; on either side of the array gate its report is
+        # the one that counts them on every edge.
+        p = draw_coloring(g, rng)
+        if p is None:
+            return
+        valid = all(classify_dim(g, cls).is_valid for cls in p.classes)
+        if valid and g.edges:
+            assert partition._class_count(g) == p.num_classes
+        want = PartitionCheck(
+            valid=valid,
+            class_count_ok=not g.edges or partition._class_count(g) == p.num_classes,
+            regularity=graph._regularity(g)[2],
+        )
+        for gate in (g.m + 1, 0):
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(partition, "_ARRAY_MIN_EDGES", gate)
+                assert verify_dim_partition(g, p) == want
 
     @pytest.mark.parametrize(
         "make", [lambda: kneser_dim_partition(6), lambda: bg_dim_partition(5, 6)],
@@ -484,6 +487,36 @@ class TestVerifyPartition:
             p = DimPartition(k, tuple(e % k + 1 for e in range(m)))
             verify_dim_partition(g, p)
         assert calls == [(gate, 3), (gate, 62)]
+
+
+def draw_coloring(g, rng):
+    """A coloring of g's edges drawn by rng, as a DimPartition, or None
+    when some color class is empty: a found partition with its colors
+    permuted, the same with one edge recolored, a random proper edge
+    coloring (every class a matching, so induced and dominating
+    decide), or a uniformly random total coloring."""
+    found = find_dim_partition(g)
+    mode = rng.randrange(3)
+    if found is not None and mode == 0:
+        k = found.num_classes
+        relabel = rng.sample(range(1, k + 1), k)
+        colors = [relabel[c - 1] for c in found.color_of]
+        if g.m and rng.random() < 0.5:
+            colors[rng.randrange(g.m)] = rng.randint(1, k)
+    elif mode == 1:
+        k = max(g.degrees, default=0) + rng.randint(0, 2)
+        colors = []
+        for u, v in g.edges:
+            used = {colors[e] for e in g.incident[u] + g.incident[v] if e < len(colors)}
+            free = [c for c in range(1, k + 1) if c not in used]
+            colors.append(rng.choice(free) if free else rng.randint(1, k))
+    else:
+        k = rng.randint(1, max(g.m, 1))
+        colors = [rng.randint(1, k) for _ in range(g.m)]
+    try:
+        return DimPartition(k, tuple(colors))
+    except ValueError:
+        return None
 
 
 def as_list(colors_at):
