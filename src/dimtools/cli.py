@@ -8,7 +8,9 @@ Exit codes:
 * 2 usage or input errors, including a graph file whose header declares
   more than ``io.MAX_VERTICES`` vertices, a ``gen`` family with more
   vertices than that or with more than ``MAX_GEN_ENTRIES`` edges and
-  label entries together, and a sweep over no graphs;
+  label entries together, a ``gen`` flag the family cannot honour
+  (refused before anything is built), an output path that cannot be
+  written, and a sweep over no graphs;
 * 3 a search ran out of budget: for ``verify`` and ``sweep``, the DIM
   search or any check of any report (this takes precedence over 1);
 * 4 internal error: any other exception, reported on one stderr line.
@@ -30,7 +32,6 @@ from typing import Callable, NamedTuple, Optional, TextIO
 from .checks import Budgets, VerificationReport, full_report
 from .corpus import connected_graphs, sample_connected_graphs
 from .families import (
-    LabeledGraph,
     bg_dim_partition,
     bipartite_kneser,
     complete,
@@ -98,16 +99,22 @@ class _Family(NamedTuple):
     make: Callable
     # The graph with its closed-form DIM partition, if the family has one.
     partition: Optional[Callable] = None
+    # Whether make and partition return a LabeledGraph: read before
+    # anything is built, to refuse --with-labels.
+    labeled: bool = False
 
 
 _FAMILIES = {
-    "kneser": _Family("disjointness graph of k-subsets", ("n", "k"), _kneser_counts, kneser),
+    "kneser": _Family(
+        "disjointness graph of k-subsets", ("n", "k"), _kneser_counts, kneser, labeled=True
+    ),
     "kneser-family": _Family(
         "KG(2r-1, r-1), optionally with its DIM partition",
         ("r",),
         lambda r: _kneser_counts(2 * r - 1, r - 1),
         lambda r: kneser(2 * r - 1, r - 1),
         kneser_dim_partition,
+        labeled=True,
     ),
     "bg": _Family(
         "BG(r-1, s-1), optionally with its DIM partition",
@@ -115,6 +122,7 @@ _FAMILIES = {
         _bg_counts,
         lambda r, s: bipartite_kneser(r - 1, s - 1),
         bg_dim_partition,
+        labeled=True,
     ),
     "cycle": _Family("cycle graph", ("n",), lambda n: (n, n, 0), cycle),
     "complete": _Family("complete graph", ("n",), lambda n: (n, _comb(n, 2), 0), complete),
@@ -133,6 +141,14 @@ def _read(path: str, parse: Callable, *args):
         return parse(text, *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Write ``text`` to the file ``path``, an error naming the file."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _budget(text: str) -> int:
@@ -213,6 +229,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
     family = _FAMILIES[args.family]
+    with_partition = getattr(args, "with_partition", False)
+    # Flags are checked first, so a wrong one costs no build.
+    if (with_partition or args.with_labels) and not args.output:
+        raise ValueError("--with-partition/--with-labels require -o")
+    if args.with_labels and not family.labeled:
+        raise ValueError(f"{args.family} has no subset labels")
     params = [getattr(args, param) for param in family.params]
     n, m, labels = family.counts(*params)
     for what, count, limit in (
@@ -221,30 +243,19 @@ def _cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
     ):
         if count > limit:
             raise ValueError(f"{args.family}: {what} {count} exceeds the limit of {limit}")
-    partition = None
-    if getattr(args, "with_partition", False):
+    if with_partition:
         made, partition = family.partition(*params)
     else:
-        made = family.make(*params)
-    labeled = isinstance(made, LabeledGraph)
-    g = made.graph if labeled else made
-
-    if (partition is not None or args.with_labels) and not args.output:
-        raise ValueError("--with-partition/--with-labels require -o")
-    if args.with_labels and not labeled:
-        raise ValueError(f"{args.family} has no subset labels")
+        made, partition = family.make(*params), None
+    g = made.graph if family.labeled else made
 
     text = serialize_graph(g, args.format)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, text)
         if partition is not None:
-            Path(args.output + ".partition").write_text(
-                serialize_partition(g, partition), encoding="utf-8"
-            )
+            _write(args.output + ".partition", serialize_partition(g, partition))
         if args.with_labels:
-            Path(args.output + ".labels").write_text(
-                serialize_labels(made.labels), encoding="utf-8"
-            )
+            _write(args.output + ".labels", serialize_labels(made.labels))
     else:
         out.write(text)
     return EXIT_OK
@@ -372,7 +383,7 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     out.write(f"counterexamples {len(tally.counterexamples)}\n")
     for i, g in enumerate(tally.counterexamples):
         path = Path(args.dump_dir) / f"counterexample-{i:03d}.g"
-        path.write_text(serialize_graph(g, "edgelist"), encoding="utf-8")
+        _write(path, serialize_graph(g, "edgelist"))
         out.write(f"dumped {path}\n")
     if tally.budget_errors:
         return EXIT_BUDGET

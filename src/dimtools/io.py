@@ -10,9 +10,9 @@ Graph formats:
 
 Both graph formats are rows of one table of constants (comment prefix,
 header name and leading tokens, edge-line tag, first vertex number,
-and whether a repeated edge is merged), read by one reader,
-:func:`parse_graph`.  The writers stay one per format, a few lines
-each.
+and whether a repeated edge is merged).  Both are read from their rows
+by one reader, :func:`parse_graph`, and written from their rows by one
+writer, :func:`_write_graph`.
 
 The graph and partition writers format numbers through one table of
 decimal strings built for the call (:func:`_names`), so a vertex
@@ -20,12 +20,11 @@ number or color is formatted once however many lines it occurs on,
 and an edge line is one f-string of looked-up strings.  The table
 holds only the numbers written, so the gain grows with edges per
 vertex, and a vertex with no edge costs one empty slot and the test of
-its degree.  KG(13,6)'s edge list is written in 0.67 ms, its DIMACS
-in 0.69 and its partition in 0.87, and a 100 000-vertex graph of one
+its degree.  KG(13,6)'s edge list is written in 0.68 ms, its DIMACS
+in 0.68 and its partition in 0.87, and a 100 000-vertex graph of one
 edge in 2.2 ms, a tenth of the time that graph takes to build
 (min of 15 x 20 calls, and of 5 x 3 for the sparse graph, 2-vCPU Xeon,
-CPython 3.11); a writer shared through the row measured 0.69 and
-0.70 ms.  A matching names each vertex at most once, and the
+CPython 3.11).  A matching names each vertex at most once, and the
 labels sidecar is not timed, so both format each number in place.
 
 An integer, in every format, is ASCII decimal digits after an optional
@@ -78,7 +77,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .families import SubsetLabels
 from .graph import Graph
@@ -155,29 +154,12 @@ class _GraphFormat(NamedTuple):
     tag: str  # an edge line's token before "u v", or "" for none
     base: int  # number of the first vertex
     merge: bool  # a repeated edge is merged, else refused
-    write: Callable[[Graph], str]
-
-
-def serialize_edgelist(g: Graph) -> str:
-    names = _names(_ends(g), g.n)
-    lines = [f"{g.n} {g.m}"]
-    lines.extend([f"{names[u]} {names[v]}" for u, v in g.edges])
-    return "\n".join(lines) + "\n"
-
-
-def serialize_dimacs(g: Graph) -> str:
-    names = _names(_ends(g), g.n, 1)
-    lines = [f"p edge {g.n} {g.m}"]
-    lines.extend([f"e {names[u]} {names[v]}" for u, v in g.edges])
-    return "\n".join(lines) + "\n"
 
 
 # Files from other tools may list a DIMACS edge twice; it is kept once.
 _GRAPH_FORMATS = {
-    "edgelist": _GraphFormat("#", "header line", [], "", 0, False, serialize_edgelist),
-    "dimacs": _GraphFormat(
-        "c", "problem line", ["p", "edge"], "e", 1, True, serialize_dimacs
-    ),
+    "edgelist": _GraphFormat("#", "header line", [], "", 0, False),
+    "dimacs": _GraphFormat("c", "problem line", ["p", "edge"], "e", 1, True),
 }
 GRAPH_FORMATS = tuple(_GRAPH_FORMATS)
 
@@ -245,12 +227,12 @@ def _bulk_graph(text: str, form: _GraphFormat) -> Optional[Graph]:
         g = Graph(n, tuple(zip(us, vs)))
     except (KeyError, ValueError):
         return None
-    return g if form.write(g) == text else None
+    return g if _write_graph(g, form) == text else None
 
 
 def _read_graph(text: str, form: _GraphFormat) -> Graph:
     """The line reader: any valid file, and every error, named."""
-    comment, header, lead, tag, base, merge, _ = form
+    comment, header, lead, tag, base, merge = form
     lines = _significant_lines(text, comment)
     n, m = _header(lines, header, lead, 2)
     if n < 0 or m < 0:
@@ -296,13 +278,24 @@ def _read_graph(text: str, form: _GraphFormat) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def _write_graph(g: Graph, form: _GraphFormat) -> str:
+    """g in the format of row ``form``: the header, then one edge per
+    line, numbered from the row's base.  The row's tag rides in the line
+    separator, which precedes every edge line and no header."""
+    names = _names(_ends(g), g.n, form.base)
+    lines = [" ".join([*form.lead, str(g.n), str(g.m)])]
+    lines.extend([f"{names[u]} {names[v]}" for u, v in g.edges])
+    return (f"\n{form.tag} " if form.tag else "\n").join(lines) + "\n"
+
+
 def serialize_graph(g: Graph, fmt: str = "edgelist") -> str:
-    return _graph_format(fmt).write(g)
+    return _write_graph(g, _graph_format(fmt))
 
 
 def graph_digest(g: Graph) -> str:
     """sha256 of the canonical edge-list serialization."""
-    return hashlib.sha256(serialize_edgelist(g).encode("utf-8")).hexdigest()
+    text = _write_graph(g, _GRAPH_FORMATS["edgelist"])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def serialize_matching(g: Graph, edge_ids: Iterable[int]) -> str:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism, round trips."""
 
 import dataclasses
+import errno
 import hashlib
 import inspect
 import io
@@ -29,6 +30,7 @@ from dimtools.io import (
     serialize_partition,
 )
 from dimtools.families import (
+    LabeledGraph,
     bg_dim_partition,
     bipartite_kneser,
     complete,
@@ -222,13 +224,86 @@ class TestGen:
             (["kneser", "--n", "-1", "--k", "2"], "ground set size n must be positive"),
             (["bg", "--r", "1", "--s", "3"], "subset sizes must be positive"),
             (["star", "--k", "0"], "star needs at least 1 leaf"),
-            (["kneser-family", "--r", "1", "--with-partition"], "r must be at least 2"),
+            (["kneser-family", "--r", "1", "--with-partition", "-o"], "r must be at least 2"),
         ],
     )
-    def test_bad_parameter_keeps_family_message(self, argv, message):
-        # The last has no -o: a bad parameter is reported before that.
+    def test_bad_parameter_keeps_family_message(self, tmp_path, argv, message):
+        if argv[-1] == "-o":
+            argv = [*argv, str(tmp_path / "g.g")]
         code, out, err = invoke(["gen", *argv])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["kneser-family", "--r", "10", "--with-partition"],
+                "--with-partition/--with-labels require -o",
+            ),
+            (
+                ["kneser", "--n", "9", "--k", "3", "--with-labels"],
+                "--with-partition/--with-labels require -o",
+            ),
+            (["complete", "--n", "1700", "--with-labels", "-o"], "complete has no subset labels"),
+            # Two faults: the flag is reported before the family checks r.
+            (
+                ["kneser-family", "--r", "1", "--with-partition"],
+                "--with-partition/--with-labels require -o",
+            ),
+        ],
+    )
+    def test_flag_error_is_refused_unbuilt(self, tmp_path, monkeypatch, argv, message):
+        # Building would fail the test: the labelled families build their
+        # labels first, and the complete graph's row builds nothing.
+        monkeypatch.setattr(families, "_colex_subsets", _no_build)
+        monkeypatch.setitem(
+            cli._FAMILIES, "complete", cli._FAMILIES["complete"]._replace(make=_no_build)
+        )
+        if argv[-1] == "-o":
+            argv = [*argv, str(tmp_path / "g.g")]
+        code, out, err = invoke(["gen", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("family", GEN_FAMILIES)
+    def test_labelled_families_are_marked_in_their_rows(self, family):
+        params, _ = GEN_FAMILIES[family]
+        ints = [int(a) for a in params[1::2]]
+        row = cli._FAMILIES[family]
+        assert row.labeled == isinstance(row.make(*ints), LabeledGraph)
+        if row.partition:
+            assert row.labeled and isinstance(row.partition(*ints)[0], LabeledGraph)
+
+    def test_labels_of_a_family_with_no_vertices_are_written(self, tmp_path):
+        # KG(3,5) has no vertex and so no label entry; it is a labelled
+        # family all the same, so its sidecar is written, empty.
+        base = tmp_path / "g.g"
+        argv = ["gen", "kneser", "--n", "3", "--k", "5", "--with-labels", "-o", str(base)]
+        assert invoke(argv) == (0, "", "")
+        assert base.read_text() == "0 0\n"
+        assert (tmp_path / "g.g.labels").read_text() == ""
+
+    @pytest.mark.parametrize(
+        "name,number", [("missing/g.g", errno.ENOENT), ("dir", errno.EISDIR)]
+    )
+    def test_unwritable_output_is_input_error(self, tmp_path, name, number):
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / name
+        code, out, err = invoke(["gen", "petersen", "-o", str(path)])
+        reason = f"[Errno {number}] {os.strerror(number)}: '{path}'"
+        assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert not list((tmp_path / "dir").iterdir())
+
+    @pytest.mark.parametrize("suffix", [".partition", ".labels"])
+    def test_unwritable_sidecar_is_input_error(self, tmp_path, suffix):
+        sidecar = tmp_path / f"g.g{suffix}"
+        sidecar.mkdir()
+        argv = ["gen", "kneser-family", "--r", "3", "--with-partition", "--with-labels"]
+        code, out, err = invoke([*argv, "-o", str(tmp_path / "g.g")])
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{sidecar}'"
+        assert (code, out, err) == (2, "", f"error: cannot write {sidecar}: {reason}\n")
 
     @pytest.mark.parametrize("family", GEN_FAMILIES)
     def test_vertex_count_is_closed_form(self, family):
@@ -547,19 +622,20 @@ class TestSweep:
         assert "graphs-with-dim 40" in out
         assert "counterexamples 0" in out
 
-    def test_failed_entry_is_counted_and_dumped(self, tmp_path, monkeypatch):
-        # A report on the triangle whose three-coloring entry fails.
-        def with_a_failure(g, budgets):
-            report = full_report(g, budgets)
-            if g != cycle(3):
-                return report
-            entries = tuple(
-                CheckEntry(e.name, "fail", e.details) if e.name == "three-coloring" else e
-                for e in report.entries
-            )
-            return dataclasses.replace(report, entries=entries)
+    @staticmethod
+    def _failing_on_the_triangle(g, budgets):
+        """A report whose three-coloring entry fails on the triangle."""
+        report = full_report(g, budgets)
+        if g != cycle(3):
+            return report
+        entries = tuple(
+            CheckEntry(e.name, "fail", e.details) if e.name == "three-coloring" else e
+            for e in report.entries
+        )
+        return dataclasses.replace(report, entries=entries)
 
-        monkeypatch.setattr(cli, "full_report", with_a_failure)
+    def test_failed_entry_is_counted_and_dumped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "full_report", self._failing_on_the_triangle)
         code, out, _ = invoke(["sweep", "--max-n", "3", "--dump-dir", str(tmp_path)])
         assert code == 1
         assert "check three-coloring pass=5 fail=1 na=0 error=0\n" in out
@@ -567,6 +643,16 @@ class TestSweep:
         assert "counterexamples 1\n" in out
         dumped = (tmp_path / "counterexample-000.g").read_text(encoding="utf-8")
         assert parse_graph(dumped) == cycle(3)
+
+    def test_unwritable_dump_is_input_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "full_report", self._failing_on_the_triangle)
+        dump_dir = tmp_path / "missing"
+        code, out, err = invoke(["sweep", "--max-n", "3", "--dump-dir", str(dump_dir)])
+        path = dump_dir / "counterexample-000.g"
+        reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{path}'"
+        assert (code, err) == (2, f"error: cannot write {path}: {reason}\n")
+        assert out.endswith("counterexamples 1\n")
+        assert not list(tmp_path.iterdir())
 
     def test_budget_exhaustion_exit_three(self, tmp_path):
         code, out, _ = invoke(

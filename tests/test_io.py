@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dimtools.io
 from dimtools.checks import full_report
 from dimtools.corpus import connected_graphs
 from dimtools.families import (
@@ -441,6 +442,37 @@ def test_readers_agree_on_family_files(name, make, fmt):
         text = serialize_partition(g, part)
         assert parse_partition(text, g) == part
         _assert_readers_agree(parse_partition, text, "partition", g.n, g)
+
+
+def _no_line_reader(*args):
+    raise AssertionError("a written file went to the line reader")
+
+
+@pytest.fixture
+def bulk_only(monkeypatch):
+    """Parsing with the line readers made to raise, so that a file the
+    bulk path turns away fails the test.  A writer and a format row that
+    disagreed would send every written file there, which only speed
+    would show.  Graphs with an isolated vertex numbered above the token
+    count are left out of its callers: the bulk path sends those to the
+    line reader by design."""
+    monkeypatch.setattr(dimtools.io, "_read_graph", _no_line_reader)
+    monkeypatch.setattr(dimtools.io, "_read_partition", _no_line_reader)
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+def test_every_written_graph_takes_the_bulk_path(bulk_only, fmt):
+    graphs = [getattr(made, "graph", made) for made, _ in (make() for _, make in _FAMILY_CASES)]
+    graphs += [g for n in range(1, 6) for g in connected_graphs(n)]
+    for g in graphs:
+        assert parse_graph(serialize_graph(g, fmt), fmt) == g
+
+
+def test_every_written_partition_takes_the_bulk_path(bulk_only):
+    for _, make in _FAMILY_CASES:
+        made, part = make()
+        if part is not None:
+            assert parse_partition(serialize_partition(made.graph, part), made.graph) == part
 
 
 def test_line_readers_leave_no_edge_index_on_the_graph():
