@@ -32,12 +32,14 @@ budget error it reads (the DIM search up to its first DIM, the whole DIM
 list, or the partition search), its hypothesis and its run.  The
 hypothesis and the run read one per-report :class:`_Facts`, which holds
 each fact the checks share, computed once: the extreme degrees and the
-regularity, the DIMs, the components, the cycle-law result for one DIM,
-and the DIM partition with its list assignment.  One run of the
-exact-cover engine gives the DIMs: its first solution is the DIM
-:func:`~dimtools.solver.find_dim` returns and all of them are the DIM
-list.  The partition search of a connected graph draws on that run's
-node counter and covers the edges by that list.
+regularity, the DIMs, the connectivity, the cycle-law result for one
+DIM, and the DIM partition with its list assignment.  One walk of the
+solver's searches of the components (:class:`~dimtools.solver._Parts`)
+gives the DIM that :func:`~dimtools.solver.find_dim` returns, each
+component's DIM list and the partition that
+:func:`~dimtools.partition.find_dim_partition` finds, on one node
+counter; the DIM count is the product of the lists' lengths, refused
+past the budget as :func:`~dimtools.solver.enumerate_dims` refuses it.
 
 Every row follows one rule.  A check whose hypothesis fails is not
 applicable ("na").  A check that applies while its search ran out of
@@ -48,17 +50,18 @@ or "fail"; no run searches.  A budget hit never reads as "no DIM" or "no
 partition".  A row's not-applicable entry is built once per process and
 shared, immutable, by every report.  A graph with no DIM, found by a
 search that did not run out, gets the tuple of them all, ``_NO_DIM``,
-and nothing else is computed, the components included.
+and nothing else is computed beyond the split into components that the
+search needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Callable, Literal, Optional
 
-from .graph import Graph, _cycle_walk, _regularity, components
+from .graph import Graph, _cycle_walk, _regularity
 from .partition import (
     DimPartition,
     ListAssignment,
@@ -72,8 +75,8 @@ from .solver import (
     DEFAULT_BUDGET,
     EdgeSet,
     SearchBudgetExceeded,
-    _dim_search,
     _Nodes,
+    _Parts,
     classify_dim,
 )
 
@@ -354,7 +357,8 @@ class _Facts:
     # The budget error, or None, of each search a row can read: "dim" up
     # to the first DIM, "dims" the whole DIM list, "partition".
     errors: dict[str, Optional[str]]
-    dims: list[list[int]]
+    # Each part's DIMs, as the searches list them.
+    dims: list[list[list[int]]]
     dim: Optional[EdgeSet]
     cycles: Optional[CycleIntersectionCheck]
     # The partition search found a partition or ran out of budget.
@@ -436,8 +440,11 @@ def _run_vertex_divisibility(f: _Facts) -> tuple[bool, str]:
 _CHECKS = (
     _Check("three-coloring", "no dim", "dim", _always, _run_coloring),
     _Check("edge-count-bound", "no dim", "dim", _always, _run_edge_bound),
+    # g's DIMs are the product of its parts', so they have one size
+    # exactly when each part's do.
     _Check("dim-size-invariance", "no dim", "dims", _always,
-           lambda f: (len({len(d) for d in f.dims}) <= 1, f"dim count {len(f.dims)}")),
+           lambda f: (all(len({len(d) for d in found}) <= 1 for found in f.dims),
+                      f"dim count {prod(map(len, f.dims))}")),
     _Check("degree-ratio-bounds", "no dim or min degree below 2", "dim",
            lambda f: f.lo >= 2, _run_bounds),
     _Check("regular-size-formula", "not regular or no dim", "dim",
@@ -479,54 +486,41 @@ def full_report(g: Graph, budgets: Budgets = Budgets()) -> VerificationReport:
     """
     lo, k, regularity = _regularity(g)
 
-    # One engine run gives the DIM and the DIM list.
-    nodes = _Nodes(budgets.search_nodes)
-    dims: list[list[int]] = []
-    search_error: Optional[str] = None
+    # One walk of the parts' searches gives the DIM, the DIM lists and the
+    # partition, on one counter, each step as the public search takes it.
+    parts = _Parts(g, _Nodes(budgets.search_nodes))
+    dim = dims = refused = classes = p = assignment = error = None
     try:
-        for sol in _dim_search(g, nodes).solutions():
-            dims.append(sol)
-    except SearchBudgetExceeded as exc:
-        search_error = str(exc)
-    # The one check that the engine's DIM is a DIM; the runs that read it
-    # call cores that take it as given.
-    dim = _valid_dim(g, dims[0]) if dims else None
-    # A budget hit before the first solution leaves it unknown whether a
-    # DIM exists; a hit after it leaves the DIM list incomplete.
-    dim_error = None if dims else search_error
-    if dim is None and dim_error is None:
-        return VerificationReport(
-            g.n, g.m, lo, k, regularity, False, None, None, budgets, _NO_DIM
-        )
-    comps = components(g)
-    connected = len(comps) <= 1
-
-    cycles = classes = p = assignment = None
-    partition_error = dim_error
-    if dim is not None:
-        cycles = _cycle_laws(g, dim, budgets.max_cycle_len)
+        first = parts.first()
+        if first is None:
+            return VerificationReport(
+                g.n, g.m, lo, k, regularity, False, None, None, budgets, _NO_DIM
+            )
+        # The one check that the engine's DIM is a DIM; the runs that read
+        # it call cores that take it as given.
+        dim = _valid_dim(g, first)
         classes = _class_count(g)
-        # A connected g is the partition search's only component, so it
-        # would enumerate these same DIMs in as many nodes: it goes on
-        # drawing on their counter.  After a budget hit the counter is past
-        # its limit, so the search enumerates again and runs out at its
-        # first node, as it would have.
-        if not connected:
-            nodes = _Nodes(budgets.search_nodes)
-        known = dims if connected and search_error is None else None
-        try:
-            # No partition exists without one class count on every edge.
-            found = classes and _search_partition(g, classes, nodes, comps, known)
-        except SearchBudgetExceeded as exc:
-            partition_error = str(exc)
-        else:
-            if found:
-                p, colors_at = found
-                assignment = _lists(classes, colors_at)
+        dims = parts.all_dims()
+        refused = parts.refusal()
+        # No partition exists without one class count on every edge.
+        found = classes and _search_partition(g, classes, parts)
+    except SearchBudgetExceeded as exc:
+        error = str(exc)
+    else:
+        if found:
+            p, colors_at = found
+            assignment = _lists(classes, colors_at)
+    # A budget hit before the first DIM leaves it unknown whether a DIM
+    # exists, and so whether a partition does; a hit after it leaves the
+    # DIM lists incomplete, or the partition search unfinished.
+    dim_error = None if dim is not None else error
+    dims_error = error if dims is None else refused and str(refused)
+    partition_error = error if dim is None or classes else None
+    cycles = _cycle_laws(g, dim, budgets.max_cycle_len) if dim is not None else None
 
     facts = _Facts(
-        g, lo, k, regularity, lo == k >= 1, connected,
-        {"dim": dim_error, "dims": search_error, "partition": partition_error},
+        g, lo, k, regularity, lo == k >= 1, parts.connected,
+        {"dim": dim_error, "dims": dims_error, "partition": partition_error},
         dims, dim, cycles,
         (p is not None or partition_error is not None) and g.m > 0,
         classes, p, assignment,

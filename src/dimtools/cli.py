@@ -250,14 +250,25 @@ def _cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
     g = made.graph if family.labeled else made
 
     text = serialize_graph(g, args.format)
-    if args.output:
-        _write(args.output, text)
-        if partition is not None:
-            _write(args.output + ".partition", serialize_partition(g, partition))
-        if args.with_labels:
-            _write(args.output + ".labels", serialize_labels(made.labels))
-    else:
+    if not args.output:
         out.write(text)
+        return EXIT_OK
+    # Every text is serialized before the first write, and a write that
+    # fails takes back those before it: gen writes all of its files or none.
+    files = {args.output: text}
+    if partition is not None:
+        files[args.output + ".partition"] = serialize_partition(g, partition)
+    if args.with_labels:
+        files[args.output + ".labels"] = serialize_labels(made.labels)
+    written: list[str] = []
+    try:
+        for path, text in files.items():
+            _write(path, text)
+            written.append(path)
+    except ValueError:
+        for path in written:
+            Path(path).unlink()
+        raise
     return EXIT_OK
 
 

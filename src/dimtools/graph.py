@@ -144,22 +144,25 @@ class DegreeProfile:
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest vertex."""
     seen = [False] * g.n
-    comps: list[list[int]] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    return [sorted(_walk(g, root, seen, g.n)) for root in range(g.n) if not seen[root]]
+
+
+def _walk(g: Graph, root: int, seen: list[bool], most: int) -> list[int]:
+    """The vertices of root's component, unsorted, marked in ``seen``:
+    one list walk, the list its own queue, read while it grows.  It
+    stops once the list holds ``most`` vertices, as many as the caller
+    knows it can reach."""
+    nbrs = g.neighbors
+    seen[root] = True
+    comp = [root]
+    for v in comp:
+        if len(comp) == most:
+            break
+        for w in nbrs[v]:
+            if not seen[w]:
+                seen[w] = True
+                comp.append(w)
+    return comp
 
 
 def is_connected(g: Graph) -> bool:
@@ -172,9 +175,8 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
     When ``vertices`` is all of g's vertices the subgraph is g itself,
     returned as is: a Graph is frozen and canonical, so a rebuilt copy
     would equal it.  Otherwise the remap keeps the order of the
-    vertices, so the kept edges, renumbered, are still canonical and
-    sorted, and go straight to :class:`Graph`.  Raises ValueError
-    naming a vertex listed twice or outside 0..n-1.
+    vertices (:func:`_induced`).  Raises ValueError naming a vertex
+    listed twice or outside 0..n-1.
     """
     order = sorted(vertices)
     if order == list(range(g.n)):
@@ -186,10 +188,52 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
         if v in remap:
             raise ValueError(f"vertex {v} listed twice")
         remap[v] = len(remap)
-    pairs = tuple(
-        [(remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap]
-    )
-    return Graph(len(order), pairs), order
+    return _induced(g, remap)[0], order
+
+
+def _induced(g: Graph, remap: dict[int, int]) -> tuple[Graph, list[EdgeId]]:
+    """The subgraph induced by the vertices ``remap`` maps, ascending, to
+    0, 1, ..., with the ascending ids in g of its edges.
+
+    Listed by ascending vertex, a vertex's edges to larger neighbors come
+    in ascending id, so the kept edges, renumbered in that order, are
+    canonical and sorted, and go straight to :class:`Graph`.
+    """
+    ids: list[EdgeId] = []
+    pairs = []
+    for v, i in remap.items():
+        for w, e in zip(g.neighbors[v], g.incident[v]):
+            if w > v and w in remap:
+                ids.append(e)
+                pairs.append((i, remap[w]))
+    return Graph(len(remap), tuple(pairs)), ids
+
+
+def _split(g: Graph) -> tuple[list[tuple[Graph, Sequence[EdgeId]]], bool]:
+    """g's parts and whether g is connected.
+
+    A part is an edge-bearing component, in order of smallest vertex, as
+    its induced subgraph with the ascending ids in g of its edges: local
+    edge i is g's edge ``ids[i]``.  When g has at most one edge-bearing
+    component, its one part is g itself with ids ``range(g.m)``, and no
+    subgraph is built.  Each edge-bearing component is one list walk
+    (:func:`_walk`) from its smallest vertex, and isolated vertices are
+    not walked, so the split ends once the first walk reaches every
+    vertex with an edge.
+    """
+    n, degs = g.n, g.degrees
+    bearing = n - degs.count(0)
+    seen = [False] * n
+    comps = []
+    for root in range(n):
+        if degs[root] and not seen[root]:
+            comp = _walk(g, root, seen, bearing)
+            if len(comp) == bearing:
+                return [(g, range(len(g.edges)))], bearing == n
+            comps.append(sorted(comp))
+    if comps:
+        return [_induced(g, {v: i for i, v in enumerate(comp)}) for comp in comps], False
+    return [(g, range(0))], n <= 1
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
@@ -238,14 +282,16 @@ def _regularity(g: Graph) -> tuple[int, int, str]:
     A regular graph is "regular" whether or not it is bipartite, so no
     2-coloring runs; an irregular one is "biregular" exactly when every
     edge joins a smallest-degree vertex to a largest-degree one, as
-    :func:`degree_profile` explains.
+    :func:`degree_profile` explains.  That holds exactly when lo and hi
+    are the only degrees and no edge joins two equal ones: a vertex of
+    any other degree has an edge, since its degree is above lo.
     """
     degs = g.degrees
     lo = min(degs, default=0)
     hi = max(degs, default=0)
     if lo == hi:
         return lo, hi, "regular"
-    if all({degs[u], degs[v]} == {lo, hi} for u, v in g.edges):
+    if len(set(degs)) == 2 and all(degs[u] != degs[v] for u, v in g.edges):
         return lo, hi, "biregular"
     return lo, hi, "neither"
 

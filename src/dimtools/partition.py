@@ -5,12 +5,12 @@ number of classes is forced: every class holds exactly one edge of
 E(u) union E(v) for any fixed edge uv, so there are d(u) + d(v) - 1
 classes, and the graph must be regular or biregular.  The second fact
 follows from the first, so the search checks only the first, up front
-and over all edges at once.  Then it enumerates each component's DIMs
-with the solver's exact-cover engine and runs the same engine once
-more to cover the component's edges exactly by those DIMs; every class
-of such a cover is a DIM, so the cover is the partition.  The solver
-builds both instances: this module hands it the DIMs as edge lists and
-reads back which of them cover.
+and over all edges at once.  Then the solver's searches of the graph's
+components (:class:`~dimtools.solver._Parts`) enumerate each
+component's DIMs and cover its edges exactly by them; every class of
+such a cover is a DIM, so the covers, joined class by class, are the
+partition.  The solver builds and runs both instances; this module
+colors the edges by the covers it reads back.
 :func:`brute_force_dim_partitions` is the assumption-free oracle that
 covers the edge set by DIMs from the subset-scan oracle with a search
 of its own.
@@ -28,8 +28,7 @@ its edges, and the per-edge tests are whole-array compares; the lists
 are then read off the masks' missing bits.  Both give the same answers,
 lists and errors.  The search returns those sets, so
 :func:`~dimtools.checks.full_report` builds its list assignment from
-them; the report passes its class count, components, DIM list and node
-counter down.
+them; the report passes its class count and its searches down.
 
 The list assignment sends each vertex to the set of class colors
 missing from its incident edges.  A DIM class meets every vertex in
@@ -49,18 +48,17 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .graph import Graph, _regularity, components, induced_subgraph
+from .graph import Graph, _regularity
 from .solver import (
     DEFAULT_BUDGET,
     DimClass,
     EdgeSet,
-    _cover_search,
-    _dim_search,
     _Nodes,
+    _Parts,
     brute_force_dims,
     classify_dim,
 )
@@ -173,32 +171,19 @@ def _class_count(g: Graph) -> Optional[int]:
 
 
 def _cover_by_dims(
-    g: Graph, k: int, budget: _Nodes, dims: Optional[list[list[int]]]
-) -> Optional[list[int]]:
-    """Colors of a connected graph's edges in k DIM classes, or None if
-    there is no such partition.
-
-    Enumerates the DIMs with the solver's DIM search, each as a sorted
-    edge list in the order found, unless ``dims`` already lists them so,
-    then hands those lists to the solver as the rows of a cover instance
-    whose columns are the edges.  The first cover found is returned, its
-    classes numbered 1..k in order of their smallest edge.  Both
-    searches draw on ``budget``.
-    """
-    if dims is None:
-        dims = list(_dim_search(g, budget).solutions())
-    cover = next(_cover_search(dims, g.m, budget).solutions(), None)
-    if cover is None:
-        return None
+    k: int, dims: list[list[int]], cover: list[int], ids: Sequence[int], color_of: list[int]
+) -> None:
+    """Color one part's edges in ``color_of`` by the k classes of its
+    exact cover ``cover``, row indices into the part's DIM list ``dims``,
+    numbered 1..k in order of their smallest edge; the part's edge i is
+    g's edge ``ids[i]``."""
     # Each DIM holds exactly one edge of E(u) | E(v) for a fixed edge uv,
     # so every exact cover has d(u) + d(v) - 1 classes.
     if len(cover) != k:
         raise RuntimeError(f"cover has {len(cover)} classes, forced count is {k}")
-    colors = [0] * g.m
     for color, i in enumerate(sorted(cover, key=lambda i: dims[i][0]), 1):
         for e in dims[i]:
-            colors[e] = color
-    return colors
+            color_of[ids[e]] = color
 
 
 def find_dim_partition(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[DimPartition]:
@@ -207,50 +192,43 @@ def find_dim_partition(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[DimPa
     Every edge uv must give the same class count d(u)+d(v)-1; this one
     precondition is checked over all of g's edges before any search, and
     before the components are found, so a graph that fails it costs no
-    BFS.  It also makes every connected component regular or biregular:
+    walk.  It also makes every connected component regular or biregular:
     a constant d(u)+d(v) = s makes the degrees alternate between a and
     s-a along every walk, so either a = s-a and the component is
     regular, or the two degree classes are the two sides of a
     bipartition and it is biregular.  Each edge-bearing component is
-    then partitioned independently, its classes numbered in order of
-    their smallest edge.  The edgeless graph gets the empty partition.
-    Raises SearchBudgetExceeded once the searches of all components
-    together expand more than ``budget`` nodes.
+    then partitioned on its own, its classes numbered in order of their
+    smallest edge, and class c of g is the union of the components'
+    classes c.  The edgeless graph gets the empty partition.  Raises
+    SearchBudgetExceeded once the searches of all components together
+    expand more than ``budget`` nodes.
     """
     if not g.edges:
         return DimPartition(0, ())
     k = _class_count(g)
     if k is None:
         return None
-    found = _search_partition(g, k, _Nodes(budget), components(g))
+    parts = _Parts(g, _Nodes(budget))
+    if parts.first() is None:
+        return None
+    parts.all_dims()
+    found = _search_partition(g, k, parts)
     return found[0] if found else None
 
 
 def _search_partition(
-    g: Graph, k: int, budget: _Nodes, comps: list[list[int]],
-    dims: Optional[list[list[int]]] = None,
+    g: Graph, k: int, parts: _Parts
 ) -> Optional[tuple[DimPartition, _Masks]]:
-    """:func:`find_dim_partition` on a g with edges, forced class count
-    k and components ``comps``, drawing on ``budget``: the partition and
-    each vertex's incident colors, or None.
-
-    A caller that has enumerated the DIMs of a connected g on the same
-    counter passes them as ``dims``, as :func:`_cover_by_dims` lists
-    them; the search covers E(g) by them instead of enumerating again,
-    with the same partition and node count.
-    """
+    """:func:`find_dim_partition` on a g with edges and forced class
+    count k, once the searches ``parts`` of g have listed every part's
+    DIMs: the cover searches' partition and each vertex's incident
+    colors, or None."""
+    covers = parts.covers()
+    if covers is None:
+        return None
     color_of = [0] * g.m
-    for comp in (c for c in comps if any(g.incident[v] for v in c)):
-        sub, old_vertices = induced_subgraph(g, comp)
-        sub_colors = _cover_by_dims(sub, k, budget, dims)
-        if sub_colors is None:
-            return None
-        if sub is g:
-            color_of = sub_colors
-            continue
-        for local_eid, (a, b) in enumerate(sub.edges):
-            eid = g.edge_id(old_vertices[a], old_vertices[b])
-            color_of[eid] = sub_colors[local_eid]
+    for (_, ids), dims, cover in zip(parts.parts, parts.dims, covers):
+        _cover_by_dims(k, dims, cover, ids, color_of)
 
     partition = DimPartition(k, tuple(color_of))
     colors_at = _incident_colors(g, partition)

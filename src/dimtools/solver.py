@@ -7,12 +7,20 @@ with it), a set M of edges is a DIM exactly when the family
 {D_e : e in M} partitions E(G), i.e. every edge is dominated by exactly
 one member.
 
+Every search runs component by component: :class:`_Parts` splits the
+graph once into its edge-bearing components and walks them, in order
+of smallest vertex and on one node counter, through each component's
+first DIM, then the rest of its DIMs, then one cover search of its
+edges by its DIMs.  :func:`find_dim`, :func:`enumerate_dims`, the
+partition search in :mod:`dimtools.partition` and the report in
+:mod:`dimtools.checks` all take their steps on it, so a disconnected
+graph never costs the product of its components' searches.
+
 The search is an exact cover: :class:`_ExactCover` is the one engine,
 and this module builds every instance it runs: :func:`_dim_search`
 the DIM instance of a graph, and :func:`_cover_search` an instance
-given as row lists, which the partition search in
-:mod:`dimtools.partition` runs with a graph's DIMs as rows and its
-edges as columns.  It branches on the uncovered
+given as row lists, which :class:`_Parts` runs with a component's DIMs
+as rows and its edges as columns.  It branches on the uncovered
 column with the fewest viable rows (Knuth's Algorithm X, arXiv
 cs/0011047) and walks the tree with an explicit stack, so depth is
 bounded by memory rather than by the interpreter's recursion limit.
@@ -60,12 +68,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import chain, product, zip_longest
+from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import EdgeId, Graph
+from .graph import EdgeId, Graph, _split
 
 EdgeSet = frozenset[EdgeId]
 
@@ -131,14 +140,15 @@ def dominated_set(g: Graph, e: EdgeId) -> EdgeSet:
 def _domination_masks(g: Graph) -> list[int]:
     """Bitmask of D_e per edge (bit f set iff f is dominated by e).
 
-    D_e for e = uv is the union of the incidence masks of u and v.
+    D_e for e = uv is the union of the incidence masks of u and v, each
+    built in one pass over the edges.
     """
-    inc = []
-    for ids in g.incident:
-        mask = 0
-        for e in ids:
-            mask |= 1 << e
-        inc.append(mask)
+    inc = [0] * g.n
+    bit = 1
+    for u, v in g.edges:
+        inc[u] |= bit
+        inc[v] |= bit
+        bit <<= 1
     return [inc[u] | inc[v] for u, v in g.edges]
 
 
@@ -827,25 +837,123 @@ def _cover_search(rows: Sequence[Sequence[int]], ncols: int, budget: _Nodes) -> 
     return _ExactCover(len(rows), ncols, masks, tables, budget)
 
 
+class _Parts:
+    """The searches of a graph, part by part, on one node counter.
+
+    A DIM of g is a union of one DIM of each part, its edge-bearing
+    components (:func:`~dimtools.graph._split`), and a DIM partition of
+    g colors each part by a partition of its own (component
+    decomposition, as in Bayardo and Pehoushek, AAAI 2000, instead of
+    backtracking across independent parts).  So every search walks
+    the parts in order of smallest vertex, on the counter ``nodes``, in
+    at most three steps, each over every part before the next begins:
+
+    1. :meth:`first`: each part's first DIM, stopping at the first part
+       that has none;
+    2. :meth:`all_dims`: the rest of each part's DIMs;
+    3. :meth:`covers`: one cover search per part, of its edges by its
+       DIMs.
+
+    :func:`find_dim` takes step 1, :func:`enumerate_dims` steps 1 and 2,
+    and the partition search all three, as does
+    :func:`~dimtools.checks.full_report`, which reads every step.  The
+    caller takes the steps in order, each once; one that runs out of
+    budget or finds nothing ends the walk.  A graph of one part runs the
+    instance of the whole graph.
+
+    The parts' engine generators draw on the one counter and interleave
+    only at their yields.  The engine never holds a dead chain to walk
+    again (``_ExactCover._single_steps``, which sets the counter back to
+    a count it saved) across a yield, so no part undoes another's nodes.
+    """
+
+    __slots__ = ("parts", "connected", "nodes", "dims", "_searches")
+
+    def __init__(self, g: Graph, nodes: _Nodes) -> None:
+        self.parts, self.connected = _split(g)
+        self.nodes = nodes
+        # Each part's DIMs found so far, as the engine yields them: ascending
+        # lists of the part's edge ids; and each part's search, to go on.
+        self.dims: list[list[list[int]]] = []
+        self._searches: list[Iterator[list[int]]] = []
+
+    def first(self) -> Optional[list[int]]:
+        """Step 1: a DIM of g as its edge ids, the union of each part's
+        first, or None if some part has none.  Each part's first DIM
+        starts its list in ``dims``."""
+        for sub, _ in self.parts:
+            search = _dim_search(sub, self.nodes).solutions()
+            sol = next(search, None)
+            if sol is None:
+                return None
+            self._searches.append(search)
+            self.dims.append([sol])
+        return [ids[e] for (_, ids), found in zip(self.parts, self.dims) for e in found[0]]
+
+    def all_dims(self) -> list[list[list[int]]]:
+        """Step 2, after a step 1 that found a DIM: every DIM of each
+        part, first one first, as ``dims`` then holds them."""
+        for found, search in zip(self.dims, self._searches):
+            found.extend(search)
+        return self.dims
+
+    def refusal(self) -> Optional[SearchBudgetExceeded]:
+        """Why g's DIMs may not be listed, or None; step 2 must have found
+        them.  g has the product of its parts' counts, which may exceed
+        the nodes that found them; with two parts or more a product above
+        the budget is refused, so the budget bounds a listing as it bounds
+        the search of one part, whose every DIM costs a node."""
+        if len(self.dims) > 1 and prod(map(len, self.dims)) > self.nodes.limit:
+            return _over_budget(self.nodes.limit)
+        return None
+
+    def covers(self) -> Optional[list[list[int]]]:
+        """Step 3, after step 2: each part's first exact cover of its
+        edges by its DIMs, as row indices into its list in ``dims``, or
+        None at the first part that has none."""
+        found = []
+        for (sub, _), dims in zip(self.parts, self.dims):
+            cover = next(_cover_search(dims, sub.m, self.nodes).solutions(), None)
+            if cover is None:
+                return None
+            found.append(cover)
+        return found
+
+
 def find_dim(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[EdgeSet]:
     """Some valid DIM of g, or None if no DIM exists.
 
-    The empty matching is a DIM of any edgeless graph.  Raises
-    SearchBudgetExceeded once the search expands more than ``budget``
-    nodes.
+    The DIM is the union of the first DIM of each edge-bearing
+    component, searched in order of smallest vertex.  The empty matching
+    is a DIM of any edgeless graph.  Raises SearchBudgetExceeded once the
+    searches expand more than ``budget`` nodes together.
     """
-    for sol in _dim_search(g, _Nodes(budget)).solutions():
-        return frozenset(sol)
-    return None
+    found = _Parts(g, _Nodes(budget)).first()
+    return None if found is None else frozenset(found)
 
 
 def enumerate_dims(g: Graph, budget: int = DEFAULT_BUDGET) -> list[EdgeSet]:
     """All DIMs of g, in lexicographic order of sorted edge-id tuples.
 
-    Raises SearchBudgetExceeded once the search expands more than
-    ``budget`` nodes; results are never silently truncated.
+    They are the product of the DIMs of the edge-bearing components.
+    Raises SearchBudgetExceeded once the searches expand more than
+    ``budget`` nodes together, and before listing when g has two such
+    components or more and more DIMs than ``budget``; results are never
+    silently truncated.
     """
-    return [frozenset(sol) for sol in sorted(_dim_search(g, _Nodes(budget)).solutions())]
+    parts = _Parts(g, _Nodes(budget))
+    if parts.first() is None:
+        return []
+    dims = parts.all_dims()
+    refused = parts.refusal()
+    if refused is not None:
+        raise refused
+    # The DIMs of one part, g itself, are g's as found.
+    listed = dims[0]
+    if len(dims) > 1:
+        in_g = [[[ids[e] for e in sol] for sol in found] for (_, ids), found in zip(parts.parts, dims)]
+        listed = [sorted(chain.from_iterable(choice)) for choice in product(*in_g)]
+    return [frozenset(sol) for sol in sorted(listed)]
 
 
 def brute_force_dims(g: Graph) -> list[EdgeSet]:

@@ -45,6 +45,8 @@ from test_solver import prism
 DISJOINT_PETERSEN = [(u + 10, v + 10) for u, v in petersen().edges]
 # C9 on vertices 10..18, beside a Petersen graph on 0..9.
 C9_AFTER_PETERSEN = [(u + 10, v + 10) for u, v in cycle(9).edges]
+# Four disjoint copies of C6 on vertices 0..23.
+FOUR_C6 = [(u + 6 * i, v + 6 * i) for i in range(4) for u, v in cycle(6).edges]
 
 
 def k4_minus_edge():
@@ -392,13 +394,14 @@ class TestFullReport:
             (cycle(9), {}),
             (bipartite_kneser(2, 3).graph, {}),
             (star(3), {}),
-            # The partition search enumerates each component's DIMs.
-            (build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]), {"_dim_search": 3}),
+            # One DIM search per component, for the DIMs and the partition.
+            (build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]), {"_dim_search": 2}),
             # d(u)+d(v)-1 is 5 on Petersen and 3 on C9: no partition search.
             (build_graph(19, [*petersen().edges, *C9_AFTER_PETERSEN]),
-             {"_incident_colors": 0}),
-            (cycle(4), {"components": 0, "_cycle_walk": 0, "classify_dim": 0,
-                        "_incident_colors": 0}),
+             {"_dim_search": 2, "_incident_colors": 0}),
+            # The components are split off before the DIM search, and
+            # nothing else is computed.
+            (cycle(4), {"_cycle_walk": 0, "classify_dim": 0, "_incident_colors": 0}),
         ],
         ids=["Petersen", "KG(7,3)", "C9", "BG(2,3)", "star(3)", "two-Petersens",
              "Petersen+C9", "C4-no-dim"],
@@ -407,21 +410,18 @@ class TestFullReport:
         # The report checks its DIM once, up front, and counts the cycle
         # laws on one cycle walk; graph binds the walk for enumerate_cycles.
         calls = count_calls(monkeypatch, [
-            (graph, "components"),
-            (checks, "components"),
-            (partition, "components"),
+            (solver, "_split"),
             (checks, "_regularity"),
             (partition, "_regularity"),
             (partition, "_incident_colors"),
-            (checks, "_dim_search"),
-            (partition, "_dim_search"),
+            (solver, "_dim_search"),
             (graph, "_cycle_walk"),
             (checks, "_cycle_walk"),
             (checks, "classify_dim"),
             (partition, "classify_dim"),
         ])
         assert full_report(g).all_passed
-        names = ("_regularity", "components", "_incident_colors", "_dim_search",
+        names = ("_regularity", "_split", "_incident_colors", "_dim_search",
                  "_cycle_walk", "classify_dim")
         want = {name: expected.get(name, 1) for name in names}
         assert {name: calls.get(name, 0) for name in names} == want
@@ -441,37 +441,35 @@ class TestFullReport:
         assert calls == {"_even_side": 1}
 
     def test_facts_computed_only_when_needed(self, monkeypatch):
-        # is_connected reaches components through the graph module.
         calls = count_calls(monkeypatch, [
             (graph, "components"),
-            (checks, "components"),
-            (partition, "components"),
+            (solver, "_split"),
             (checks, "_regularity"),
             (partition, "_regularity"),
         ])
-        # No DIM: no check can apply, so connectivity is never asked for.
+        # No DIM: no check can apply, but the DIM search is split by
+        # component before it runs.
         assert not full_report(cycle(4)).dim_exists
-        assert calls == {"_regularity": 1}
+        assert calls == {"_split": 1, "_regularity": 1}
         # A DIM, but d(u)+d(v)-1 is 2 on the end edges and 3 in the middle,
         # so the partition search gives up before looking for components.
-        # The report finds them once, for its own connectivity test.
+        # The report splits once, for its searches and its connectivity.
         path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         calls.clear()
         assert find_dim_partition(path) is None
         assert calls == {}
         report = full_report(path)
         assert report.dim_exists and not report.entry("partition-regularity").applicable
-        assert calls == {"components": 1, "_regularity": 1}
+        assert calls == {"_split": 1, "_regularity": 1}
 
     @pytest.mark.parametrize(
         "g,searches",
-        [(petersen(), 1), (build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]), 3)],
+        [(petersen(), 1), (build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]), 2)],
         ids=["connected", "two-components"],
     )
     def test_dims_enumerated_once(self, monkeypatch, g, searches):
-        # One engine run gives the DIM and the DIM list, and the partition
-        # search of a connected graph reuses that list; a disconnected
-        # graph's partition search enumerates each component on its own.
+        # One engine run per component gives the DIM and the DIM lists, and
+        # the partition search covers each component by its list.
         calls = []
         dim_search = solver._dim_search
 
@@ -479,17 +477,25 @@ class TestFullReport:
             calls.append(args)
             return dim_search(*args)
 
-        for module in (solver, checks, partition):
-            monkeypatch.setattr(module, "_dim_search", counted)
+        monkeypatch.setattr(solver, "_dim_search", counted)
         assert full_report(g).all_passed
         assert len(calls) == searches
 
-    @pytest.mark.parametrize("make", [petersen, lambda: cycle(9)], ids=["Petersen", "C9"])
-    def test_partition_entries_follow_the_partition_search(self, make):
+    @pytest.mark.parametrize(
+        "make,name,budgets",
+        [
+            (petersen, "partition-regularity", range(40)),
+            (lambda: cycle(9), "partition-regularity", range(40)),
+            # Disconnected, so partition regularity does not apply.
+            (lambda: build_graph(24, FOUR_C6), "list-properties", range(91)),
+        ],
+        ids=["Petersen", "C9", "four-C6"],
+    )
+    def test_partition_entries_follow_the_partition_search(self, make, name, budgets):
         # The report's partition search reuses its DIM enumeration; it must
         # still run out of budget exactly when the search on its own does.
         g = make()
-        for budget in range(40):
+        for budget in budgets:
             try:
                 find_dim_partition(g, budget)
                 alone = None
@@ -497,24 +503,28 @@ class TestFullReport:
                 alone = str(exc)
             report = full_report(g, Budgets(search_nodes=budget))
             if report.dim_exists:
-                assert report.entry("partition-regularity").error == alone
+                assert report.entry(name).error == alone
 
     @pytest.mark.parametrize(
-        "g",
+        "g,budgets",
         [
-            petersen(),
-            cycle(9),
-            kneser(7, 3).graph,
-            build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]),
-            build_graph(19, [*petersen().edges, *C9_AFTER_PETERSEN]),
+            (petersen(), range(61)),
+            (cycle(9), range(61)),
+            (kneser(7, 3).graph, range(61)),
+            (build_graph(20, [*petersen().edges, *DISJOINT_PETERSEN]), range(61)),
+            (build_graph(19, [*petersen().edges, *C9_AFTER_PETERSEN]), range(61)),
+            # 81 DIMs in 24 nodes: from 24 to 80 nodes they are found but
+            # not listed.
+            (build_graph(24, FOUR_C6), range(91)),
         ],
-        ids=["Petersen", "C9", "KG(7,3)", "two-Petersens", "Petersen+C9"],
+        ids=["Petersen", "C9", "KG(7,3)", "two-Petersens", "Petersen+C9", "four-C6"],
     )
-    def test_dim_entries_follow_the_public_searches(self, g):
-        # The report takes its DIM and its DIM list from one engine run;
-        # each must run out of budget exactly when find_dim or
-        # enumerate_dims on its own does, and otherwise agree with it.
-        for budget in range(61):
+    def test_dim_entries_follow_the_public_searches(self, g, budgets):
+        # The report takes its DIM and its DIM lists from one walk of the
+        # components' searches; each must run out of budget exactly when
+        # find_dim or enumerate_dims on its own does, and otherwise agree
+        # with it.
+        for budget in budgets:
             report = full_report(g, Budgets(max_cycle_len=3, search_nodes=budget))
             try:
                 alone = find_dim(g, budget)
@@ -559,7 +569,7 @@ class TestFullReport:
             def solutions(self):
                 yield solution
 
-        monkeypatch.setattr(checks, "_dim_search", lambda g, nodes: NonDimSearch())
+        monkeypatch.setattr(solver, "_dim_search", lambda g, nodes: NonDimSearch())
         message = f"not a valid DIM ({kind})"
         for public in (three_coloring_from_dim, lambda g, d: check_cycle_intersections(g, d, 6)):
             with pytest.raises(ValueError, match=re.escape(message)):

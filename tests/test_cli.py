@@ -304,6 +304,9 @@ class TestGen:
         code, out, err = invoke([*argv, "-o", str(tmp_path / "g.g")])
         reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{sidecar}'"
         assert (code, out, err) == (2, "", f"error: cannot write {sidecar}: {reason}\n")
+        # The files written before the failing one are taken back.
+        assert [p.name for p in tmp_path.iterdir()] == [sidecar.name]
+        assert not list(sidecar.iterdir())
 
     @pytest.mark.parametrize("family", GEN_FAMILIES)
     def test_vertex_count_is_closed_form(self, family):
@@ -534,16 +537,21 @@ VERIFY_GOLDENS = {
     "c6": cycle(6),
     "two-petersens": TWO_PETERSENS,
 }
-# verify all at budgets that stop a search at four different points, each
+# Four disjoint copies of C6: 81 DIMs, found in 24 nodes.
+FOUR_C6 = build_graph(24, [(u + 6 * i, v + 6 * i) for i in range(4) for u, v in cycle(6).edges])
+# verify all at budgets that stop a search at five different points, each
 # exit 3: before Petersen's first DIM; during its DIM enumeration; in C9's
-# cover search, after its DIM list is complete; and in the DIM search of
-# two disjoint Petersens, whose partition search has a count of its own
-# and succeeds.
+# cover search, after its DIM list is complete; in the second cover search
+# of two disjoint Petersens, after both DIM lists (6 + 24 nodes) and the
+# first cover (5 nodes); and in no search of four disjoint C6, whose 36
+# nodes fit but whose 81 DIMs are more than the budget allows listed, so
+# only the DIM count is an error and the partition entries pass.
 BUDGET_GOLDENS = {
     "petersen-budget-1": (petersen(), 1),
     "petersen-budget-10": (petersen(), 10),
     "c9-budget-10": (cycle(9), 10),
-    "two-petersens-budget-40": (TWO_PETERSENS, 40),
+    "two-petersens-budget-39": (TWO_PETERSENS, 39),
+    "four-c6-budget-40": (FOUR_C6, 40),
 }
 
 
@@ -867,6 +875,21 @@ def test_hard_cubic_graph_answers_no_within_a_small_budget():
     assert (code, err) == (1, "")
     golden = DATA / "cubic-400-seed1.dim-find-budget-1000.txt"
     assert out == golden.read_text(encoding="utf-8")
+
+
+def test_components_answer_no_dim_within_a_small_budget():
+    # 13 disjoint C6 and one C7: each component is searched on its own, so
+    # 13 x 2 nodes find the C6's first DIMs and 6 show that C7 has none.
+    # One search of the whole graph tries every C6 choice again below
+    # each other and runs out of the default budget.
+    path = str(DATA / "c6x13-c7.g")
+    assert invoke(["dim", "find", "--budget", "32", path]) == (1, "no DIM\n", "")
+    assert invoke(["dim", "find", "--budget", "31", path]) == (
+        3, "", "error: exceeded search budget of 31 nodes\n"
+    )
+    code, out, err = invoke(["verify", "all", path])
+    assert (code, err) == (0, "")
+    assert out == (DATA / "c6x13-c7.verify-all.txt").read_text(encoding="utf-8")
 
 
 def test_default_budgets_are_one_constant():

@@ -17,6 +17,7 @@ from dimtools.graph import (
     DegreeProfile,
     Graph,
     _cycle_walk,
+    _split,
     build_graph,
     components,
     degree_profile,
@@ -489,6 +490,59 @@ class TestComponents:
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match=message):
             induced_subgraph(g, vertices)
+
+    def test_connected_corpus_is_one_component(self):
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                assert components(g) == [list(range(n))]
+
+    def test_matches_networkx(self):
+        # The families and seeded relabelled disjoint unions.
+        rng = random.Random(7)
+        graphs = [petersen(), cycle(9), complete(5), star(4), bipartite_kneser(2, 3).graph,
+                  kneser(7, 3).graph, build_graph(6, [])]
+        graphs += [disjoint_union(random_union(rng), seed) for seed in range(200)]
+        for g in graphs:
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(g.n))
+            nxg.add_edges_from(g.edges)
+            expected = sorted(sorted(c) for c in nx.connected_components(nxg))
+            assert components(g) == expected
+            assert is_connected(g) == (g.n == 0 or nx.is_connected(nxg))
+
+
+class TestSplit:
+    """The one split of a graph into the parts its searches walk."""
+
+    @pytest.mark.parametrize(
+        "g,connected",
+        [(petersen(), True), (build_graph(0, []), True), (build_graph(4, []), False),
+         (build_graph(5, [(1, 3), (3, 4)]), False)],
+        ids=["Petersen", "no vertex", "edgeless", "one edge-bearing component"],
+    )
+    def test_one_part_is_the_graph(self, g, connected):
+        parts, is_conn = _split(g)
+        assert is_conn == connected
+        assert len(parts) == 1 and parts[0][0] is g and parts[0][1] == range(g.m)
+
+    def test_parts_are_the_induced_components(self):
+        rng = random.Random(3)
+        seen = 0
+        for seed in range(300):
+            g = disjoint_union(random_union(rng), seed)
+            comps = [c for c in components(g) if len(c) > 1]
+            if len(comps) < 2:
+                continue
+            seen += 1
+            parts, connected = _split(g)
+            assert not connected
+            assert len(parts) == len(comps)
+            for (sub, ids), comp in zip(parts, comps):
+                assert sub == induced_subgraph(g, comp)[0]
+                assert ids == sorted(ids)
+                assert [g.edges[e] for e in ids] == [(comp[u], comp[v]) for u, v in sub.edges]
+            assert sorted(e for _, ids in parts for e in ids) == list(range(g.m))
+        assert seen > 100
 
 
 def closed_walk_cycle_counts(g, max_len):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimtools import checks, graph, partition
+from dimtools import checks, graph, partition, solver
 from dimtools.corpus import connected_graphs
 from dimtools.families import (
     bg_dim_partition,
@@ -25,7 +25,7 @@ from dimtools.families import (
     petersen,
     star,
 )
-from dimtools.graph import build_graph, components, degree_profile, is_connected
+from dimtools.graph import build_graph, degree_profile, is_connected
 from dimtools.partition import (
     DimPartition,
     ListAssignment,
@@ -38,7 +38,9 @@ from dimtools.partition import (
     verify_dim_partition,
     verify_list_properties,
 )
-from dimtools.solver import DimClass, DimWitness, SearchBudgetExceeded, _Nodes, classify_dim
+from dimtools.solver import (
+    DimClass, DimWitness, SearchBudgetExceeded, _Nodes, _Parts, classify_dim,
+)
 
 from test_checks import count_calls
 from test_cli import subprocess_env
@@ -221,22 +223,34 @@ class TestFindPartition:
             find_dim_partition(petersen(), budget=1)
 
     def test_known_dims_stand_in_for_the_enumeration(self):
+        # A caller that has read the DIMs off the searches, as the report
+        # does, gets the partition and the node count of a search on its
+        # own: the partition search only covers.
+        def listed(budget):
+            parts = _Parts(g, _Nodes(budget))
+            parts.first()
+            parts.all_dims()
+            return parts
+
         g = kneser(7, 3).graph
-        k, comps = partition._class_count(g), components(g)
-        nodes = _Nodes(10_000)
-        dims = [sorted(sol) for sol in partition._dim_search(g, nodes).solutions()]
-        used = nodes.used
-        p, colors_at = partition._search_partition(g, k, nodes, comps, dims)
+        k = partition._class_count(g)
+        parts = listed(10_000)
+        dims = [list(found) for found in parts.dims]
+        used = parts.nodes.used
+        p, colors_at = partition._search_partition(g, k, parts)
+        assert parts.dims == dims
         assert p == find_dim_partition(g, 10_000)
         assert colors_at == partition._incident_colors(g, p)
-        fresh = _Nodes(10_000)
-        partition._search_partition(g, k, fresh, comps)
-        assert fresh.used == nodes.used
-        # A budget equal to the nodes already used runs out at once.
-        used_up = _Nodes(used)
-        used_up.used = used
+        # 93 nodes list KG(7,3)'s 7 DIMs, and the cover takes 7 more, as
+        # find_dim_partition takes them.
+        assert (used, parts.nodes.used) == (93, 100)
         with pytest.raises(SearchBudgetExceeded):
-            partition._search_partition(g, k, used_up, comps, dims)
+            find_dim_partition(g, 99)
+        assert find_dim_partition(g, 100) == p
+        # A budget equal to the nodes the DIMs took runs out at the first
+        # cover node.
+        with pytest.raises(SearchBudgetExceeded):
+            partition._search_partition(g, k, listed(used))
 
     def test_classes_numbered_by_smallest_edge(self):
         p = find_dim_partition(petersen())
@@ -252,7 +266,7 @@ class _NonDimSearch:
 
 class TestPostconditions:
     def test_partition_with_non_dim_class_raises(self, monkeypatch):
-        monkeypatch.setattr(partition, "_dim_search", lambda g, b: _NonDimSearch())
+        monkeypatch.setattr(solver, "_dim_search", lambda g, b: _NonDimSearch())
         with pytest.raises(RuntimeError, match="non-DIM class"):
             find_dim_partition(cycle(6))
 
@@ -266,7 +280,7 @@ class TestPostconditions:
         script = textwrap.dedent(
             """
             import sys
-            from dimtools import checks, partition
+            from dimtools import checks, partition, solver
             from dimtools.families import complete, cycle
             from dimtools.solver import DimClass, DimWitness
 
@@ -290,7 +304,7 @@ class TestPostconditions:
             else:
                 sys.exit("list_assignment accepted a non-DIM class")
 
-            partition._dim_search = lambda g, b: NonDimSearch()
+            solver._dim_search = lambda g, b: NonDimSearch()
             valid = DimWitness(frozenset(), DimClass.VALID_DIM)
             checks.classify_dim = lambda g, dim: valid
             for call in (
@@ -846,7 +860,6 @@ class TestKneserIsomorphism:
     def test_reads_only_the_degrees(self, monkeypatch):
         calls = count_calls(monkeypatch, [
             (graph, "components"),
-            (partition, "components"),
             (graph, "degree_profile"),
             (partition, "_regularity"),
         ])

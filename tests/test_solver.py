@@ -36,7 +36,7 @@ from dimtools.solver import (
     find_dim,
 )
 
-from test_graph import graphs_strategy
+from test_graph import disjoint_union, graphs_strategy
 
 
 DATA = Path(__file__).parent / "data"
@@ -572,6 +572,16 @@ BATCH_EXITS = [
 ]
 
 
+# The instance of "dead-chain-after-a-batch" above, which yields nothing,
+# and one that yields two solutions before its chain is walked again.
+DEAD_CHAIN = ([[2, 5], [6], [1, 3], [1, 2], [0, 3], [0, 3, 4], [4]], 7)
+REPLAY_AFTER_SOLUTIONS = (
+    [[0, 3, 4, 5, 2, 8, 6], [7, 5], [4, 0], [8, 6, 1], [2, 0], [4, 5], [7, 3], [1, 7],
+     [8, 7, 0], [8, 3, 0], [2, 3, 6], [8, 6], [3, 1], [0]],
+    9,
+)
+
+
 def reference_covers(row_lists, ncols):
     """Every exact cover of the instance, each an ascending list of row
     indices, sorted: a plain recursion on the row lists that takes the
@@ -777,7 +787,7 @@ class TestBranchingStrategies:
         [
             (lambda: kneser(9, 4).graph, ["tables", "tables"]),
             (petersen, ["masks", "masks"]),
-            (lambda: prism(30), ["masks", "masks"]),
+            (lambda: prism(30), ["masks"]),
         ],
         ids=["KG(9,4)", "Petersen", "prism C30"],
     )
@@ -785,7 +795,8 @@ class TestBranchingStrategies:
         # find_dim_partition runs the DIM instance and then the cover
         # instance: KG(9,4)'s have 315 columns and count, never building
         # the bitmasks; Petersen's have 15 and prism C30's 90, and scan,
-        # never building the index tables.
+        # never building the index tables.  Prism C30 has no DIM, so it
+        # has no cover instance.
         calls = []
         monkeypatch.setattr(solver, "_ExactCover", recording(calls))
         partition.find_dim_partition(make())
@@ -996,3 +1007,113 @@ class TestForcedBatch:
             search._choose(live, counts, i)
             assert killed == [expected]
             assert live.nonzero()[0].tolist() == [j for j in live_rows if j not in expected]
+
+
+def parts_union(*graphs):
+    """The disjoint union of the graphs, in order, with no relabelling."""
+    pairs, offset = [], 0
+    for g in graphs:
+        pairs.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.n
+    return build_graph(offset, pairs)
+
+
+class TestParts:
+    """The searches of a disconnected graph walk its components one step
+    at a time on one counter: each component's first DIM, then the rest
+    of each component's DIMs, then one cover search per component."""
+
+    def test_no_dim_found_component_by_component(self):
+        # 13 copies of C6 and one C7: 2 nodes find each C6's first DIM
+        # and 6 show that C7 has none.  The whole graph's search would
+        # try every C6 choice again below each other.
+        g = parts_union(*[cycle(6)] * 13, cycle(7))
+        assert g.m == 85
+        assert find_dim(g, 32) is None
+        with pytest.raises(SearchBudgetExceeded, match="budget of 31 nodes"):
+            find_dim(g, 31)
+        assert enumerate_dims(g, 32) == []
+
+    def test_two_petersens(self):
+        g = parts_union(petersen(), petersen())
+        first = find_dim(g, 6)
+        assert classify_dim(g, first).is_valid and len(first) == 6
+        with pytest.raises(SearchBudgetExceeded):
+            find_dim(g, 5)
+        dims = enumerate_dims(g, 30)
+        with pytest.raises(SearchBudgetExceeded):
+            enumerate_dims(g, 29)
+        one = brute_force_dims(petersen())
+        assert dims == sorted(
+            (a | {e + 15 for e in b} for a in one for b in one), key=sorted
+        )
+        assert len(dims) == 25
+
+    def test_listing_is_bounded_by_the_budget(self):
+        # Four C6: 81 DIMs in 24 nodes.  A budget below 81 finds them all
+        # but may not list them, as one search of the whole graph could not.
+        g = parts_union(*[cycle(6)] * 4)
+        parts = solver._Parts(g, _Nodes(80))
+        assert len(parts.first()) == 8
+        assert list(map(len, parts.all_dims())) == [3] * 4 and parts.nodes.used == 24
+        with pytest.raises(SearchBudgetExceeded, match="budget of 80 nodes"):
+            enumerate_dims(g, 80)
+        assert len(enumerate_dims(g, 81)) == 81
+        assert find_dim(g, 8) is not None
+
+    def test_disjoint_unions_match_the_oracles(self):
+        # Seeded unions of two or three corpus graphs, relabelled, of at
+        # most 20 edges in all.  Half the unions join components with DIM
+        # partitions of one class count, so that they have one too; the
+        # rest draw each component from those with a DIM or from all.
+        rng = random.Random(11)
+        corpus = [g for n in range(2, 6) for g in connected_graphs(n)]
+        with_dim = [g for g in corpus if find_dim(g) is not None]
+        by_classes = {}
+        for g in with_dim:
+            if partition.brute_force_dim_partitions(g):
+                by_classes.setdefault(partition._class_count(g), []).append(g)
+        pools = list(by_classes.values())
+        for seed in range(40):
+            pool = rng.choice(pools) if seed % 2 else None
+            graphs = [rng.choice(pool or rng.choice([with_dim, corpus]))
+                      for _ in range(rng.randint(2, 3))]
+            while sum(g.m for g in graphs) > 20:
+                graphs.pop()
+            g = disjoint_union([(h.n, h.edges) for h in graphs], seed)
+            want = brute_force_dims(g)
+            assert enumerate_dims(g) == want
+            found = find_dim(g)
+            assert (found is None) == (not want) and (found is None or found in want)
+            p = partition.find_dim_partition(g)
+            assert (p is not None) == bool(partition.brute_force_dim_partitions(g))
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [(DEAD_CHAIN, DEAD_CHAIN), (DEAD_CHAIN, REPLAY_AFTER_SOLUTIONS),
+         (REPLAY_AFTER_SOLUTIONS, REPLAY_AFTER_SOLUTIONS)],
+        ids=["dead-chains", "dead-chain-then-solutions", "solutions-then-replay"],
+    )
+    def test_interleaved_searches_share_a_counter(self, monkeypatch, first, second):
+        # Each instance walks a dead chain again from a saved node count.
+        # Two searches drawing on one counter, resumed in turn at every
+        # yield, draw the nodes and yield the solutions that they do one
+        # after the other: no search holds a chain to walk again across
+        # a yield, where the other's nodes would be undone.
+        counting(monkeypatch)
+        alone = _Nodes(DEFAULT_BUDGET)
+        want = [list(solver._cover_search(*inst, alone).solutions()) for inst in (first, second)]
+        nodes = _Nodes(DEFAULT_BUDGET)
+        searches = [solver._cover_search(*inst, nodes).solutions() for inst in (first, second)]
+        got = [[], []]
+        while any(searches):
+            for i, search in enumerate(searches):
+                if search is None:
+                    continue
+                sol = next(search, None)
+                if sol is None:
+                    searches[i] = None
+                    continue
+                assert search.gi_frame.f_locals["replay"] is None
+                got[i].append(sol)
+        assert got == want and nodes.used == alone.used
